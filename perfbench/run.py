@@ -134,10 +134,6 @@ SPAN_METRICS: Dict[str, Tuple[str, ...]] = {
     "protocol.parse_s": ("parse_client_line",),
 }
 
-#: Which metric absorbs the scheduler time moved out of a host layer.
-HOST_METRIC = {"core.grid_sweep": "grid.sweep_s", "engine.executor": "executor.dispatch_s"}
-
-
 def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
@@ -197,11 +193,12 @@ def layer_report(
 
     layers = layer_self_times(spans)
     if workload.scheduler_host is not None and "scheduler.run_s" in extras:
+        # Only the layer breakdown moves the replayed scheduler time; the
+        # host's own metric stays its measured self time.
         host, sharing = workload.scheduler_host
-        moved = min(extras["scheduler.run_s"] / sharing, metrics[HOST_METRIC[host]])
+        moved = min(extras["scheduler.run_s"] / sharing, layers.get(host, 0.0))
         layers[host] = layers.get(host, 0.0) - moved
         layers["core.scheduler"] = layers.get("core.scheduler", 0.0) + moved
-        metrics[HOST_METRIC[host]] -= moved
     for key, value in extras.items():
         if key in metrics:
             metrics[key] = value
