@@ -37,12 +37,15 @@ class Arrival:
     line: str
 
 
-def poisson_offsets(rng: random.Random, rate: float, seconds: float) -> List[float]:
-    """Arrival offsets of a Poisson process of ``rate`` per second over
-    ``seconds``, conditioned on its expected count: given the count, the
-    arrival times of a Poisson process are sorted uniform draws.  Fixing
-    the count keeps the offered load the same for every seed."""
-    return sorted(rng.uniform(0.0, seconds) for _ in range(round(rate * seconds)))
+def paced_offsets(rng: random.Random, gap: float, seconds: float, jitter: float) -> List[float]:
+    """Arrival offsets one ``gap`` apart over ``seconds``, each moved by a
+    uniform draw of up to ``jitter`` (a share of the gap, below one half)
+    either way.  Every seed offers the same count at the same rate, and
+    two arrivals are never closer than ``(1 - 2 * jitter) * gap``."""
+    return [
+        (index + 0.5 + rng.uniform(-jitter, jitter)) * gap
+        for index in range(round(seconds / gap))
+    ]
 
 
 @dataclass
@@ -68,15 +71,16 @@ class LoadRecord:
 
 #: Reply events that settle a request.
 SETTLING_EVENTS = ("result", "failed", "rejected")
+#: How long the reply reader may take to see the server's ``bye`` after
+#: the last request is sent.
+READER_TIMEOUT_S = 120.0
 
 
 def run_open_loop(
     arrivals: Sequence[Arrival],
     requests: IO[str],
     replies: IO[str],
-    clock: Callable[[], float] = time.perf_counter,
     sleep: Callable[[float], None] = time.sleep,
-    reader_timeout: float = 120.0,
 ) -> LoadRecord:
     """Send ``arrivals`` on schedule into ``requests``; stamp ``replies``.
 
@@ -88,7 +92,7 @@ def run_open_loop(
 
     def read() -> None:
         for line in replies:
-            now = clock()
+            now = time.perf_counter()
             message = json.loads(line)
             event = message.get("event")
             if event in SETTLING_EVENTS and message.get("id"):
@@ -98,24 +102,24 @@ def run_open_loop(
                 record.other_events.append(message)
                 if event == "bye":
                     break
-        record.end = clock()
+        record.end = time.perf_counter()
 
     reader = threading.Thread(target=read, name="perfbench-reader", daemon=True)
     reader.start()
-    record.start = clock()
+    record.start = time.perf_counter()
     try:
         for arrival in arrivals:
             due = record.start + arrival.due
             record.due[arrival.request_id] = due
-            wait = due - clock()
+            wait = due - time.perf_counter()
             if wait > 0:
                 sleep(wait)
             requests.write(arrival.line)
             requests.flush()
-            record.sent[arrival.request_id] = clock()
+            record.sent[arrival.request_id] = time.perf_counter()
     finally:
         requests.close()
-        reader.join(timeout=reader_timeout)
+        reader.join(timeout=READER_TIMEOUT_S)
     if reader.is_alive():
         raise RuntimeError("the reply reader did not finish; the server hung")
     return record

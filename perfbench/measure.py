@@ -47,25 +47,6 @@ def tail_percentile(samples: Sequence[float], quantile: float) -> Tuple[float, b
     return max(samples), False
 
 
-def median(samples: Sequence[float]) -> float:
-    """Middle value (mean of the two middle values for an even count)."""
-    if not samples:
-        raise ValueError("median needs at least one sample")
-    ordered = sorted(samples)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values."""
-    logs = [math.log(value) for value in values]
-    if not logs:
-        raise ValueError("geometric_mean needs at least one value")
-    return math.exp(sum(logs) / len(logs))
-
-
 def covered_length(intervals: Iterable[Tuple[float, float]], start: float, end: float) -> float:
     """Length of ``[start, end]`` covered by the union of ``intervals``.
 

@@ -25,6 +25,7 @@ import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
+from statistics import geometric_mean, median
 from typing import Any, Dict, List, Optional, Tuple
 
 HERE = Path(__file__).resolve().parent
@@ -35,13 +36,7 @@ OUT = ROOT / ".perfbench_out"
 
 sys.path.insert(0, str(HERE))
 
-from measure import (  # noqa: E402
-    geometric_mean,
-    layer_self_times,
-    median,
-    self_times,
-    tail_percentile,
-)
+from measure import layer_self_times, self_times, tail_percentile  # noqa: E402
 
 #: Set-up is repeated at least ``SETUP_REPEATS`` times, and cheap set-ups
 #: until ``SETUP_BUDGET_S`` is spent; ``setup_s`` is the median import time

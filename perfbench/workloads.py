@@ -16,10 +16,11 @@ goes through the correctness gate after the phase ends.
 * ``paper-tables-w2`` -- the paper's protocol (Table 1 modes and the
   Table 2 width sweep) on the four ITC'02 SOCs at ``workers=2``: many
   small jobs and a pool refresh whenever the SOC changes.
-* ``serve-open`` -- an open loop of ``paper`` and trimmed-``best``
-  requests written as JSONL into the stream transport of a supervisor
-  with a write-ahead journal.  Only this workload measures admission,
-  journal appends, dedup and the wire protocol.
+* ``serve-open`` -- a paced open loop of ``paper`` and trimmed-``best``
+  requests for a 300-core generator SOC, written as JSONL into the stream
+  transport of a supervisor with a write-ahead journal.  Only this
+  workload measures admission, journal appends, dedup and the wire
+  protocol.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from statistics import median
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import loadgen
 from gate import Gate
-from loadgen import Arrival, poisson_offsets
-from measure import Tracer, median, nearest_rank
+from loadgen import Arrival, paced_offsets
+from measure import Tracer, nearest_rank
 
 import repro.core.grid_sweep as grid_sweep
 import repro.core.lower_bounds as lower_bounds
@@ -73,13 +75,30 @@ GOLDEN_S1000_SEED = 1003
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 POOL_WORKERS = max(1, min(2, CPUS))
 
-#: serve-open: offered rate, about a fifth of the measured capacity (~500/s
-#: on 2 CPUs).  At half capacity the latency spread between runs reached
-#: 30%: interpreter-lock hand-offs between the server threads dominate.
-SERVE_RATE_PER_S = 100.0
-SERVE_WIDTHS = (8, 64)
-#: One request in this many repeats one of the last few fingerprints.
-SERVE_REPEAT_EVERY = 5
+#: serve-open: requests for a generated SOC of this many cores take 15-45 ms
+#: each on a 2-CPU machine.  The shared host pauses a CPU for 1-16 ms about
+#: 50 times a second; a request that long absorbs several pauses, while a
+#: 2 ms request for an ITC'02 SOC either misses them or doubles, which put
+#: the run-to-run spread of its p90 at 45%.
+SERVE_CORES = 200
+#: The serve-open SOC is fixed; the workload seed draws the arrivals and
+#: the request mix, so seeds differ in traffic, not in the SOC served.
+SERVE_SOC_SEED = 1003
+#: One arrival every SERVE_GAP_S, each moved by a seeded uniform draw of up
+#: to SERVE_JITTER of the gap: 100 requests in 15 s, so the p90 has ten
+#: beyond it.  The gap is three times the slowest request, so requests do
+#: not overlap; with Poisson arrivals the p90 depended on how many requests
+#: happened to share the interpreter lock with another.
+SERVE_GAP_S = 0.15
+SERVE_JITTER = 0.1
+SERVE_WIDTHS = range(8, 65)
+#: Request kinds, slot by slot: a fresh ``best`` or ``paper`` request, or a
+#: repeat of one of the last SERVE_REPEAT_WINDOW fresh ones (a dedup hit).
+#: Fresh widths are drawn without replacement, so fresh requests are
+#: distinct.  Sorted by latency the repeats come first, then ``paper``,
+#: then ``best``: the p50 falls inside the ``paper`` requests and the p90
+#: inside the ``best`` ones, not on the edge between two kinds.
+SERVE_PATTERN = ("best", "paper", "repeat", "best", "paper", "best", "paper", "repeat", "best", "paper")
 SERVE_REPEAT_WINDOW = 16
 SERVE_QUEUE_LIMIT = 64
 SERVE_MAX_INFLIGHT = 2
@@ -102,11 +121,11 @@ NAMED_LAYERS = (
 clock = time.perf_counter
 
 
-def s1000(seed: int) -> Soc:
+def generated_soc(seed: int, cores: int) -> Soc:
     return generate_soc(
         seed,
-        name="s1000",
-        profile=GeneratorProfile(min_cores=S1000_CORES, max_cores=S1000_CORES),
+        name=f"s{cores}",
+        profile=GeneratorProfile(min_cores=cores, max_cores=cores),
     )
 
 
@@ -126,10 +145,26 @@ def live_child_pids() -> Set[int]:
     return {child.pid for child in multiprocessing.active_children()}
 
 
+def own_and_child_pids() -> List[str]:
+    return ["self"] + [str(pid) for pid in live_child_pids()]
+
+
+def reset_peak_rss() -> None:
+    """Restart the peak-RSS count (VmHWM) of this process and its live
+    children at their current RSS, so that set-up and the serial reference
+    pass do not count in the timed phase's peak."""
+    for pid in own_and_child_pids():
+        try:
+            with open(f"/proc/{pid}/clear_refs", "w", encoding="ascii") as handle:
+                handle.write("5")
+        except OSError:
+            continue
+
+
 def peak_rss_mb() -> float:
     """Peak resident memory (VmHWM) of this process plus its live children."""
     total_kb = 0
-    for pid in ["self"] + [str(pid) for pid in live_child_pids()]:
+    for pid in own_and_child_pids():
         try:
             with open(f"/proc/{pid}/status", encoding="ascii") as handle:
                 for line in handle:
@@ -242,6 +277,10 @@ class Workload:
         tally = ExecutorTally()
         seen_pids = live_child_pids()
         last_stats = get_default_executor().last_stats
+        # Sampled after every call: a pool replaced by a later call is
+        # counted while it was live, not summed with its successor.
+        rss = 0.0
+        reset_peak_rss()
         start = clock()
         while True:
             done = len(latencies)
@@ -263,6 +302,7 @@ class Workload:
                 add_curve_delta(tracer, counters)
             outcomes.extend(results)
             schedules += completed
+            rss = max(rss, peak_rss_mb())
             pids = live_child_pids()
             if pids - seen_pids:
                 tally.pool_starts += 1
@@ -276,7 +316,6 @@ class Workload:
                 tally.retries += stats.retries
                 tally.board_aborts += stats.board_aborts
         wall = clock() - start
-        rss = peak_rss_mb()
         return Phase(
             wall_s=wall,
             latencies=latencies,
@@ -362,7 +401,7 @@ class S1000Workload(Workload):
     key = ""
 
     def build(self) -> None:
-        self.soc = s1000(self.seed)
+        self.soc = generated_soc(self.seed, S1000_CORES)
         self.request = ScheduleRequest(
             soc=self.soc, total_width=WIDTH, solver="best", options=dict(self.grid)
         )
@@ -512,57 +551,31 @@ class PaperTablesW2(Workload):
 # ----------------------------------------------------------------------
 # The service under open-loop load
 # ----------------------------------------------------------------------
-def wire_safe(soc: Soc) -> Soc:
-    """The SOC with spaces in core names replaced by underscores.
-
-    The wire format's SOC text (``format_soc``) writes core names verbatim
-    but ``parse_soc`` splits on whitespace, so a request for an SOC whose
-    core names hold spaces is rejected as a bad request.  Renaming keeps
-    the cores' order and every scheduling input.
-    """
-    if not any(" " in core.name for core in soc.cores):
-        return soc
-    return Soc(
-        name=soc.name,
-        cores=tuple(replace(core, name=core.name.replace(" ", "_")) for core in soc.cores),
-    )
-
-
 class ServeOpen(Workload):
     name = "serve-open"
     generator_threads = 2
-    offered_rate_per_s = SERVE_RATE_PER_S
+    offered_rate_per_s = 1.0 / SERVE_GAP_S
     tail_latency = True
 
     def __init__(self, seed: int, seconds: float, scratch: Path, gate: Gate) -> None:
         super().__init__(seed, seconds, scratch, gate)
-        self.socs = {name: wire_safe(get_benchmark(name)) for name in ITC02}
-        # Renamed SOCs are new inputs: their results are checked against the
-        # serial reference, not against the golden entries of the originals.
-        self.result_keys = {
-            name: name if soc == get_benchmark(name) else f"{name}-wire"
-            for name, soc in self.socs.items()
-        }
+        self.soc = generated_soc(SERVE_SOC_SEED, SERVE_CORES)
         rng = random.Random(seed)
-        self.specs: Dict[str, Tuple[str, int, str]] = {}
-        lines: Dict[Tuple[str, int, str], str] = {}
-        history: List[Tuple[str, int, str]] = []
-        kinds = [(name, solver) for name in ITC02 for solver in ("paper", "best")]
-        cycle: List[Tuple[str, str]] = []
+        self.specs: Dict[str, Tuple[int, str]] = {}
+        lines: Dict[Tuple[int, str], str] = {}
+        fresh: List[Tuple[int, str]] = []
+        widths: Dict[str, List[int]] = {"best": [], "paper": []}
         self.arrivals_path = scratch / "arrivals.jsonl"
         with open(self.arrivals_path, "w", encoding="utf-8") as arrivals:
-            for index, due in enumerate(poisson_offsets(rng, SERVE_RATE_PER_S, seconds)):
-                # Every SERVE_REPEAT_EVERY-th request repeats a recent one;
-                # the others draw their SOC and solver from a shuffled cycle
-                # of all kinds, so every seed offers the same mix.
-                if index % SERVE_REPEAT_EVERY == SERVE_REPEAT_EVERY - 1:
-                    spec = rng.choice(history[-SERVE_REPEAT_WINDOW:])
+            for index, due in enumerate(paced_offsets(rng, SERVE_GAP_S, seconds, SERVE_JITTER)):
+                kind = SERVE_PATTERN[index % len(SERVE_PATTERN)]
+                if kind == "repeat":
+                    spec = rng.choice(fresh[-SERVE_REPEAT_WINDOW:])
                 else:
-                    if not cycle:
-                        cycle = rng.sample(kinds, len(kinds))
-                    name, solver = cycle.pop()
-                    spec = (name, rng.randint(*SERVE_WIDTHS), solver)
-                history.append(spec)
+                    if not widths[kind]:
+                        widths[kind] = rng.sample(SERVE_WIDTHS, len(SERVE_WIDTHS))
+                    spec = (widths[kind].pop(), kind)
+                    fresh.append(spec)
                 if spec not in lines:
                     lines[spec] = json.dumps(self.request(spec).to_dict(), separators=(",", ":"))
                 request_id = f"s{seed}-{index}"
@@ -572,18 +585,20 @@ class ServeOpen(Workload):
         self.supervisor: Optional[Supervisor] = None
         self.setups = 0
 
-    def request(self, spec: Tuple[str, int, str]) -> ScheduleRequest:
-        name, width, solver = spec
+    def request(self, spec: Tuple[int, str]) -> ScheduleRequest:
+        width, solver = spec
         options = TRIMMED_GRID if solver == "best" else {}
-        soc = self.socs[name]
-        return ScheduleRequest(soc=soc, total_width=width, solver=solver, options=options)
+        return ScheduleRequest(soc=self.soc, total_width=width, solver=solver, options=options)
+
+    def key(self, spec: Tuple[int, str]) -> str:
+        width, solver = spec
+        return f"{self.soc.name}-{SERVE_SOC_SEED}/{solver}/{width}"
 
     def setup(self) -> None:
         if self.supervisor is not None:
             self.supervisor.close()
         cold_reset()
-        for soc in self.socs.values():
-            get_default_session().rectangle_sets(soc, WIDTH)
+        get_default_session().rectangle_sets(self.soc, WIDTH)
         self.setups += 1
         self.journal_path = self.scratch / f"journal-{self.setups}.jsonl"
         config = ServiceConfig(
@@ -598,16 +613,14 @@ class ServeOpen(Workload):
         self.setup()
 
     def prepare_reference(self) -> None:
-        self.bounds: Dict[Tuple[str, int], int] = {}
+        self.bounds: Dict[int, int] = {}
         session = Session()
         for spec in sorted(set(self.specs.values())):
-            name, width, solver = spec
-            self.bounds[(name, width)] = lower_bounds.lower_bound(self.socs[name], width)
-            key = f"{self.result_keys[name]}/{solver}/{width}"
-            if not self.gate.has_golden(key):
-                result = session.solve(self.request(spec))
-                fingerprint = schedule_fingerprint(result.schedule)
-                self.gate.record_reference(key, result.makespan, fingerprint)
+            width = spec[0]
+            self.bounds[width] = lower_bounds.lower_bound(self.soc, width)
+            result = session.solve(self.request(spec))
+            fingerprint = schedule_fingerprint(result.schedule)
+            self.gate.record_reference(self.key(spec), result.makespan, fingerprint)
 
     def run(self, count: Optional[int], tracer: Optional[Tracer]) -> Phase:
         """One pass of the arrival schedule; ``count`` is unused."""
@@ -624,6 +637,7 @@ class ServeOpen(Workload):
         supervisor.started_hook = on_started
         record_path = self.scratch / f"record-{self.setups}.json"
         counters = curve_counters()
+        reset_peak_rss()
         # The client runs in its own process, so its timestamps do not wait
         # for this process's interpreter lock.
         client = subprocess.Popen(
@@ -657,7 +671,7 @@ class ServeOpen(Workload):
         outcomes: List[Outcome] = []
         latencies: List[float] = []
         failed = 0
-        for request_id, (name, width, solver) in self.specs.items():
+        for request_id, spec in self.specs.items():
             message = record.messages.get(request_id)
             if message is None or message.get("event") != "result":
                 failed += 1
@@ -665,9 +679,9 @@ class ServeOpen(Workload):
             result = message["result"]
             outcomes.append(
                 Outcome(
-                    f"{self.result_keys[name]}/{solver}/{width}",
+                    self.key(spec),
                     int(result["makespan"]),
-                    self.bounds[(name, width)],
+                    self.bounds[spec[0]],
                     TestSchedule.from_dict(result["schedule"]),
                 )
             )
