@@ -1,4 +1,5 @@
-"""Measurement helpers of the benchmark: percentiles, spans and self time.
+"""Measurement helpers of the benchmark: percentiles, CPU speed, spans and
+self time.
 
 Everything here is stdlib-only and independent of the ``repro`` package,
 so the helpers can be unit-tested without building a SOC.
@@ -6,10 +7,14 @@ so the helpers can be unit-tested without building a SOC.
 
 from __future__ import annotations
 
+import gc
+import heapq
 import math
+import random
 import threading
 import time
 from dataclasses import dataclass
+from statistics import mean
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: A tail percentile is reported only when at least this many samples lie
@@ -64,6 +69,57 @@ def covered_length(intervals: Iterable[Tuple[float, float]], start: float, end: 
         covered += b - max(a, cursor)
         cursor = b
     return covered
+
+
+# ----------------------------------------------------------------------
+# CPU speed
+# ----------------------------------------------------------------------
+def reference_work() -> int:
+    """A fixed pure-Python task of about half a millisecond, independent of
+    the program: seeded integers into a dict, a sort and a bounded heap of
+    tuples, the kinds of work the wrapper kernel and the scheduler do.
+
+    The garbage collector is off while it runs, so a collection's cost,
+    which grows with the caller's heap, never lands in its time.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rng = random.Random(2002)
+        table: Dict[int, Tuple[int, int]] = {}
+        for index in range(300):
+            key = rng.randrange(1 << 40)
+            table[key] = (index, key % 97)
+        events: List[Tuple[int, int]] = []
+        total = 0
+        for key in sorted(table):
+            index, residue = table[key]
+            heapq.heappush(events, (residue, index))
+            if len(events) > 64:
+                total += heapq.heappop(events)[1]
+        return total
+    finally:
+        if enabled:
+            gc.enable()
+
+
+#: :func:`reference_work`'s time on a CPU of the 2-CPU machine the benchmark
+#: was written on, in its fast state (Python 3.11.7).
+REFERENCE_WORK_S = 0.00042
+
+
+def host_scale(
+    samples: Iterable[Tuple[float, float]], windows: Sequence[Tuple[float, float]]
+) -> float:
+    """How much slower than :data:`REFERENCE_WORK_S` the sampled CPUs ran
+    during ``windows``: the mean time of the ``(end, seconds)`` samples that
+    ended inside any window, over the reference time."""
+    inside = [
+        seconds for end, seconds in samples if any(a <= end <= b for a, b in windows)
+    ]
+    if not inside:
+        raise ValueError("no speed sample fell inside the measured windows")
+    return mean(inside) / REFERENCE_WORK_S
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ Usage (from the root of a checkout)::
 
     python3 perfbench/run.py --workload cold-s1000 --seed 1003 --seconds 15 --trace 0
 
-``--trace 0`` measures the end-to-end metrics with tracing off.  ``--trace
+``--trace 0`` measures the end-to-end metrics with tracing off, with their
+times expressed at the CPUs' fast speed (see ``cpuspeed.py``).  ``--trace
 1`` repeats the same work with spans around each layer's public calls and
 reports the per-layer metrics; spans are written to
 ``.perfbench_out/trace-<workload>-<seed>.json``.  The last line of standard
@@ -36,14 +37,19 @@ OUT = ROOT / ".perfbench_out"
 
 sys.path.insert(0, str(HERE))
 
-from measure import layer_self_times, self_times, tail_percentile  # noqa: E402
+from measure import host_scale, layer_self_times, self_times, tail_percentile  # noqa: E402
 
-#: Set-up is repeated at least ``SETUP_REPEATS`` times, and cheap set-ups
-#: until ``SETUP_BUDGET_S`` is spent; ``setup_s`` is the median import time
-#: plus the median set-up.  The run uses what the last set-up built.
-SETUP_REPEATS = 3
-SETUP_BUDGET_S = 2.0
-SETUP_MAX_REPEATS = 15
+#: Set-up is timed in two rounds, one before the timed phase and one after
+#: it, so its samples span the run rather than one moment of a host whose
+#: speed changes within seconds.  Each round repeats it at least
+#: ``SETUP_REPEATS`` times, and cheap set-ups until ``SETUP_BUDGET_S`` is
+#: spent; ``setup_s`` is the median import time plus the median set-up of
+#: both rounds.  Each phase uses what the set-up before it built.
+SETUP_REPEATS = 2
+SETUP_BUDGET_S = 1.0
+SETUP_MAX_REPEATS = 8
+#: Fresh interpreters timed importing the driven layers.
+IMPORT_REPEATS = 3
 #: The seed used while the benchmark was written, and one kept back that
 #: later performance claims must also hold on.
 DEFAULT_SEED = 1003
@@ -211,19 +217,45 @@ def layer_report(
     return metrics, named
 
 
-def end_to_end(setup_s: float, phase: Any, tail: bool) -> Tuple[Dict[str, float], Dict[str, Any]]:
+def end_to_end(
+    setup_s: float,
+    setup_windows: List[Tuple[float, float]],
+    phase: Any,
+    phase_window: Tuple[float, float],
+    speed: List[Tuple[float, float]],
+    workload: Any,
+) -> Tuple[Dict[str, float], Dict[str, Any]]:
     """The end-to-end metrics of one untraced phase.
 
-    ``tail`` says whether the workload's sample count (fixed by its
-    inputs) supports a p90; batch workloads finish a few dozen calls at
-    most, so their ``latency_p90_s`` repeats the median rather than
-    reporting a maximum that one slow call would move.
+    Times are divided by how much slower than their fast state the sampled
+    CPUs ran while they were taken: ``setup_s`` by the scale over the
+    set-up windows, each batch call's latency by the scale over that call,
+    and ``serve-open``'s latencies, whose requests are too short to sample
+    one by one, by the scale over the phase.  The batch workloads' rate is
+    multiplied by the phase's scale; a paced workload's rate is set by its
+    arrivals, so it is left as measured.  Batch workloads finish a few
+    dozen calls at most, so their ``latency_p90_s`` repeats the median
+    rather than reporting a maximum that one slow call would move.
     """
-    p50 = median(phase.latencies)
-    p90, supported = tail_percentile(phase.latencies, 0.9) if tail else (p50, False)
+    setup_scale = host_scale(speed, setup_windows)
+    phase_scale = host_scale(speed, [phase_window])
+    if phase.windows:
+        latencies = [
+            latency / host_scale(speed, [window])
+            for latency, window in zip(phase.latencies, phase.windows)
+        ]
+    else:
+        latencies = [latency / phase_scale for latency in phase.latencies]
+    p50 = median(latencies)
+    p90, supported = tail_percentile(latencies, 0.9) if workload.tail_latency else (p50, False)
+    measured_p50 = median(phase.latencies)
+    measured_p90 = (
+        tail_percentile(phase.latencies, 0.9)[0] if workload.tail_latency else measured_p50
+    )
+    rate = phase.schedules / phase.wall_s
     metrics = {
-        "setup_s": setup_s,
-        "solves_per_s": phase.schedules / phase.wall_s,
+        "setup_s": setup_s / setup_scale,
+        "solves_per_s": rate if workload.offered_rate_per_s else rate * phase_scale,
         "latency_p50_s": p50,
         "latency_p90_s": p90,
         "makespan_over_lb_ratio": geometric_mean(phase.ratios.values()),
@@ -235,6 +267,14 @@ def end_to_end(setup_s: float, phase: Any, tail: bool) -> Tuple[Dict[str, float]
         "failed_share": phase.failed / phase.attempted,
         "distinct_results": len(phase.ratios),
         "timed_phase_s": phase.wall_s,
+        "cpu_scale_setup": setup_scale,
+        "cpu_scale_phase": phase_scale,
+        "measured": {
+            "setup_s": setup_s,
+            "solves_per_s": rate,
+            "latency_p50_s": measured_p50,
+            "latency_p90_s": measured_p90,
+        },
     }
     return metrics, notes
 
@@ -249,7 +289,7 @@ IMPORT_PROBE = (
 def import_seconds() -> float:
     """Median time a fresh interpreter takes to import the driven layers."""
     samples = []
-    for _ in range(SETUP_REPEATS):
+    for _ in range(IMPORT_REPEATS):
         probe = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE, str(SRC), str(HERE)],
             capture_output=True,
@@ -260,38 +300,61 @@ def import_seconds() -> float:
     return median(samples)
 
 
-def run(args: argparse.Namespace, scratch: Path) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    sys.path.insert(0, str(SRC))
-    import workloads  # imports the repro layers it drives
-    from gate import Gate
-    from measure import Tracer
-
-    import_s = import_seconds()
-    if args.workload not in workloads.WORKLOADS:
-        choices = ", ".join(sorted(workloads.WORKLOADS))
-        raise SystemExit(f"unknown workload {args.workload!r}; choose from {choices}")
-    with open(GOLDEN, encoding="utf-8") as handle:
-        gate = Gate(json.load(handle))
-    workload = workloads.WORKLOADS[args.workload](args.seed, args.seconds, scratch, gate)
+def time_setups(workload: Any, windows: List[Tuple[float, float]]) -> List[float]:
+    """One round of timed set-ups; each one's interval goes to ``windows``."""
     setups: List[float] = []
     while len(setups) < SETUP_REPEATS or (
         sum(setups) < SETUP_BUDGET_S and len(setups) < SETUP_MAX_REPEATS
     ):
         began = time.perf_counter()
         workload.setup()
-        setups.append(time.perf_counter() - began)
+        ended = time.perf_counter()
+        setups.append(ended - began)
+        windows.append((began, ended))
+    return setups
+
+
+def run(args: argparse.Namespace, scratch: Path) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    sys.path.insert(0, str(SRC))
+    import workloads  # imports the repro layers it drives
+    from cpuspeed import Samplers
+    from gate import Gate
+    from measure import Tracer
+
+    if args.workload not in workloads.WORKLOADS:
+        choices = ", ".join(sorted(workloads.WORKLOADS))
+        raise SystemExit(f"unknown workload {args.workload!r}; choose from {choices}")
+    with open(GOLDEN, encoding="utf-8") as handle:
+        gate = Gate(json.load(handle))
+    workload = workloads.WORKLOADS[args.workload](args.seed, args.seconds, scratch, gate)
+    if workload.single_cpu:
+        # A serial workload stays on one CPU, so that CPU's sampler alone
+        # says how fast it ran.
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    setup_windows: List[Tuple[float, float]] = []
+    with Samplers(os.sched_getaffinity(0)) as samplers:
+        began = time.perf_counter()
+        import_s = import_seconds()
+        setup_windows.append((began, time.perf_counter()))
+        setups = time_setups(workload, setup_windows)
+        workload.prepare_reference()
+        began = time.perf_counter()
+        phase = workload.run(None, None)
+        phase_window = (began, time.perf_counter())
+        setups += time_setups(workload, setup_windows)
+        speed = samplers.stop()
     setup_s = import_s + median(setups)
-    workload.prepare_reference()
-    phase = workload.run(None, None)
-    metrics, notes = end_to_end(setup_s, phase, workload.tail_latency)
+    metrics, notes = end_to_end(setup_s, setup_windows, phase, phase_window, speed, workload)
     notes.update(
         {
+            "speed_samples": len(speed),
             "import_s": import_s,
             "setup_repeats_s": setups,
             "golden_checks": gate.golden_checked,
             "gate_checks": gate.checked,
             "environment": {
                 "cpus": workloads.CPUS,
+                "cpus_sampled": sorted(os.sched_getaffinity(0)),
                 "python": platform.python_version(),
                 "platform": platform.platform(),
                 "pool_workers": workload.workers,

@@ -12,13 +12,16 @@ from pathlib import Path
 
 import pytest
 
+from cpuspeed import Samplers
 from gate import Gate
 from loadgen import Arrival, run_open_loop
 from measure import (
     MIN_BEYOND,
+    REFERENCE_WORK_S,
     Span,
     Tracer,
     covered_length,
+    host_scale,
     layer_self_times,
     nearest_rank,
     samples_beyond,
@@ -58,6 +61,28 @@ def test_p90_needs_ten_samples_beyond_it():
     assert tail_percentile(supported, 0.9) == (90.0, True)
     short = [float(value) for value in range(1, 100)]
     assert tail_percentile(short, 0.9) == (99.0, False)
+
+
+# ----------------------------------------------------------------------
+# CPU speed
+# ----------------------------------------------------------------------
+def test_host_scale_averages_the_samples_inside_the_windows():
+    fast, slow = REFERENCE_WORK_S, 2 * REFERENCE_WORK_S
+    samples = [(0.5, fast), (1.5, slow), (2.5, slow), (3.5, fast), (9.0, 10.0)]
+    assert host_scale(samples, [(0.0, 2.0)]) == pytest.approx(1.5)
+    assert host_scale(samples, [(1.0, 3.0)]) == pytest.approx(2.0)
+    assert host_scale(samples, [(0.0, 1.0), (3.0, 4.0)]) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        host_scale(samples, [(4.0, 8.0)])
+
+
+def test_samplers_time_the_reference_task_and_end():
+    with Samplers(sorted(os.sched_getaffinity(0))[:1]) as samplers:
+        threading.Event().wait(0.3)
+        samples = samplers.stop()
+    assert samples
+    assert all(seconds > 0 for _, seconds in samples)
+    assert all(process.poll() is not None for process in samplers.processes)
 
 
 # ----------------------------------------------------------------------

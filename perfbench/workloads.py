@@ -9,15 +9,16 @@ goes through the correctness gate after the phase ends.
   1000-core generator SOC, with every cache cleared before each solve, as
   a fresh ``repro solve`` process sees them.  The wrapper-curve kernel
   does most of the work and the executor is bypassed.
-* ``warm-s1000-w2`` -- the same SOC with warm curves and a warm 2-worker
-  pool; full default-grid ``best`` solves.  Grid dedup/ordering, the
+* ``warm-s1000-w2`` -- the 1000-core SOC of generator seed 1003, its cores
+  in a seeded order, with warm curves and a warm 2-worker pool; full
+  default-grid ``best`` solves.  Grid dedup/ordering, the
   executor fan-out and the scheduler event loop do the work; the curve
   kernel does none.
 * ``paper-tables-w2`` -- the paper's protocol (Table 1 modes and the
   Table 2 width sweep) on the four ITC'02 SOCs at ``workers=2``: many
   small jobs and a pool refresh whenever the SOC changes.
 * ``serve-open`` -- a paced open loop of ``paper`` and trimmed-``best``
-  requests for a 300-core generator SOC, written as JSONL into the stream
+  requests for a 200-core generator SOC, written as JSONL into the stream
   transport of a supervisor with a write-ahead journal.  Only this
   workload measures admission, journal appends, dedup and the wire
   protocol.
@@ -94,10 +95,12 @@ SERVE_JITTER = 0.1
 SERVE_WIDTHS = range(8, 65)
 #: Request kinds, slot by slot: a fresh ``best`` or ``paper`` request, or a
 #: repeat of one of the last SERVE_REPEAT_WINDOW fresh ones (a dedup hit).
-#: Fresh widths are drawn without replacement, so fresh requests are
-#: distinct.  Sorted by latency the repeats come first, then ``paper``,
-#: then ``best``: the p50 falls inside the ``paper`` requests and the p90
-#: inside the ``best`` ones, not on the edge between two kinds.
+#: Each kind takes its fresh widths from the front of one fixed order of
+#: SERVE_WIDTHS, so every seed sends the same fresh requests, only in
+#: another order; in runs of up to 21 s they are distinct.  Sorted by
+#: latency the repeats come first, then ``paper``, then ``best``: the p50
+#: falls inside the ``paper`` requests and the p90 inside the ``best``
+#: ones, not on the edge between two kinds.
 SERVE_PATTERN = ("best", "paper", "repeat", "best", "paper", "best", "paper", "repeat", "best", "paper")
 SERVE_REPEAT_WINDOW = 16
 SERVE_QUEUE_LIMIT = 64
@@ -205,6 +208,9 @@ class Phase:
     ratios: Dict[str, float]
     peak_rss_mb: float
     extra: Dict[str, Any] = field(default_factory=dict)
+    #: Start and end of each top-level call, beside ``latencies``; empty
+    #: when the calls are too short to time the CPUs' speed during each.
+    windows: List[Tuple[float, float]] = field(default_factory=list)
 
 
 def quality_ratios(outcomes: Sequence[Outcome]) -> Dict[str, float]:
@@ -237,6 +243,9 @@ class Workload:
     calls_per_round = 1
     #: Whether the timed phase always yields enough samples for a p90.
     tail_latency = False
+    #: Whether all the work runs in this process, serially, so the run can
+    #: stay on one CPU.
+    single_cpu = False
 
     def __init__(self, seed: int, seconds: float, scratch: Path, gate: Gate) -> None:
         self.seed = seed
@@ -272,6 +281,7 @@ class Workload:
     def run(self, count: Optional[int], tracer: Optional[Tracer]) -> Phase:
         """Timed phase: ``count`` calls, or whole rounds for ``seconds``."""
         latencies: List[float] = []
+        windows: List[Tuple[float, float]] = []
         outcomes: List[Outcome] = []
         schedules = 0
         tally = ExecutorTally()
@@ -297,7 +307,9 @@ class Workload:
                 counters = curve_counters()
                 tracer.set_request(f"{self.name}-op{done}")
                 results, completed = tracer.call("op", "harness", self.op, done)
-            latencies.append(clock() - began)
+            ended = clock()
+            latencies.append(ended - began)
+            windows.append((began, ended))
             if tracer is not None:
                 add_curve_delta(tracer, counters)
             outcomes.extend(results)
@@ -325,6 +337,7 @@ class Workload:
             ratios=quality_ratios(outcomes),
             peak_rss_mb=rss,
             extra={"executor": tally, "outcomes": outcomes},
+            windows=windows,
         )
 
     def check(self, outcomes: Sequence[Outcome]) -> int:
@@ -400,8 +413,11 @@ class S1000Workload(Workload):
     grid: Dict[str, Any] = {}
     key = ""
 
+    def generate(self) -> Soc:
+        return generated_soc(self.seed, S1000_CORES)
+
     def build(self) -> None:
-        self.soc = generated_soc(self.seed, S1000_CORES)
+        self.soc = self.generate()
         self.request = ScheduleRequest(
             soc=self.soc, total_width=WIDTH, solver="best", options=dict(self.grid)
         )
@@ -436,6 +452,7 @@ class S1000Workload(Workload):
 class ColdS1000(S1000Workload):
     name = "cold-s1000"
     grid = TRIMMED_GRID
+    single_cpu = True
     scheduler_host = ("core.grid_sweep", 1)
 
     def setup(self) -> None:
@@ -459,6 +476,19 @@ class WarmS1000W2(S1000Workload):
     name = "warm-s1000-w2"
     workers = POOL_WORKERS
     scheduler_host = ("engine.executor", POOL_WORKERS)
+
+    def generate(self) -> Soc:
+        """The golden s1000 SOC with its cores shuffled by the seed.
+
+        A warm solve's cost depends on the SOC: full-grid solves of the
+        SOCs of generator seeds 1003-1006 took 3.0-4.6 s, which spread ten
+        runs by 17% of their median.  Core order leaves the makespan as it
+        is and moved the cost of four orders by under 12%.
+        """
+        soc = generated_soc(GOLDEN_S1000_SEED, S1000_CORES)
+        cores = list(soc.cores)
+        random.Random(self.seed).shuffle(cores)
+        return soc.with_cores(cores)
 
     def setup(self) -> None:
         cold_reset()
@@ -564,16 +594,20 @@ class ServeOpen(Workload):
         self.specs: Dict[str, Tuple[int, str]] = {}
         lines: Dict[Tuple[int, str], str] = {}
         fresh: List[Tuple[int, str]] = []
-        widths: Dict[str, List[int]] = {"best": [], "paper": []}
+        offsets = paced_offsets(rng, SERVE_GAP_S, seconds, SERVE_JITTER)
+        kinds = [SERVE_PATTERN[index % len(SERVE_PATTERN)] for index in range(len(offsets))]
+        order = random.Random(SERVE_SOC_SEED).sample(SERVE_WIDTHS, len(SERVE_WIDTHS))
+        widths: Dict[str, List[int]] = {}
+        for kind in ("best", "paper"):
+            count = kinds.count(kind)
+            widths[kind] = [order[slot % len(order)] for slot in range(count)]
+            rng.shuffle(widths[kind])
         self.arrivals_path = scratch / "arrivals.jsonl"
         with open(self.arrivals_path, "w", encoding="utf-8") as arrivals:
-            for index, due in enumerate(paced_offsets(rng, SERVE_GAP_S, seconds, SERVE_JITTER)):
-                kind = SERVE_PATTERN[index % len(SERVE_PATTERN)]
+            for index, (due, kind) in enumerate(zip(offsets, kinds)):
                 if kind == "repeat":
                     spec = rng.choice(fresh[-SERVE_REPEAT_WINDOW:])
                 else:
-                    if not widths[kind]:
-                        widths[kind] = rng.sample(SERVE_WIDTHS, len(SERVE_WIDTHS))
                     spec = (widths[kind].pop(), kind)
                     fresh.append(spec)
                 if spec not in lines:
