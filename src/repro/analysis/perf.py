@@ -894,6 +894,25 @@ def load_report(path: str) -> Dict[str, Any]:
         return json.load(handle)
 
 
+def _with_unit(key: str, value: Any) -> str:
+    """``value`` with the unit its report key names.
+
+    ``*_rps`` is a rate per second, ``speedup`` / ``*shrink`` a factor, and
+    ``*_share`` / ``*_ratio`` carry no unit.  Every other float in a suite
+    report is a time (``seconds``, ``*_seconds``, ``*_s`` and the per-SOC
+    or per-cell totals), printed in seconds; non-floats print as they are.
+    """
+    if not isinstance(value, float):
+        return f"{value}"
+    if key.endswith("_rps"):
+        return f"{value:.1f}/s"
+    if key == "speedup" or key.endswith("shrink"):
+        return f"{value:.2f}x"
+    if key.endswith(("_share", "_ratio")):
+        return f"{value:.3f}"
+    return f"{value:.4f}s"
+
+
 def summarize(report: Mapping[str, Any]) -> str:
     """Human-readable one-screen summary of a suite report."""
     lines = [f"suite      : {report.get('suite')}"]
@@ -901,20 +920,12 @@ def summarize(report: Mapping[str, Any]) -> str:
     phases = report.get("phases", {})
     for name, value in phases.items():
         if isinstance(value, Mapping):
-
-            def render(key: str, entry: Any) -> str:
-                if not isinstance(entry, float):
-                    return f"{key}={entry}"
-                if key in ("speedup", "payload_shrink"):
-                    return f"{key}={entry:.2f}x"
-                if key == "shm_task_share":
-                    return f"{key}={entry:.3f}"
-                return f"{key}={entry:.4f}s"
-
-            rendered = ", ".join(render(key, entry) for key, entry in value.items())
+            rendered = ", ".join(
+                f"{key}={_with_unit(key, entry)}" for key, entry in value.items()
+            )
             lines.append(f"{name:<11}: {rendered}")
         else:
-            lines.append(f"{name:<11}: {value:.4f}s")
+            lines.append(f"{name:<11}: {_with_unit(name, value)}")
     cache = report.get("cache", {})
     curve = cache.get("curve")
     if curve:

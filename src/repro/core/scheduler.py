@@ -391,8 +391,13 @@ class _Scheduler:
             heapq.heapify(self._squeeze_heap)
             self._paused_heap: List[Tuple[int, int, _CoreState]] = []
             self._exhausted_heap: List[Tuple[int, int, _CoreState]] = []
+        # The plain function, not a bound method: a bound method stored on
+        # the instance is a reference cycle that keeps every finished run
+        # (its states, rectangle sets and curves) alive until a full GC.
         self._select = (
-            self._select_candidate_heaps if self._use_heaps else self._select_candidate_scan
+            _Scheduler._select_candidate_heaps
+            if self._use_heaps
+            else _Scheduler._select_candidate_scan
         )
         self._check_feasibility()
 
@@ -554,7 +559,7 @@ class _Scheduler:
         a property pinned by the randomized tests in
         ``tests/test_grid_sweep.py``.
         """
-        return self._select(width_available)
+        return self._select(self, width_available)
 
     # -- heap implementation -------------------------------------------
     def _candidate_eligibility(
@@ -869,7 +874,7 @@ class _Scheduler:
             width_available = self._width_available()
             if width_available <= 0:
                 return
-            candidate = self._select(width_available)
+            candidate = self._select(self, width_available)
             if candidate is None:
                 # Nothing fits; hand leftover wires to a test that just began.
                 while self._try_width_increase(self._width_available()):

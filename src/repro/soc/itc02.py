@@ -11,6 +11,7 @@ syntax that is easy to diff and to write by hand::
     Core s9234   inputs=36  outputs=39  bidirs=0 patterns=105 scan=54,53,52,52
     Core child1  inputs=10  outputs=10  patterns=50 scan=20,20 parent=c6288
     Core bisted  inputs=4   outputs=4   patterns=10 scan=8 bist=engine0 power=130
+    Core Core 7  inputs=4   outputs=4   patterns=10     # name: tokens before key=value
 
     # Optional scheduling constraints
     PowerMax 1800
@@ -48,11 +49,16 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_core_line(tokens: List[str], line_no: int) -> Core:
-    if len(tokens) < 2:
+    # The name is every token before the first key=value, joined by single
+    # spaces, so ITC'02 names such as "Core 1" survive the line format.
+    first_field = next(
+        (index for index, token in enumerate(tokens) if "=" in token), len(tokens)
+    )
+    if first_field < 2:
         raise SocFormatError(f"line {line_no}: 'Core' line needs a core name")
-    name = tokens[1]
+    name = " ".join(tokens[1:first_field])
     fields: Dict[str, str] = {}
-    for token in tokens[2:]:
+    for token in tokens[first_field:]:
         if "=" not in token:
             raise SocFormatError(
                 f"line {line_no}: expected key=value, got {token!r}"
@@ -156,9 +162,27 @@ def parse_soc(text: str) -> Soc:
     return soc
 
 
+def _token(text: str, what: str) -> str:
+    """``text`` if it can be written as one whitespace-free token."""
+    if "#" in text or text.split() != [text]:
+        raise SocFormatError(f"{what} {text!r} cannot be written as one token")
+    return text
+
+
+def _core_name(name: str) -> str:
+    """``name`` if a 'Core' line can carry it (see :func:`_parse_core_line`).
+
+    Single interior spaces are fine; ``=``, ``#`` and leading, trailing,
+    repeated or non-space whitespace would not read back as the same name.
+    """
+    if "=" in name or "#" in name or " ".join(name.split()) != name:
+        raise SocFormatError(f"core name {name!r} cannot be written on a 'Core' line")
+    return name
+
+
 def _format_core(core: Core) -> str:
     parts = [
-        f"Core {core.name}",
+        f"Core {_core_name(core.name)}",
         f"inputs={core.inputs}",
         f"outputs={core.outputs}",
         f"bidirs={core.bidirs}",
@@ -170,15 +194,19 @@ def _format_core(core: Core) -> str:
         power = core.power
         parts.append(f"power={int(power) if power == int(power) else power}")
     if core.bist_resource is not None:
-        parts.append(f"bist={core.bist_resource}")
+        parts.append(f"bist={_token(core.bist_resource, 'BIST resource')}")
     if core.parent is not None:
-        parts.append(f"parent={core.parent}")
+        parts.append(f"parent={_token(core.parent, 'parent core name')}")
     return " ".join(parts)
 
 
 def format_soc(soc: Soc, constraints: Optional[ConstraintSet] = None) -> str:
-    """Serialise an SOC (and optionally its constraints) to text."""
-    lines = [f"SocName {soc.name}"]
+    """Serialise an SOC (and optionally its constraints) to text.
+
+    Raises :class:`SocFormatError` for a name the text cannot carry, so
+    every text this returns parses back to the same SOC.
+    """
+    lines = [f"SocName {_token(soc.name, 'SOC name')}"]
     for core in soc.cores:
         lines.append(_format_core(core))
     if constraints is not None:
@@ -188,15 +216,17 @@ def format_soc(soc: Soc, constraints: Optional[ConstraintSet] = None) -> str:
                 f"PowerMax {int(power) if power == int(power) else power}"
             )
         for before, after in constraints.precedence:
-            lines.append(f"Precedence {before} {after}")
+            lines.append(
+                f"Precedence {_token(before, 'core name')} {_token(after, 'core name')}"
+            )
         for pair in constraints.concurrency:
             a, b = sorted(pair)
-            lines.append(f"Concurrency {a} {b}")
+            lines.append(f"Concurrency {_token(a, 'core name')} {_token(b, 'core name')}")
         if constraints.default_preemptions:
             lines.append(f"DefaultPreemptions {constraints.default_preemptions}")
         for core_name in sorted(constraints.max_preemptions):
             limit = constraints.max_preemptions[core_name]
-            lines.append(f"MaxPreemptions {core_name} {limit}")
+            lines.append(f"MaxPreemptions {_token(core_name, 'core name')} {limit}")
     return "\n".join(lines) + "\n"
 
 

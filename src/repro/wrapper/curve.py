@@ -15,16 +15,25 @@ and allocating a tuple of ``WrapperChain`` objects per width.  The kernel
 produces bit-identical lengths while doing none of that per-width work:
 
 * internal scan chains are sorted **once**; the per-width LPT fill operates
-  on a flat integer heap, and once the width exceeds the number of internal
-  chains the partition saturates (each chain alone in a bin) and the fill
-  is reused instead of recomputed;
+  on a flat integer heap, and once the width reaches the number of internal
+  chains the partition saturates (each chain alone in a bin), so the fill
+  and its ascending order are known without LPT or a sort;
 * wrapper input/output/bidir cells are distributed **analytically**: the
   one-cell-at-a-time best-fit loop of
   :func:`repro.wrapper.partition._distribute` is a water-filling process
   whose final per-chain lengths can be computed in closed form (fill every
-  eligible chain to a common level ``L``, then hand the remainder to the
-  chains that the heap's tie-break -- secondary key, then index -- would
-  have picked);
+  eligible chain to a common level, then hand the remainder to the chains
+  that the heap's tie-break -- secondary key, then index -- would have
+  picked); each width sorts its internal fill once for both phases;
+* past the **tail width** the design is known without computing it.  Let
+  ``L`` be the longest internal chain, ``n`` the chain count and ``S`` the
+  cell total ``sum(chains) + I + O + B``.  At a width ``w >= n`` with
+  ``w*L >= S`` the chains can absorb ``w*L - sum(chains) >= I`` input (and
+  as many output) cells below ``L``, and the bidir capacity below ``L`` is
+  ``sum(L - max(si, so)) >= w*L - sum(chains) - I - O >= B`` because
+  ``min(si, so)`` is at least the chain's internal fill.  So ``si = so = L``,
+  the lower bound of every design, at every width from
+  ``max(n, ceil(S / L))`` on, and those widths are filled by copying;
 * results are stored in flat integer arrays, not object tuples.
 
 ``design_wrapper`` remains the executable reference implementation; the
@@ -67,8 +76,8 @@ class ParetoPoint:
 # ----------------------------------------------------------------------
 # Analytic (water-filling) emulation of the one-cell-at-a-time distributor
 # ----------------------------------------------------------------------
-def _water_level(values: Sequence[int], count: int) -> Tuple[int, int, int]:
-    """Water-fill ``count`` unit cells over ``values``.
+def _water_level(ordered: Sequence[int], count: int) -> Tuple[int, int, int]:
+    """Water-fill ``count`` unit cells over the ascending values ``ordered``.
 
     Returns ``(level, pool_size, remainder)``: every chain whose value is at
     most ``level`` ends up *at* ``level``, ``remainder`` of them get one
@@ -76,7 +85,6 @@ def _water_level(values: Sequence[int], count: int) -> Tuple[int, int, int]:
     ascending-value order.  This is exactly the multiset the sequential
     "add each cell to the current minimum" heap loop produces.
     """
-    ordered = sorted(values)
     level = ordered[0]
     pool = 1
     budget = count
@@ -94,72 +102,66 @@ def _water_level(values: Sequence[int], count: int) -> Tuple[int, int, int]:
 
 
 def _fill_cells(
-    values: List[int], secondary: Sequence[int], count: int
+    values: List[int],
+    order: List[int],
+    count: int,
+    secondary: Optional[Sequence[int]] = None,
 ) -> List[int]:
     """Distribute ``count`` cells, one at a time, onto the minimum chain.
 
-    Emulates ``_distribute`` for input/output cells: each cell goes to the
-    chain with the smallest ``(values[i], secondary[i], i)`` key and
-    increments ``values[i]`` only (``secondary`` stays constant during the
-    phase).  The final per-chain values are reproduced analytically: the
-    eligible pool fills to a common level and the heap's tie-break hands
-    the remainder to the pool chains with the smallest ``(secondary, index)``.
+    Emulates ``_distribute``: each cell goes to the chain with the smallest
+    ``(values[i], secondary[i], i)`` key and increments ``values[i]`` only
+    (``secondary`` stays constant during the phase).  ``order`` lists the
+    chain indices by ascending ``(values[i], i)``.  The final per-chain
+    values are reproduced analytically: the eligible pool (a prefix of
+    ``order``) fills to a common level and the heap's tie-break hands the
+    remainder to the pool chains with the smallest ``(secondary, index)``.
+    ``secondary=None`` means ``values`` itself (input cells are keyed on the
+    internal fill), whose tie-break order is ``order`` already.
     """
-    if count == 0:
-        return values
-    level, pool_size, extra = _water_level(values, count)
-    pool = sorted(range(len(values)), key=values.__getitem__)[:pool_size]
     result = list(values)
+    if count == 0:
+        return result
+    level, pool_size, extra = _water_level([values[i] for i in order], count)
+    pool = order[:pool_size]
     for index in pool:
         result[index] = level
     if extra:
-        for index in sorted(pool, key=lambda i: (secondary[i], i))[:extra]:
+        if secondary is not None:
+            pool = sorted(sorted(pool), key=secondary.__getitem__)
+        for index in pool[:extra]:
             result[index] = level + 1
     return result
 
 
-def _fill_bidir_cells(
-    scan_in: List[int], scan_out: List[int], count: int
-) -> Tuple[List[int], List[int]]:
-    """Distribute ``count`` bidirectional cells (they lengthen both paths).
-
-    Emulates ``_distribute`` for bidir cells: key ``(max(si, so), si + so,
-    i)``, each cell incrementing both lengths.  Water-fill the per-chain
-    maxima; a pool chain raised from ``m`` to level ``L`` received ``L - m``
-    cells, so its sum key at the tie-break moment is ``si + so + 2*(L - m)``.
-    """
-    if count == 0:
-        return scan_in, scan_out
-    width = len(scan_in)
-    maxima = [max(scan_in[i], scan_out[i]) for i in range(width)]
-    level, pool_size, extra = _water_level(maxima, count)
-    pool = sorted(range(width), key=maxima.__getitem__)[:pool_size]
-    added = [0] * width
-    for index in pool:
-        added[index] = level - maxima[index]
-    if extra:
-        tie_break = sorted(
-            pool,
-            key=lambda i: (scan_in[i] + scan_out[i] + 2 * added[i], i),
-        )
-        for index in tie_break[:extra]:
-            added[index] += 1
-    new_in = [scan_in[i] + added[i] for i in range(width)]
-    new_out = [scan_out[i] + added[i] for i in range(width)]
-    return new_in, new_out
-
-
 def _raw_scan_lengths(
-    internal: List[int], inputs: int, outputs: int, bidirs: int
+    internal: List[int], order: List[int], inputs: int, outputs: int, bidirs: int
 ) -> Tuple[int, int]:
-    """Longest scan-in/scan-out over chains with the given internal fills."""
+    """Longest scan-in/scan-out over chains with the given internal fills.
+
+    ``order`` lists the chain indices by ascending ``(internal[i], i)``: the
+    input and output phases both start from the internal fill, so one sort
+    serves them both.  Bidir cells are keyed on ``(max(si, so), si + so, i)``
+    and lengthen both paths: water-fill the per-chain maxima; a pool chain
+    raised from ``m`` to level ``L`` has sum key ``si + so + 2*(L - m)``, so
+    ranking the pool by ``si + so - 2*m`` (the common ``2*L`` dropped) is
+    the heap's tie-break.
+    """
     if len(internal) == 1:
         base = internal[0]
         return base + inputs + bidirs, base + outputs + bidirs
-    scan_in = _fill_cells(list(internal), internal, inputs)
-    scan_out = _fill_cells(list(internal), scan_in, outputs)
-    scan_in, scan_out = _fill_bidir_cells(scan_in, scan_out, bidirs)
-    return max(scan_in), max(scan_out)
+    scan_in = _fill_cells(internal, order, inputs)
+    scan_out = _fill_cells(internal, order, outputs, scan_in)
+    if bidirs == 0:
+        return max(scan_in), max(scan_out)
+    maxima = list(map(max, scan_in, scan_out))
+    skew = [a + b - 2 * m for a, b, m in zip(scan_in, scan_out, maxima)]
+    by_max = sorted(range(len(maxima)), key=maxima.__getitem__)
+    raised = _fill_cells(maxima, by_max, bidirs, skew)
+    return (
+        max([a + r - m for a, r, m in zip(scan_in, raised, maxima)]),
+        max([b + r - m for b, r, m in zip(scan_out, raised, maxima)]),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +191,6 @@ class _CurveData:
         "scan_in",
         "scan_out",
         "pareto_widths",
-        "_saturated_fill",
     )
 
     def __init__(self, core: Core) -> None:
@@ -206,18 +207,29 @@ class _CurveData:
         self.scan_in = array("q")
         self.scan_out = array("q")
         self.pareto_widths = array("q")
-        self._saturated_fill: Optional[List[int]] = None
 
-    def _internal_fill(self, width: int) -> List[int]:
-        """Per-chain internal scan lengths of the LPT partition at ``width``."""
+    @property
+    def tail_width(self) -> Optional[int]:
+        """The first width of the closed-form tail (``None``: no chains)."""
         lengths = self.lengths
-        if width >= len(lengths):
-            # Saturated: every internal chain sits alone in a bin; reuse the
-            # fill and pad with empty bins instead of re-running LPT.
-            if self._saturated_fill is None:
-                self._saturated_fill = list(lengths)
-            fill = self._saturated_fill
-            return fill + [0] * (width - len(fill)) if width > len(fill) else list(fill)
+        if not lengths:
+            return None
+        cells = sum(lengths) + self.inputs + self.outputs + self.bidirs
+        return max(len(lengths), -(-cells // lengths[0]))
+
+    def _internal_fill(
+        self, width: int, ascending: List[int]
+    ) -> Tuple[List[int], List[int]]:
+        """Per-chain internal lengths of the LPT partition at ``width``, and
+        the chain indices by ascending ``(length, index)``; ``ascending`` is
+        that order for the chains alone."""
+        lengths = self.lengths
+        chains = len(lengths)
+        if width >= chains:
+            # Saturated: every internal chain sits alone in a bin, so both
+            # the fill and its ascending order are known without LPT or a sort.
+            fill = list(lengths) + [0] * (width - chains)
+            return fill, list(range(chains, width)) + ascending
         bins = [0] * width
         heap: List[Tuple[int, int]] = [(0, index) for index in range(width)]
         for length in lengths:
@@ -225,7 +237,7 @@ class _CurveData:
             load += length
             bins[index] = load
             heapq.heappush(heap, (load, index))
-        return bins
+        return bins, sorted(range(width), key=bins.__getitem__)
 
     def extend(self, max_width: int) -> None:
         """Grow the arrays so widths ``1..max_width`` are all computed."""
@@ -233,9 +245,17 @@ class _CurveData:
         if max_width < start:
             return
         patterns = self.patterns
-        for width in range(start, max_width + 1):
-            fill = self._internal_fill(width)
-            si, so = _raw_scan_lengths(fill, self.inputs, self.outputs, self.bidirs)
+        tail = self.tail_width
+        last = max_width if tail is None else min(max_width, tail)
+        ascending = sorted(range(len(self.lengths)), key=self.lengths.__getitem__)
+        for width in range(start, last + 1):
+            if width == tail:
+                si = so = self.lengths[0]
+            else:
+                fill, order = self._internal_fill(width, ascending)
+                si, so = _raw_scan_lengths(
+                    fill, order, self.inputs, self.outputs, self.bidirs
+                )
             raw_time = (1 + (si if si > so else so)) * patterns + (
                 so if si > so else si
             )
@@ -255,6 +275,13 @@ class _CurveData:
                 self.times.append(self.times[-1])
                 self.scan_in.append(self.scan_in[-1])
                 self.scan_out.append(self.scan_out[-1])
+        # Past the tail width every width repeats the tail's entries; the
+        # Pareto widths (the last table field) stay as they are.
+        copies = max_width - len(self.raw_times)
+        if copies > 0:
+            for name in CURVE_TABLE_FIELDS[:-1]:
+                field = getattr(self, name)
+                field.extend(field[-1:] * copies)
 
 
 class WrapperCurve:

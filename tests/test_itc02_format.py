@@ -1,8 +1,11 @@
 """Unit tests for the ITC'02-style SOC file format (repro.soc.itc02)."""
 
+import json
+
 import pytest
 
-from repro.soc.benchmarks import d695
+from repro.soc.benchmarks import d695, get_benchmark
+from repro.soc.constraints import ConstraintSet
 from repro.soc.core import Core
 from repro.soc.itc02 import (
     SocFormatError,
@@ -13,6 +16,7 @@ from repro.soc.itc02 import (
     save_soc,
 )
 from repro.soc.soc import Soc
+from repro.solvers import ScheduleRequest
 
 SAMPLE = """
 # A small example SOC
@@ -146,3 +150,62 @@ class TestRoundTrip:
         assert loaded == soc
         assert constraints.power_max is None
         assert constraints.precedence == ()
+
+
+class TestSpacedCoreNames:
+    """ITC'02 core names such as ``Core 1`` survive the text format."""
+
+    @pytest.mark.parametrize("name", ["d695", "p22810", "p34392", "p93791"])
+    def test_itc02_socs_round_trip(self, name):
+        soc = get_benchmark(name)
+        assert parse_soc(format_soc(soc)) == soc
+
+    @pytest.mark.parametrize("name", ["d695", "p22810", "p34392", "p93791"])
+    def test_itc02_requests_round_trip(self, name):
+        request = ScheduleRequest(soc=get_benchmark(name), total_width=32, solver="paper")
+        again = ScheduleRequest.from_dict(json.loads(json.dumps(request.to_dict())))
+        assert again == request
+        assert again.fingerprint() == request.fingerprint()
+
+    def test_name_runs_up_to_the_first_key_value(self):
+        soc = parse_soc("SocName x\nCore  Core   12  inputs=1 outputs=1 patterns=1\n")
+        assert soc.cores[0].name == "Core 12"
+
+    def test_underscore_names_keep_their_text(self):
+        soc = Soc("s", (Core("Core_1", inputs=2, outputs=3, patterns=4, scan_chains=(5,)),))
+        assert format_soc(soc) == (
+            "SocName s\nCore Core_1 inputs=2 outputs=3 bidirs=0 patterns=4 scan=5\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["a=b", "a#b", " a", "a ", "a  b", "a\tb", "a\nb"]
+    )
+    def test_uncarriable_core_names_refuse_to_format(self, name):
+        soc = Soc("s", (Core(name, inputs=1, outputs=1, patterns=1),))
+        with pytest.raises(SocFormatError, match="cannot be written"):
+            format_soc(soc)
+
+    def test_uncarriable_soc_name_refuses_to_format(self):
+        soc = Soc("my soc", (Core("a", inputs=1, outputs=1, patterns=1),))
+        with pytest.raises(SocFormatError, match="cannot be written"):
+            format_soc(soc)
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            {"precedence": [("Core 1", "Core 2")]},
+            {"concurrency": [("Core 1", "Core 2")]},
+            {"max_preemptions": {"Core 1": 2}},
+        ],
+    )
+    def test_spaced_names_refuse_constraint_lines(self, constraint):
+        soc = Soc(
+            "s",
+            (
+                Core("Core 1", inputs=1, outputs=1, patterns=1),
+                Core("Core 2", inputs=1, outputs=1, patterns=1),
+            ),
+        )
+        assert parse_soc(format_soc(soc)) == soc
+        with pytest.raises(SocFormatError, match="cannot be written"):
+            format_soc(soc, ConstraintSet.for_soc(soc, **constraint))

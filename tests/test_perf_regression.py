@@ -133,6 +133,36 @@ class TestHarness:
         assert report["phases"]["cold"]["total"] > 0
         assert report["phases"]["warm"]["total"] > 0
 
+    def test_summarize_renders_the_unit_each_key_names(self):
+        report = {
+            "suite": "demo",
+            "socs": ["d695"],
+            "phases": {
+                "serve/total": {"seconds": 0.25, "requests": 9, "throughput_rps": 391.1279},
+                "serve/latency": {"p50_seconds": 0.003, "max_s": 0.01},
+                "scale/d695/w2": {
+                    "speedup": 1.8,
+                    "payload_shrink": 2.87,
+                    "shm_task_share": 1.0,
+                    "hit_ratio": 0.5,
+                    "workers": 2,
+                },
+                "curve_cold_seconds": {"d695": 0.125},
+                "reference_seconds": 0.5,
+                "speedup": 2.0,
+            },
+        }
+        lines = perf.summarize(report).splitlines()
+        assert lines[2] == "serve/total: seconds=0.2500s, requests=9, throughput_rps=391.1/s"
+        assert lines[3] == "serve/latency: p50_seconds=0.0030s, max_s=0.0100s"
+        assert lines[4] == (
+            "scale/d695/w2: speedup=1.80x, payload_shrink=2.87x, "
+            "shm_task_share=1.000, hit_ratio=0.500, workers=2"
+        )
+        assert lines[5] == "curve_cold_seconds: d695=0.1250s"
+        assert lines[6] == "reference_seconds: 0.5000s"
+        assert lines[7] == "speedup    : 2.00x"
+
     def test_check_golden_detects_drift(self):
         report = {
             "makespans": {"d695/paper/16": 1},

@@ -1,10 +1,20 @@
 """Tests of the rectangle-packing scheduler on unconstrained problems (Problem 1)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.lower_bounds import lower_bound
 from repro.core.rectangles import build_rectangle_sets
-from repro.core.scheduler import SchedulerConfig, SchedulerError, best_schedule, schedule_soc
+from repro.core.scheduler import (
+    SchedulerConfig,
+    SchedulerError,
+    best_schedule,
+    run_paper_scheduler,
+    schedule_soc,
+)
+from repro.soc.benchmarks import get_benchmark
 from repro.soc.core import Core
 from repro.soc.soc import Soc
 
@@ -151,3 +161,21 @@ class TestWidthHandling:
         sets = build_rectangle_sets(small_soc)
         expected = sum(sets[c].time_at(1) for c in small_soc.core_names)
         assert schedule.makespan == expected
+
+
+class TestRunLifetime:
+    def test_finished_run_is_freed_without_the_cycle_collector(self):
+        # A reference cycle through the scheduler would keep every finished
+        # run -- its core states, rectangle sets and wrapper curves -- alive
+        # until a full collection, and peak memory would grow with each solve.
+        soc = get_benchmark("d695")
+        sets = build_rectangle_sets(soc, max_width=64)
+        probe = weakref.ref(sets[soc.cores[0].name])
+        gc.collect()
+        gc.disable()
+        try:
+            run_paper_scheduler(soc, 32, rectangle_sets=sets)
+            del sets
+            assert probe() is None
+        finally:
+            gc.enable()

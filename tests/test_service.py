@@ -30,6 +30,7 @@ interleavings are forced, not raced.
 
 import io
 import json
+import os
 import threading
 import time
 
@@ -56,6 +57,12 @@ from repro.soc.benchmarks import get_benchmark
 from repro.solvers import ScheduleRequest, Session
 
 SOC = get_benchmark("d695")
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks",
+    "golden_makespans.json",
+)
 
 GATE_TIMEOUT = 30.0
 
@@ -654,6 +661,22 @@ class TestServeStream:
         assert [m["id"] for m in results] == ["r1"]
         assert served == 1
         assert messages[-1]["served"] == 1
+
+    def test_spaced_core_names_solve_to_the_golden_makespan(self):
+        # p93791's cores are named "Core 1", "Core 2", ...: the request's
+        # SOC text must read back on the server side.
+        request = ScheduleRequest(
+            soc=get_benchmark("p93791"), total_width=32, solver="paper"
+        )
+        request_line = protocol.encode_message(
+            {"op": "solve", "id": "p1", "request": request.to_dict()}
+        )
+        served, messages, _ = self.run_client([request_line + "\n"])
+        results = [m for m in messages if m["event"] == protocol.EVENT_RESULT]
+        assert served == 1 and [m["id"] for m in results] == ["p1"]
+        with open(GOLDEN_PATH, encoding="utf-8") as handle:
+            golden = json.load(handle)["makespans"]["p93791/paper/32"]
+        assert results[0]["result"]["makespan"] == golden
 
     def test_eof_drains_instead_of_disconnecting(self):
         request_line = protocol.encode_message(

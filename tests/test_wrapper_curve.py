@@ -7,20 +7,27 @@ helpers) -- every scan-in/scan-out length, every staircase value, every
 Pareto point, on every core.  The randomized cases here are
 hypothesis-style: a seeded generator draws random scan-chain multisets and
 I/O counts so the analytic water-filling distributor is exercised across
-tie-break and saturation corners that the benchmark SOCs never hit.
+tie-break and saturation corners that the benchmark SOCs never hit; cores
+on the boundaries of the closed-form tail are pinned to widths 1..128, and
+a Hypothesis property draws its own.
 """
 
 import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import repro.wrapper.curve as curve_module
 from repro.soc.benchmarks import get_benchmark
 from repro.soc.core import Core
 from repro.wrapper.curve import (
     WrapperCurve,
     clear_curve_cache,
     curve_cache_info,
+    export_curve_tables,
+    seed_curve_table,
     wrapper_curve,
 )
 
@@ -80,14 +87,6 @@ class TestKernelEqualsReference:
         soc = get_benchmark("d695")
         for core in soc.cores:
             assert_curve_matches_reference(core, 64)
-
-    def test_combinational_core_matches_reference(self):
-        core = Core.combinational("comb", inputs=23, outputs=9, patterns=11, bidirs=4)
-        assert_curve_matches_reference(core, 40)
-
-    def test_single_chain_core_matches_reference(self):
-        core = Core("one", inputs=5, outputs=5, patterns=3, scan_chains=(100,))
-        assert_curve_matches_reference(core, 16)
 
     def test_tie_break_heavy_core_matches_reference(self):
         # Many identical chains and cell counts that leave a remainder after
@@ -194,3 +193,118 @@ class TestCurveCache:
     def test_isinstance_of_wrapper_curve(self):
         core = Core("c", inputs=1, outputs=1, patterns=1)
         assert isinstance(wrapper_curve(core, 4), WrapperCurve)
+
+
+def tail_width(core: Core) -> object:
+    """The first width of the kernel's closed-form tail (``None``: never)."""
+    return curve_module._CurveData(core).tail_width
+
+
+class TestClosedFormTail:
+    """Cores whose tail starts on a boundary the kernel must get right."""
+
+    # (core, first tail width): w0 = max(n, ceil((sum + I + O + B) / L)).
+    BOUNDARY_CORES = [
+        # 28 + 12 = 40 cells over L = 10: ceil is 4 = n.
+        (Core("at-n", inputs=5, outputs=4, bidirs=3, patterns=7,
+              scan_chains=(10, 6, 6, 6)), 4),
+        # One more bidir cell: ceil is 5 = n + 1.
+        (Core("at-n-plus-1", inputs=5, outputs=4, bidirs=4, patterns=7,
+              scan_chains=(10, 6, 6, 6)), 5),
+        # 384 cells over L = 3: the tail starts exactly at width 128.
+        (Core("at-128", inputs=150, outputs=150, bidirs=81, patterns=3,
+              scan_chains=(3,)), 128),
+        # Past every width tested here.
+        (Core("past-128", inputs=300, outputs=280, bidirs=9, patterns=3,
+              scan_chains=(2, 1)), 296),
+        (Core("single-chain", inputs=5, outputs=5, patterns=3,
+              scan_chains=(100,)), 2),
+        # No chains at all, so no tail: every width runs the kernel.
+        (Core.combinational("comb", inputs=23, outputs=9, patterns=11, bidirs=4), None),
+        # Only wrapper-free chains: the tail holds from width n on.
+        (Core("chains-only", inputs=0, outputs=0, patterns=2,
+              scan_chains=(9, 9, 4, 1)), 4),
+    ]
+
+    @pytest.mark.parametrize(
+        "core, expected", BOUNDARY_CORES, ids=[c.name for c, _ in BOUNDARY_CORES]
+    )
+    def test_boundary_core_matches_reference_to_128(self, core, expected):
+        assert tail_width(core) == expected
+        clear_curve_cache()
+        assert_curve_matches_reference(core, 128)
+
+    @pytest.mark.parametrize(
+        "core, expected", BOUNDARY_CORES, ids=[c.name for c, _ in BOUNDARY_CORES]
+    )
+    def test_tail_is_the_lower_bound_design(self, core, expected):
+        curve = wrapper_curve(core, 128)
+        longest = max(core.scan_chains, default=0)
+        for width in range(expected or 129, 129):
+            assert curve.raw_scan_lengths(width) == (longest, longest)
+            assert curve.raw_time(width) == (1 + longest) * core.patterns + longest
+
+
+def table_bytes(core: Core) -> list:
+    """The exported per-core table of ``core``, as bytes per field."""
+    (table,) = [fields for cached, fields in export_curve_tables() if cached == core]
+    return [field.tobytes() for field in table]
+
+
+class TestGrowth:
+    """Growing a curve in steps gives the table a single build would."""
+
+    CORES = [core for core, _ in TestClosedFormTail.BOUNDARY_CORES] + [
+        Core("ties", inputs=7, outputs=7, bidirs=5, patterns=2,
+             scan_chains=(50,) * 8 + (25,) * 4),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        clear_curve_cache()
+        yield
+        clear_curve_cache()
+
+    def built(self, core: Core, *widths: int) -> list:
+        clear_curve_cache()
+        for width in widths:
+            wrapper_curve(core, width)
+        return table_bytes(core)
+
+    @pytest.mark.parametrize("core", CORES, ids=[c.name for c in CORES])
+    def test_growth_paths_match_one_build(self, core):
+        assert self.built(core, 8, 64, 128) == self.built(core, 128)
+        assert self.built(core, 64, 8) == self.built(core, 64)
+
+    @pytest.mark.parametrize("core", CORES, ids=[c.name for c in CORES])
+    def test_exported_table_seeds_and_extends(self, core):
+        for seeded_width in (8, 64):
+            exported = self.built(core, seeded_width)
+            clear_curve_cache()
+            assert seed_curve_table(core, exported)
+            assert table_bytes(core) == exported
+            wrapper_curve(core, 128)
+            assert table_bytes(core) == self.built(core, 128)
+
+
+@st.composite
+def cores(draw):
+    """Random cores, biased towards the tail and tie-break corners."""
+    chains = draw(
+        st.lists(st.integers(min_value=1, max_value=draw(st.sampled_from((4, 60)))),
+                 max_size=20)
+    )
+    io = st.integers(min_value=0, max_value=draw(st.sampled_from((3, 40, 200))))
+    inputs, outputs, bidirs = draw(io), draw(io), draw(io)
+    assume(chains or inputs + outputs + bidirs)
+    return Core("drawn", inputs=inputs, outputs=outputs, bidirs=bidirs,
+                patterns=draw(st.integers(min_value=1, max_value=40)),
+                scan_chains=tuple(chains))
+
+
+class TestKernelProperty:
+    @given(core=cores(), max_width=st.integers(min_value=1, max_value=96))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_equals_design_wrapper(self, core, max_width):
+        clear_curve_cache()
+        assert_curve_matches_reference(core, max_width)
