@@ -37,17 +37,15 @@ Suites
     ``workers=4`` with the results asserted identical across worker
     counts and recorded for the golden check.
 ``scale``
-    The committed scaling curve of the zero-copy payload plane: one
-    trimmed ``best`` sweep per SOC -- the ITC'02 pair {d695, p93791} plus
-    the deterministic synthetic 100- and 1000-core generator SOCs
-    (``s100``/``s1000``) -- measured cold at ``workers=0`` (the serial
-    reference) and at every count in ``--workers``.  Each parallel run's
-    schedule fingerprint is asserted identical to the serial reference
-    and the report records speedup, per-task serialized dispatch bytes
-    before/after the shared-memory plane, shared-memory task share and
-    mid-run board-abort counts.  ``cpus`` pins the host's core count so a
-    1-CPU runner's (necessarily flat) speedups are never mistaken for a
-    multi-core measurement.
+    The committed worker-count scaling curve: one trimmed ``best`` sweep
+    per SOC -- the ITC'02 pair {d695, p93791} plus the deterministic
+    synthetic 100- and 1000-core generator SOCs (``s100``/``s1000``) --
+    measured cold at ``workers=0`` (the serial reference) and at every
+    count in ``--workers``.  Each parallel run's schedule fingerprint is
+    asserted identical to the serial reference and the report records
+    speedup and mid-run board-abort counts.  ``cpus`` pins the host's
+    core count so a 1-CPU runner's (necessarily flat) speedups are never
+    mistaken for a multi-core measurement.
 ``serve``
     The scheduling service under load: a burst of ``paper``-solver
     requests (with deliberate duplicates) driven through an in-process
@@ -568,9 +566,8 @@ def run_sweep_suite(
 SCALE_WORKERS: Tuple[int, ...] = (1, 2, 4)
 
 #: SOCs of the scale suite: the ITC'02 pair the paper evaluates plus two
-#: deterministic synthetic generator SOCs sized to stress the payload
-#: plane (a 1000-core SOC pickles an ~8 KB preferred-width vector per
-#: fat task, so the slim/fat byte ratio is the headline there).
+#: deterministic synthetic generator SOCs sized to stress dispatch (a
+#: 1000-core SOC pickles a 1000-entry preferred-width vector per task).
 SCALE_SOCS: Tuple[str, ...] = ("d695", "p93791", "s100", "s1000")
 
 #: Synthetic scale SOCs: ``name -> (generator seed, core count)``.  These
@@ -612,18 +609,14 @@ def run_scale_suite(
     workers: Sequence[int] = SCALE_WORKERS,
     repeats: int = 2,
 ) -> Dict[str, Any]:
-    """Worker-count scaling of the shm payload plane, byte-identity checked.
+    """Worker-count scaling of trimmed ``best`` sweeps, byte-identity checked.
 
     Every measured configuration is cold (empty caches, no pool); the
     serial reference's makespan/fingerprint go into the golden sections
     under ``{soc}/scale/{width}`` keys and every parallel configuration
     must fingerprint identically.  Per-worker-count entries record wall
-    time, speedup over serial, and the payload-plane counters off
-    :class:`~repro.engine.results.ExecutorStats`: per-task serialized
-    bytes with the shm plane (``payload_bytes_per_task``) vs. without
-    (``pickled_bytes_per_task``), their ratio (``payload_shrink``), the
-    share of pool dispatches that travelled slim (``shm_task_share``) and
-    the mid-run ``board_aborts``.
+    time, speedup over serial and, for pooled runs, the mid-run
+    ``board_aborts`` off :class:`~repro.engine.results.ExecutorStats`.
     """
     from repro.engine.executor import get_default_executor
     from repro.solvers.session import get_default_session
@@ -668,27 +661,8 @@ def run_scale_suite(
                 "workers": count,
             }
             stats = get_default_executor().last_stats if count >= 2 else None
-            if stats is not None and stats.shm_tasks:
-                # payload_bytes counts slim dispatches; adding the saved
-                # bytes back reconstructs what the same dispatches would
-                # have pickled without the shm plane.
-                slim = stats.payload_bytes / stats.shm_tasks
-                pickled = (
-                    stats.payload_bytes + stats.shm_bytes_saved
-                ) / stats.shm_tasks
-                entry.update(
-                    {
-                        "board_aborts": stats.board_aborts,
-                        "payload_bytes": stats.payload_bytes,
-                        "shm_bytes_saved": stats.shm_bytes_saved,
-                        "payload_bytes_per_task": int(round(slim)),
-                        "pickled_bytes_per_task": int(round(pickled)),
-                        "payload_shrink": round(pickled / slim, 2) if slim else 0.0,
-                        "shm_task_share": round(stats.shm_tasks / stats.tasks, 3)
-                        if stats.tasks
-                        else 0.0,
-                    }
-                )
+            if stats is not None and stats.workers:
+                entry["board_aborts"] = stats.board_aborts
             phases[f"scale/{soc_name}/w{count}"] = entry
     return {
         **_meta("scale"),
@@ -897,7 +871,7 @@ def load_report(path: str) -> Dict[str, Any]:
 def _with_unit(key: str, value: Any) -> str:
     """``value`` with the unit its report key names.
 
-    ``*_rps`` is a rate per second, ``speedup`` / ``*shrink`` a factor, and
+    ``*_rps`` is a rate per second, ``speedup`` a factor, and
     ``*_share`` / ``*_ratio`` carry no unit.  Every other float in a suite
     report is a time (``seconds``, ``*_seconds``, ``*_s`` and the per-SOC
     or per-cell totals), printed in seconds; non-floats print as they are.
@@ -906,7 +880,7 @@ def _with_unit(key: str, value: Any) -> str:
         return f"{value}"
     if key.endswith("_rps"):
         return f"{value:.1f}/s"
-    if key == "speedup" or key.endswith("shrink"):
+    if key == "speedup":
         return f"{value:.2f}x"
     if key.endswith(("_share", "_ratio")):
         return f"{value:.3f}"

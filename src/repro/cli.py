@@ -204,24 +204,20 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _execution_metadata() -> Dict[str, Any]:
-    """Payload-plane counters of the default executor's most recent run.
+    """Board-abort count of the default executor's most recent run.
 
-    Result *objects* never carry these (they would break serial/parallel
+    Result *objects* never carry it (it would break serial/parallel
     metadata bit-identity -- see ``GridSweepOutcome.metadata``), so the
-    CLI reads them off :class:`~repro.engine.results.ExecutorStats` after
-    the solve and reports them alongside, ``recovery_events``-style: only
-    the nonzero ones appear.
+    CLI reads it off :class:`~repro.engine.results.ExecutorStats` after
+    the solve and reports it alongside, ``recovery_events``-style: only
+    when nonzero.
     """
     from repro.engine.executor import get_default_executor
 
     stats = get_default_executor().last_stats
-    if stats is None:
+    if stats is None or not stats.board_aborts:
         return {}
-    counters = {
-        name: getattr(stats, name)
-        for name in ("board_aborts", "payload_bytes", "shm_bytes_saved")
-    }
-    return {name: value for name, value in counters.items() if value}
+    return {"board_aborts": stats.board_aborts}
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -909,7 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="curves",
         help="what to measure: per-core curve construction (default), the "
         "cold full-solver pass, the Figure 9 sweep, the worker-count "
-        "scaling curve of the shared-memory payload plane, or the "
+        "scaling curve of trimmed best sweeps, or the "
         "scheduling service under a duplicate-heavy request burst",
     )
     p_bench.add_argument(

@@ -67,15 +67,13 @@ DEFAULT_DELTAS: Tuple[int, ...] = (0, 2, 4)
 DEFAULT_SLACKS: Tuple[int, ...] = (0, 3, 6)
 
 #: Metadata keys that describe *how* a sweep executed (recovery ladder,
-#: payload plane, board aborts) rather than *what* it computed.  They vary
+#: board aborts) rather than *what* it computed.  They vary
 #: with worker count, fault injection and scheduling races; byte-identity
 #: contracts compare metadata modulo this set.
 EXECUTION_METADATA_KEYS: Tuple[str, ...] = (
     "recovery_events",
     "degraded_to_serial",
     "board_aborts",
-    "payload_bytes",
-    "shm_bytes_saved",
 )
 
 
@@ -126,13 +124,11 @@ class GridSweepOutcome:
     lower_bound: int
     early_exit: bool
     recovery_events: Tuple["RecoveryEvent", ...] = field(default=(), compare=False)
-    # Execution statistics of the parallel path (zero on the serial path).
-    # Like ``recovery_events`` these depend on scheduling races and the
-    # payload plane in use, so they are excluded from equality -- the
-    # schedule/makespan/winner fields above carry the bit-identity contract.
+    # Execution statistic of the parallel path (zero on the serial path).
+    # Like ``recovery_events`` it depends on scheduling races, so it is
+    # excluded from equality -- the schedule/makespan/winner fields above
+    # carry the bit-identity contract.
     board_aborts: int = field(default=0, compare=False)
-    payload_bytes: int = field(default=0, compare=False)
-    shm_bytes_saved: int = field(default=0, compare=False)
 
     @property
     def degraded_to_serial(self) -> bool:
@@ -158,15 +154,13 @@ class GridSweepOutcome:
             )
         if self.degraded_to_serial:
             metadata["degraded_to_serial"] = True
-        # The payload-plane counters (board_aborts, payload_bytes,
-        # shm_bytes_saved) deliberately stay OUT of result metadata: a
+        # The board_aborts counter deliberately stays OUT of result metadata: a
         # *serial* engine run whose jobs carry a ``workers`` option still
         # fans its inner grids out through the pool, so counter-bearing
         # metadata would differ from the pool-suppressed parallel path and
-        # break the serial/parallel bit-identity contract.  They travel on
-        # :class:`~repro.engine.results.ExecutorStats` (and these
-        # compare-excluded fields) instead; the CLI surfaces them from
-        # there.
+        # break the serial/parallel bit-identity contract.  It travels on
+        # :class:`~repro.engine.results.ExecutorStats` (and the
+        # compare-excluded field) instead; the CLI surfaces it from there.
         return metadata
 
 
@@ -354,8 +348,6 @@ def run_grid_sweep(
     best: Optional[Tuple[int, int, GridPoint, TestSchedule]] = None
     events: Tuple["RecoveryEvent", ...] = ()
     board_aborts = 0
-    payload_bytes = 0
-    shm_bytes_saved = 0
 
     if min(int(workers), len(runs)) > 1:
         # Lazy import: repro.engine imports this module at load time.
@@ -374,8 +366,6 @@ def run_grid_sweep(
         )
         if exec_stats is not None:
             board_aborts = exec_stats.board_aborts
-            payload_bytes = exec_stats.payload_bytes
-            shm_bytes_saved = exec_stats.shm_bytes_saved
         if flat is not None:
             best = flat
         # flat is None only when the executor declined to parallelise at
@@ -422,8 +412,6 @@ def run_grid_sweep(
         early_exit=makespan <= bound,
         recovery_events=events,
         board_aborts=board_aborts,
-        payload_bytes=payload_bytes,
-        shm_bytes_saved=shm_bytes_saved,
     )
 
 

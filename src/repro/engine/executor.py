@@ -116,14 +116,6 @@ from repro.engine.faults import (
 )
 from repro.engine.jobs import EngineContext, EngineError, JobResult, ScheduleJob
 from repro.engine.results import ExecutorStats, SweepResults
-from repro.engine.shm import (
-    PUBLISH_ERRORS,
-    ShmSegment,
-    adopt_universe,
-    load_plan,
-    publish_plan,
-    publish_universe,
-)
 from repro.schedule.schedule import TestSchedule
 from repro.soc.constraints import ConstraintSet
 from repro.soc.soc import Soc
@@ -181,13 +173,7 @@ DEFAULT_RETRY_BACKOFF = 0.05
 #: :class:`~repro.core.scheduler.IncumbentAbort` when the running partial
 #: makespan can no longer beat the freshest incumbent.  ``0`` disables the
 #: checkpoint (dispatch-time and task-start limits still apply).
-DEFAULT_BOARD_POLL = 8
-ENV_BOARD_POLL = "REPRO_BOARD_POLL"
-
-#: Chunk-size override: force every pooled dispatch round to batch tasks
-#: into chunks of exactly this size (the default derives the size from the
-#: queue length and worker count; see :func:`_resolve_chunksize`).
-ENV_CHUNK_SIZE = "REPRO_CHUNK_SIZE"
+_BOARD_POLL = 8
 
 #: Cap on the derived chunk size: a lost chunk re-dispatches every task in
 #: it after a pool death, so unbounded chunks would make resurrection
@@ -319,37 +305,24 @@ _WORKER_BOARD: Optional[Any] = None  # repro: fork-local
 # hang a disposable worker, never the supervising process).
 _WORKER_FAULTS: Optional[FaultPlan] = None  # repro: fork-local
 
-# The mid-run abort cadence, resolved in the parent (see
-# :func:`_resolve_board_poll`) and installed per worker by the initializer.
-_WORKER_BOARD_POLL: int = DEFAULT_BOARD_POLL  # repro: fork-local
-
 
 def _init_worker(
-    socs: Optional[Dict[str, Soc]],
+    socs: Dict[str, Soc],
     pairs: Sequence[Tuple[str, int]],
     board: Optional[Any] = None,
     faults: Optional[FaultPlan] = None,
-    universe: Optional[str] = None,
-    board_poll: int = DEFAULT_BOARD_POLL,
 ) -> None:
     """Pool initializer: install the SOC universe, warm the caches.
 
     Under ``fork`` the priming is a cache hit (the parent warmed the same
     pairs just before creating the pool) and ``socs`` arrives by
-    inheritance; under ``spawn``/``forkserver`` the universe -- SOCs plus
-    the parent's warmed wrapper-curve tables -- is adopted zero-copy from
-    the shared-memory segment named by ``universe`` instead of being
-    pickled through ``initargs`` per worker.
+    inheritance; under ``spawn``/``forkserver`` it is pickled through
+    ``initargs`` once per worker and the caches are built here.
     """
-    global _WORKER_SOCS, _WORKER_BOARD, _WORKER_FAULTS, _WORKER_BOARD_POLL
-    if socs is None:
-        assert universe is not None, "worker needs a universe (initargs or shm)"
-        _WORKER_SOCS = adopt_universe(universe)
-    else:
-        _WORKER_SOCS = dict(socs)
+    global _WORKER_SOCS, _WORKER_BOARD, _WORKER_FAULTS
+    _WORKER_SOCS = dict(socs)
     _WORKER_BOARD = board
     _WORKER_FAULTS = faults
-    _WORKER_BOARD_POLL = int(board_poll)
     _prime_soc_pairs(_WORKER_SOCS, pairs)
 
 
@@ -394,30 +367,6 @@ class _GridTask:
 
 
 @dataclass(frozen=True)
-class _ShmGridTask:
-    """A :class:`_GridTask` slimmed to a shared-memory plan reference.
-
-    When the supervisor published the owning plan's run table as an shm
-    segment (see :mod:`repro.engine.shm`), the task pickled through the
-    pool pipe shrinks to this: the segment name plus indices, the
-    dispatch-time ``limit`` and the board ``slot``.  The worker inflates
-    it back into a full :class:`_GridTask` against its memoised segment
-    attachment (:func:`_inflate_task`).  ``soc``/``width`` ride along so
-    :func:`task_fingerprint` -- the chaos-harness contract -- is
-    computable on both sides without touching the segment.
-    """
-
-    job_index: int
-    run_index: int
-    soc: str
-    width: int
-    segment: str
-    limit: Optional[int]
-    slot: int = -1
-    attempt: int = 1
-
-
-@dataclass(frozen=True)
 class _BoardAbort:
     """Reply payload of a grid run killed mid-run by the incumbent board.
 
@@ -427,7 +376,7 @@ class _BoardAbort:
     """
 
 
-_Task = Union[_JobTask, _GridTask, _ShmGridTask]
+_Task = Union[_JobTask, _GridTask]
 
 #: Supervisor-side task identity, stable across retries and resurrection
 #: rounds: ``(job index, run index)`` with ``-1`` for whole-job tasks.
@@ -533,33 +482,12 @@ def _execute_chunk(tasks: Tuple[_Task, ...]) -> Tuple[_TaskReply, ...]:
     return tuple(_execute_task(task) for task in tasks)
 
 
-def _inflate_task(task: _ShmGridTask) -> _GridTask:
-    """Rebuild the full grid task from the worker's plan-segment view."""
-    payload = load_plan(task.segment)
-    point, vector = payload.run(task.run_index)
-    return _GridTask(
-        job_index=task.job_index,
-        run_index=task.run_index,
-        soc=payload.soc,
-        width=payload.width,
-        constraints=payload.constraints,
-        config=payload.config,
-        point=point,
-        vector=vector,
-        limit=task.limit,
-        slot=task.slot,
-        attempt=task.attempt,
-    )
-
-
 def _execute_payload(task: _Task, started: float) -> _TaskReply:
     assert _WORKER_SOCS is not None, "worker used before initialization"
     if isinstance(task, _JobTask):
         soc = _WORKER_SOCS[task.job.soc]
         result = _solve_job(task.job, soc, task.constraints, suppress_fanout=True)
         return (task.job_index, None, result, time.perf_counter() - started)
-    if isinstance(task, _ShmGridTask):
-        task = _inflate_task(task)
     soc = _WORKER_SOCS[task.soc]
     constraints = task.constraints
     limit = task.limit
@@ -569,11 +497,11 @@ def _execute_payload(task: _Task, started: float) -> _TaskReply:
         shared = _WORKER_BOARD[task.slot]
         if shared and (limit is None or shared < limit):
             limit = int(shared)
-        if _WORKER_BOARD_POLL > 0:
+        if _BOARD_POLL > 0:
             # Arm the mid-run checkpoint: re-read this plan's board slot
             # every K completion events inside the scheduler event loop.
             board, slot = _WORKER_BOARD, task.slot
-            probe_interval = _WORKER_BOARD_POLL
+            probe_interval = _BOARD_POLL
 
             def probe() -> int:
                 return int(board[slot])
@@ -627,7 +555,7 @@ def _execute_payload(task: _Task, started: float) -> _TaskReply:
 class _JobPlan:
     """A job executed whole: exactly one task, result passed through."""
 
-    __slots__ = ("job", "constraints", "result", "events", "payload_bytes")
+    __slots__ = ("job", "constraints", "result", "events")
 
     def __init__(
         self, job: ScheduleJob, constraints: Optional[ConstraintSet]
@@ -636,7 +564,6 @@ class _JobPlan:
         self.constraints = constraints
         self.result: Optional[JobResult] = None
         self.events: List[RecoveryEvent] = []
-        self.payload_bytes = 0  # representative pickled task size, lazy
 
     @property
     def task_count(self) -> int:
@@ -645,12 +572,6 @@ class _JobPlan:
     @property
     def settled(self) -> bool:
         return self.result is not None
-
-    def dispatch_cost(self, task: _Task) -> Tuple[int, int]:
-        """``(pipe bytes, bytes saved)`` of one pooled dispatch of ``task``."""
-        if self.payload_bytes == 0:
-            self.payload_bytes = len(pickle.dumps(task))
-        return self.payload_bytes, 0
 
     def absorb(self, run_index: Optional[int], payload: Any, wall: float) -> None:
         self.result = payload
@@ -697,10 +618,6 @@ class _GridPlan:
         "slot",
         "acked",
         "events",
-        "segment",
-        "shm_failed",
-        "slim_bytes",
-        "fat_bytes",
     )
 
     def __init__(
@@ -732,10 +649,6 @@ class _GridPlan:
         self.slot = -1  # shared incumbent-board slot, assigned at dispatch
         self.acked: Set[int] = set()  # run indexes with an absorbed reply
         self.events: List[RecoveryEvent] = []
-        self.segment: Optional[ShmSegment] = None  # published run table
-        self.shm_failed = False  # publish failed once: stay on fat tasks
-        self.slim_bytes = 0  # representative slim/fat pickled task sizes
-        self.fat_bytes = 0
 
     @property
     def task_count(self) -> int:
@@ -762,20 +675,8 @@ class _GridPlan:
             and run.index > self.best[1]
         )
 
-    def make_task(
-        self, job_index: int, run: GridRun
-    ) -> Union[_GridTask, _ShmGridTask]:
+    def make_task(self, job_index: int, run: GridRun) -> _GridTask:
         self.dispatched += 1
-        if self.segment is not None:
-            return _ShmGridTask(
-                job_index=job_index,
-                run_index=run.index,
-                soc=self.soc_key,
-                width=self.width,
-                segment=self.segment.name,
-                limit=self.limit(),
-                slot=self.slot,
-            )
         return _GridTask(
             job_index=job_index,
             run_index=run.index,
@@ -788,18 +689,6 @@ class _GridPlan:
             limit=self.limit(),
             slot=self.slot,
         )
-
-    def dispatch_cost(self, task: _Task) -> Tuple[int, int]:
-        """``(pipe bytes, bytes saved)`` of one pooled dispatch of ``task``.
-
-        Representative sizes (measured once per plan on the first run's
-        task shape); per-task variation is a few bytes of integer fields.
-        """
-        if isinstance(task, _ShmGridTask):
-            return self.slim_bytes, max(0, self.fat_bytes - self.slim_bytes)
-        if self.fat_bytes == 0:
-            self.fat_bytes = len(pickle.dumps(task))
-        return self.fat_bytes, 0
 
     # -- result-side ---------------------------------------------------
     def absorb(self, run_index: Optional[int], payload: Any, wall: float) -> None:
@@ -900,9 +789,6 @@ class _Journal:
         "quarantined",
         "pools_created",
         "board_aborts",
-        "shm_tasks",
-        "payload_bytes",
-        "shm_bytes_saved",
     )
 
     def __init__(self) -> None:
@@ -913,9 +799,6 @@ class _Journal:
         self.quarantined = 0
         self.pools_created = 0
         self.board_aborts = 0
-        self.shm_tasks = 0
-        self.payload_bytes = 0
-        self.shm_bytes_saved = 0
 
     def failure(
         self,
@@ -968,24 +851,6 @@ def _resolve_task_deadline(value: Optional[float]) -> Optional[float]:
     return float(value) if value > 0 else None
 
 
-def _resolve_board_poll(value: Optional[int]) -> int:
-    """The effective mid-run abort cadence; ``0`` means disabled."""
-    if value is None:
-        raw = os.environ.get(ENV_BOARD_POLL, "").strip()
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise EngineError(
-                    f"{ENV_BOARD_POLL}={raw!r} is not an integer"
-                ) from None
-        else:
-            value = DEFAULT_BOARD_POLL
-    if value < 0:
-        raise EngineError(f"board poll interval must be non-negative, got {value}")
-    return int(value)
-
-
 def _resolve_chunksize(total_tasks: int, processes: int) -> int:
     """Derive the dispatch chunk size from queue length and worker count.
 
@@ -993,22 +858,8 @@ def _resolve_chunksize(total_tasks: int, processes: int) -> int:
     backpressure window stays populated, shallow enough that stragglers
     spread and late chunks are dispatched after the incumbent tightened.
     Capped (see :data:`_MAX_CHUNKSIZE`) so a pool death never forfeits an
-    unbounded batch of replies.  ``REPRO_CHUNK_SIZE`` overrides the
-    derivation with an exact positive size.
+    unbounded batch of replies.
     """
-    raw = os.environ.get(ENV_CHUNK_SIZE, "").strip()
-    if raw:
-        try:
-            forced = int(raw)
-        except ValueError:
-            raise EngineError(
-                f"{ENV_CHUNK_SIZE}={raw!r} is not an integer"
-            ) from None
-        if forced <= 0:
-            raise EngineError(
-                f"{ENV_CHUNK_SIZE} must be positive, got {forced}"
-            )
-        return forced
     waves = 12
     return max(1, min(total_tasks // (max(1, processes) * waves), _MAX_CHUNKSIZE))
 
@@ -1045,7 +896,6 @@ class FlatExecutor:
         max_task_retries: int = DEFAULT_MAX_TASK_RETRIES,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF,
         fault_plan: Optional[FaultPlan] = None,
-        board_poll: Optional[int] = None,
     ) -> None:
         """Configure the supervision envelope.
 
@@ -1058,9 +908,6 @@ class FlatExecutor:
         (non-positive disables sleeping).  ``fault_plan`` installs a
         deterministic injection schedule in every pool worker (``None``
         reads ``REPRO_FAULT_PLAN``; an empty plan means no injection).
-        ``board_poll`` is the mid-run abort cadence in scheduler
-        completion events (``None`` reads ``REPRO_BOARD_POLL`` or falls
-        back to the default; ``0`` disables mid-run aborts).
         """
         if window_factor < 1:
             raise EngineError("window_factor must be positive")
@@ -1072,13 +919,10 @@ class FlatExecutor:
             )
         self._max_task_retries = int(max_task_retries)
         self._retry_backoff = float(retry_backoff)
-        self._board_poll = _resolve_board_poll(board_poll)
         plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self._fault_plan: Optional[FaultPlan] = plan if plan else None
         self._pool_faults_left = plan.pool_failure_budget() if plan else 0
         self._pool: Optional[Any] = None
-        self._universe: Optional[ShmSegment] = None
-        self._plan_segments: List[ShmSegment] = []
         self._board: Optional[Any] = None
         self._socs: Optional[Dict[str, Soc]] = None
         self._processes = 0
@@ -1108,7 +952,7 @@ class FlatExecutor:
         """Execution stats of the most recent pooled run (``None`` before one).
 
         This is how callers above the solver boundary (the CLI, the bench
-        suites) observe the payload-plane counters without them entering
+        suites) observe the execution counters without them entering
         result metadata -- result metadata stays bit-identical between the
         serial reference and every parallel configuration.
         """
@@ -1129,15 +973,8 @@ class FlatExecutor:
         whose workers are already dead or reaped cannot raise out of
         ``close()`` -- ``terminate``/``join`` on a half-collected pool
         during interpreter shutdown is best-effort by construction.
-
-        Plan segments are *not* released here: mid-run resurrection calls
-        ``close()`` between rounds and the fresh pool's workers re-attach
-        to the surviving segments by name.  They are released in the run
-        entry points' ``finally`` (and by their own finalizers as a last
-        resort).
         """
         pool, self._pool = self._pool, None
-        universe, self._universe = self._universe, None
         self._board = None
         self._socs = None
         self._processes = 0
@@ -1147,8 +984,6 @@ class FlatExecutor:
                 pool.terminate()
             with contextlib.suppress(Exception):
                 pool.join()
-        if universe is not None:
-            universe.close()
 
     def __enter__(self) -> "FlatExecutor":
         return self
@@ -1192,9 +1027,8 @@ class FlatExecutor:
             _warn_pool_degrade(reason, error_text)
             return None
         pool_context = preferred_pool_context()
-        start_method = pool_context.get_start_method()
         board = None
-        if start_method == "fork":
+        if pool_context.get_start_method() == "fork":
             # The incumbent board rides on fork inheritance; spawn pools
             # simply run with dispatch-time limits only.
             try:
@@ -1206,39 +1040,13 @@ class FlatExecutor:
                     error=format_error(error),
                 )
                 board = None
-        universe: Optional[ShmSegment] = None
-        socs_arg: Optional[Dict[str, Soc]] = socs
-        if start_method != "fork":
-            # Fork workers inherit the parent's warm caches zero-copy;
-            # only non-fork workers need the universe published so their
-            # initargs shrink to a segment name instead of pickled SOCs.
-            try:
-                universe = publish_universe(socs)
-                socs_arg = None
-            except PUBLISH_ERRORS as error:
-                journal.failure(
-                    kind="shm-publish",
-                    action="continue",
-                    error=format_error(error),
-                )
-                universe = None
-                socs_arg = socs
         try:
             pool = pool_context.Pool(
                 processes=processes,
                 initializer=_init_worker,
-                initargs=(
-                    socs_arg,
-                    tuple(sorted(pairs)),
-                    board,
-                    self._fault_plan,
-                    universe.name if universe is not None else None,
-                    self._board_poll,
-                ),
+                initargs=(socs, tuple(sorted(pairs)), board, self._fault_plan),
             )
         except _POOL_CREATION_ERRORS as error:
-            if universe is not None:
-                universe.close()
             journal.failure(
                 kind="pool-creation", action="serial", error=format_error(error)
             )
@@ -1246,79 +1054,11 @@ class FlatExecutor:
             return None
         journal.pools_created += 1
         self._pool = pool
-        self._universe = universe
         self._board = board
         self._socs = dict(socs)
         self._processes = processes
         self._pairs = set(pairs)
         return pool
-
-    def _publish_plans(
-        self, plans: Sequence[_Plan], journal: _Journal
-    ) -> None:
-        """Publish each grid plan's run table into a shared-memory segment.
-
-        After this, ``make_task`` emits slim :class:`_ShmGridTask`
-        references instead of fat :class:`_GridTask` payloads.  Publish
-        failures are journalled and the plan falls back to fat tasks for
-        the rest of the run (``shm_failed`` stops re-attempts on
-        resurrection).  Representative slim/fat pickle sizes are recorded
-        once per plan for the dispatch-traffic accounting.
-        """
-        for plan in plans:
-            if (
-                not isinstance(plan, _GridPlan)
-                or plan.segment is not None
-                or plan.shm_failed
-                or not plan.runs
-            ):
-                continue
-            try:
-                segment = publish_plan(
-                    plan.soc_key,
-                    plan.width,
-                    plan.constraints,
-                    plan.config,
-                    plan.runs,
-                )
-            except PUBLISH_ERRORS as error:
-                plan.shm_failed = True
-                journal.failure(
-                    kind="shm-publish",
-                    action="continue",
-                    error=format_error(error),
-                )
-                continue
-            plan.segment = segment
-            self._plan_segments.append(segment)
-            run = plan.runs[0]
-            slim = _ShmGridTask(
-                job_index=0,
-                run_index=run.index,
-                soc=plan.soc_key,
-                width=plan.width,
-                segment=segment.name,
-                limit=None,
-            )
-            fat = _GridTask(
-                job_index=0,
-                run_index=run.index,
-                soc=plan.soc_key,
-                width=plan.width,
-                constraints=plan.constraints,
-                config=plan.config,
-                point=run.point,
-                vector=run.preferred_widths,
-                limit=None,
-            )
-            plan.slim_bytes = len(pickle.dumps(slim))
-            plan.fat_bytes = len(pickle.dumps(fat))
-
-    def _release_plan_segments(self) -> None:
-        """Release every per-run plan segment (end-of-run cleanup)."""
-        segments, self._plan_segments = self._plan_segments, []
-        for segment in segments:
-            segment.close()
 
     # -- planning -------------------------------------------------------
     def _plan(
@@ -1420,7 +1160,6 @@ class FlatExecutor:
                     if not plan.settled:
                         plan.events.append(event)
                 resurrect_reason = None
-            self._publish_plans(plans, journal)
             try:
                 failure, retry_delay = self._stream_round(
                     pool, plans, processes, chunksize, attempts, quarantined, journal
@@ -1526,14 +1265,6 @@ class FlatExecutor:
                 attempts[key] = attempt
                 stamped = replace(task, attempt=attempt)
                 inflight[key] = stamped
-                # Dispatch-traffic accounting: bytes actually sent down
-                # the pool pipe, counted per dispatch (re-dispatches
-                # included -- those bytes really are re-sent).
-                sent, saved = plans[key[0]].dispatch_cost(stamped)
-                journal.payload_bytes += sent
-                if isinstance(stamped, _ShmGridTask):
-                    journal.shm_tasks += 1
-                    journal.shm_bytes_saved += saved
             return stamped
 
         def stream() -> Iterator[_Task]:
@@ -1717,8 +1448,6 @@ class FlatExecutor:
             return
         assert isinstance(plan, _GridPlan)
         sets = session.rectangle_sets(plan.soc, plan.config.max_core_width)
-        # Works for fat and slim grid tasks alike: the parent's plan holds
-        # every run, so a slim task needs no segment attach here.
         run = plan.by_index[task.run_index]
         schedule = _execute_run(
             plan.soc,
@@ -1831,7 +1560,6 @@ class FlatExecutor:
                 "flat executor",
             )
         finally:
-            self._release_plan_segments()
             self._last_failures = tuple(journal.failures)
             self._last_events = tuple(journal.events)
         results = tuple(plan.finish(session) for plan in plans)
@@ -1844,9 +1572,6 @@ class FlatExecutor:
             resurrections=journal.resurrections,
             quarantined=journal.quarantined,
             board_aborts=journal.board_aborts,
-            shm_tasks=journal.shm_tasks,
-            payload_bytes=journal.payload_bytes,
-            shm_bytes_saved=journal.shm_bytes_saved,
             recovery_events=tuple(journal.events),
             failures=tuple(journal.failures),
         )
@@ -1916,7 +1641,6 @@ class FlatExecutor:
                 "grid sweep",
             )
         finally:
-            self._release_plan_segments()
             self._last_failures = tuple(journal.failures)
             self._last_events = tuple(journal.events)
         stats = ExecutorStats(
@@ -1928,9 +1652,6 @@ class FlatExecutor:
             resurrections=journal.resurrections,
             quarantined=journal.quarantined,
             board_aborts=journal.board_aborts,
-            shm_tasks=journal.shm_tasks,
-            payload_bytes=journal.payload_bytes,
-            shm_bytes_saved=journal.shm_bytes_saved,
             recovery_events=tuple(journal.events),
             failures=tuple(journal.failures),
         )

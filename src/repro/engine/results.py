@@ -47,11 +47,7 @@ _BASE_FIELDS = (
 # on stat-less and purely-serial runs so legacy CSV shapes are unchanged
 # (the ``recovery_events`` convention: execution detail appears only when
 # there is execution detail to report).
-_STATS_FIELDS = (
-    "board_aborts",
-    "shm_bytes_saved",
-    "payload_bytes",
-)
+_STATS_FIELDS = ("board_aborts",)
 
 
 @dataclass(frozen=True)
@@ -72,13 +68,9 @@ class ExecutorStats:
     the serial rung -- the same condition that emits a
     :class:`RuntimeWarning` on pool-creation failure).
 
-    The payload-plane counters describe dispatch traffic:
-    ``payload_bytes`` is the total serialized task bytes sent through the
-    pool pipe, ``shm_tasks`` how many of those tasks travelled as slim
-    shared-memory references, ``shm_bytes_saved`` the pickled bytes the
-    shm plane avoided, and ``board_aborts`` how many runs the incumbent
-    board killed *mid-run* inside workers.  Like the recovery counters
-    they depend on scheduling races, never on results.
+    ``board_aborts`` counts the runs the incumbent board killed *mid-run*
+    inside workers.  Like the recovery counters it depends on scheduling
+    races, never on results.
     """
 
     jobs: int = 0
@@ -89,9 +81,6 @@ class ExecutorStats:
     resurrections: int = 0
     quarantined: int = 0
     board_aborts: int = 0
-    shm_tasks: int = 0
-    payload_bytes: int = 0
-    shm_bytes_saved: int = 0
     recovery_events: Tuple[RecoveryEvent, ...] = ()
     failures: Tuple[FailureRecord, ...] = ()
 

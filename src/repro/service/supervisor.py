@@ -289,7 +289,7 @@ class Supervisor:
         """Drain-free teardown: stop workers, close journal, release pools.
 
         Idempotent.  After close the process holds zero supervisor-owned
-        pool processes or shared-memory segments: the dedicated executor
+        pool processes: the dedicated executor
         (if any) is closed by unwinding its ``use_executor`` scope, and
         ``Session.close`` tears down the process-default pool.
         """

@@ -1,4 +1,4 @@
-"""The built-in lint rules (REP001-REP013).
+"""The built-in lint rules (REP001-REP011, REP013).
 
 Importing this package registers every rule into the process-wide
 :func:`~repro.staticcheck.engine.default_rule_registry` -- the exact
@@ -33,11 +33,6 @@ REP011     Unjournalled recovery: handlers catching pool/timeout/
            broken-pipe/fault exceptions in ``engine/`` must record a
            ``FailureRecord`` (``failure``/``journal``/``record`` call)
            or re-raise, so the recovery ladder sees every fault.
-REP012     Shm lifecycle: ``SharedMemory`` segments may only be
-           created/attached on paths reachable from the
-           ``engine/shm`` lifecycle helpers (``publish_plan``,
-           ``adopt_universe``, ...) whose finalizer and
-           resource-tracker guards prevent leaks (interprocedural).
 REP013     Unsettled service handler: handlers catching outcome-class
            exceptions (``CancelledSolve``/``SolverError``/broad
            ``Exception``/pipe errors) in ``service/`` must settle the
@@ -63,6 +58,5 @@ from repro.staticcheck.rules import (  # noqa: F401  (imported for registration)
     rep009_swallowed,
     rep010_hotpath,
     rep011_recovery,
-    rep012_shm,
     rep013_service,
 )

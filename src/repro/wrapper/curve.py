@@ -53,7 +53,7 @@ import heapq
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.soc.core import Core
 
@@ -502,7 +502,7 @@ def clear_curve_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory export/import of the per-core tables
+# Export of the per-core tables
 # ----------------------------------------------------------------------
 #: The array fields of one per-core table, in export order.  The first
 #: four are width-indexed over ``1..W`` (one entry per computed width);
@@ -521,7 +521,7 @@ CURVE_TABLE_FIELDS: Tuple[str, ...] = (
 
 
 def export_curve_tables() -> List[Tuple[Core, Tuple["array[int]", ...]]]:
-    """Snapshot every memoised per-core table, for shm publication.
+    """Snapshot every memoised per-core table.
 
     Each entry pairs a core with its arrays in :data:`CURVE_TABLE_FIELDS`
     order.  The arrays are the live cache arrays -- callers must copy
@@ -531,33 +531,3 @@ def export_curve_tables() -> List[Tuple[Core, Tuple["array[int]", ...]]]:
         (core, tuple(getattr(data, name) for name in CURVE_TABLE_FIELDS))
         for core, data in _DATA.items()
     ]
-
-
-def seed_curve_table(
-    core: Core, fields: Sequence[Union[bytes, bytearray, memoryview]]
-) -> bool:
-    """Install one exported per-core table into this process's cache.
-
-    ``fields`` holds one ``int64`` buffer per :data:`CURVE_TABLE_FIELDS`
-    entry (any bytes-like object).  The buffers are *copied* into fresh
-    growable arrays, so later wider requests extend them normally.
-    Returns ``False`` without touching the cache when the core is already
-    present (the local table may be wider) or the export is empty.
-    """
-    if len(fields) != len(CURVE_TABLE_FIELDS):
-        raise ValueError(
-            f"expected {len(CURVE_TABLE_FIELDS)} field buffers, got {len(fields)}"
-        )
-    if core in _DATA:
-        return False
-    data = _CurveData(core)
-    for name, buffer in zip(CURVE_TABLE_FIELDS, fields):
-        getattr(data, name).frombytes(buffer)
-    widths = len(data.raw_times)
-    if widths == 0:
-        return False
-    staircase = (data.best_widths, data.times, data.scan_in, data.scan_out)
-    if any(len(field) != widths for field in (data.raw_scan_in, data.raw_scan_out, *staircase)):
-        raise ValueError(f"inconsistent curve table for core {core!r}")
-    _DATA[core] = data
-    return True

@@ -654,57 +654,6 @@ class TestRep011UnjournalledRecovery:
 
 
 # ----------------------------------------------------------------------
-# REP012: shm lifecycle boundary
-# ----------------------------------------------------------------------
-class TestRep012ShmLifecycle:
-    BAD = (
-        "from multiprocessing import shared_memory\n"
-        "def sidechannel(blob):\n"
-        "    segment = shared_memory.SharedMemory(create=True, size=len(blob))\n"
-        "    segment.buf[: len(blob)] = blob\n"
-        "    return segment.name\n"
-        "_SCRATCH = shared_memory.SharedMemory(create=True, size=64)\n"
-    )
-    GOOD = (
-        "from multiprocessing import shared_memory\n"
-        "def _create_segment(size):\n"
-        "    return shared_memory.SharedMemory(create=True, size=size)\n"
-        "def _attach_segment(name):\n"
-        "    return shared_memory.SharedMemory(name=name)\n"
-        "def publish_plan(blob):\n"
-        "    segment = _create_segment(len(blob))\n"
-        "    segment.buf[: len(blob)] = blob\n"
-        "    return segment.name\n"
-        "def load_plan(name):\n"
-        "    return _attach_segment(name)\n"
-    )
-
-    def test_bad_fixture(self, tmp_path):
-        report = lint_fixture(tmp_path, self.BAD, ["REP012"])
-        assert codes_and_lines(report) == [("REP012", 3), ("REP012", 6)]
-        by_line = {f.line: f for f in report.findings}
-        assert "function 'fixture.sidechannel'" in by_line[3].message
-        assert "module level" in by_line[6].message
-
-    def test_good_fixture(self, tmp_path):
-        report = lint_fixture(tmp_path, self.GOOD, ["REP012"])
-        assert report.findings == ()
-
-    def test_creation_outside_lifecycle_reach_is_flagged(self, tmp_path):
-        # A helper with the sanctioned *shape* but never called from a
-        # lifecycle entry is still a violation.
-        source = (
-            "from multiprocessing import shared_memory\n"
-            "def _create_segment(size):\n"
-            "    return shared_memory.SharedMemory(create=True, size=size)\n"
-            "def unrelated(blob):\n"
-            "    return _create_segment(len(blob))\n"
-        )
-        report = lint_fixture(tmp_path, source, ["REP012"])
-        assert codes_and_lines(report) == [("REP012", 3)]
-
-
-# ----------------------------------------------------------------------
 # REP013: unsettled service request handlers
 # ----------------------------------------------------------------------
 class TestRep013UnsettledServiceHandler:
@@ -847,10 +796,10 @@ class TestRep010HotPath:
 # Shipped tree + CLI-facing integration
 # ----------------------------------------------------------------------
 class TestShippedTreeInterprocedural:
-    def test_shipped_tree_is_rep007_to_rep012_clean(self):
+    def test_shipped_tree_is_rep007_to_rep011_clean(self):
         report = run_lint(
             [REPO_ROOT / "src" / "repro"],
-            select=["REP007", "REP008", "REP009", "REP010", "REP011", "REP012"],
+            select=["REP007", "REP008", "REP009", "REP010", "REP011"],
             source_roots=[REPO_ROOT / "src", REPO_ROOT],
         )
         assert report.findings == ()

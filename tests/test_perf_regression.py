@@ -142,8 +142,7 @@ class TestHarness:
                 "serve/latency": {"p50_seconds": 0.003, "max_s": 0.01},
                 "scale/d695/w2": {
                     "speedup": 1.8,
-                    "payload_shrink": 2.87,
-                    "shm_task_share": 1.0,
+                    "task_share": 1.0,
                     "hit_ratio": 0.5,
                     "workers": 2,
                 },
@@ -156,8 +155,8 @@ class TestHarness:
         assert lines[2] == "serve/total: seconds=0.2500s, requests=9, throughput_rps=391.1/s"
         assert lines[3] == "serve/latency: p50_seconds=0.0030s, max_s=0.0100s"
         assert lines[4] == (
-            "scale/d695/w2: speedup=1.80x, payload_shrink=2.87x, "
-            "shm_task_share=1.000, hit_ratio=0.500, workers=2"
+            "scale/d695/w2: speedup=1.80x, task_share=1.000, "
+            "hit_ratio=0.500, workers=2"
         )
         assert lines[5] == "curve_cold_seconds: d695=0.1250s"
         assert lines[6] == "reference_seconds: 0.5000s"

@@ -57,7 +57,6 @@ class TestRegistry:
             "REP009",
             "REP010",
             "REP011",
-            "REP012",
             "REP013",
         ]
 
@@ -471,8 +470,15 @@ class TestCli:
     def test_list_rules(self):
         proc = self.run_cli("lint", "--list-rules")
         assert proc.returncode == 0
-        for code in ("REP001", "REP006", "REP007", "REP010", "REP012"):
+        for code in ("REP001", "REP006", "REP007", "REP010", "REP013"):
             assert code in proc.stdout
+
+    def test_selecting_retired_rep012_fails_loudly(self):
+        # REP012 was deleted and its number stays retired: a selection
+        # naming it is a usage error, not a silently empty run.
+        proc = self.run_cli("lint", "--select", "REP012", "src/repro")
+        assert proc.returncode == 2
+        assert "unknown rule 'REP012'" in proc.stderr
 
     def test_lint_github_output_format(self, tmp_path):
         bad = tmp_path / "bad.py"
