@@ -134,10 +134,11 @@ class SchedulerConfig:
         pseudocode ordering).  See the module docstring.
     use_candidate_heaps:
         Select candidates from maintained priority queues (lazy-invalidated
-        heaps over the paused/unstarted pools) instead of re-scanning the
-        pools on every query.  Results are bit-identical either way; the
-        flag exists so the straightforward scan stays reachable as the
-        executable reference for the property tests.
+        heaps over the paused pools, and one heap per requested width over
+        the unstarted pool) instead of re-scanning the pools on every
+        query.  Results are bit-identical either way; the flag exists so
+        the straightforward scan stays reachable as the executable
+        reference for the property tests.
     """
 
     percent: float = 5.0
@@ -269,12 +270,20 @@ class _Scheduler:
       emptied as predecessors complete;
     * :meth:`_advance` reads the next event time from a min-heap of
       completion times (entries are invalidated lazily: a popped entry is
-      ignored unless it still matches its core's current finish time).
+      ignored unless it still matches its core's current finish time);
+    * unstarted cores are bucketed by the width they request,
+      ``min(preferred_width, total_width)``, one heap per width ordered by
+      (remaining time, name), and a selection walks only the buckets whose
+      width fits the free wires plus the insertion slack.  A core too wide
+      for the free wires is never popped, so a run does O(1) heap work per
+      start instead of popping past (and pushing back) every wider core
+      with more remaining time.  Paused cores keep one heap per priority.
 
     Candidate selection (``max``/``min`` with name tie-breaks) is invariant
     to pool iteration order, so schedules are bit-identical to the
     re-scanning implementation this replaces -- a property pinned by the
-    golden regression tests in ``tests/test_perf_regression.py``.
+    golden regression tests in ``tests/test_perf_regression.py`` and the
+    randomized heap-versus-scan tests in ``tests/test_grid_sweep.py``.
     """
 
     def __init__(
@@ -357,7 +366,9 @@ class _Scheduler:
         # (remaining, name) first with pure-integer comparisons (ranks are
         # unique, the state object is never compared).  Staleness is
         # detected lazily by re-checking the core's pool membership and
-        # remaining time on pop.
+        # remaining time on pop.  Unstarted cores sit in one heap per
+        # requested width min(preferred, total), so a selection only looks
+        # at the widths that can fit instead of popping past wide cores.
         self._use_heaps = config.use_candidate_heaps
         self._fresh_starts: List[_CoreState] = []
         self._no_preemption = all(
@@ -376,19 +387,16 @@ class _Scheduler:
             self._desc_rank: Dict[str, int] = {
                 name: rank for rank, name in enumerate(names_desc)
             }
-            asc_rank = {name: rank for rank, name in enumerate(sorted(self.states))}
-            self._unstarted_heap: List[Tuple[int, int, _CoreState]] = [
-                (-state.candidate_remaining(), self._desc_rank[name], state)
-                for name, state in self.states.items()
-            ]
-            heapq.heapify(self._unstarted_heap)
-            # Idle-insertion fallback wants the *smallest* (preferred width,
-            # name) over unstarted cores, so this one ranks ascending.
-            self._squeeze_heap: List[Tuple[int, int, _CoreState]] = [
-                (state.preferred_width, asc_rank[name], state)
-                for name, state in self.states.items()
-            ]
-            heapq.heapify(self._squeeze_heap)
+            self._buckets: Dict[int, List[Tuple[int, int, _CoreState]]] = {}
+            for name, state in self.states.items():
+                self._buckets.setdefault(
+                    min(state.preferred_width, total_width), []
+                ).append((-state.candidate_remaining(), self._desc_rank[name], state))
+            for bucket in self._buckets.values():
+                heapq.heapify(bucket)
+            # Non-empty bucket widths, ascending; emptied ones are dropped
+            # by the next walk that finds them.
+            self._bucket_widths = sorted(self._buckets)
             self._paused_heap: List[Tuple[int, int, _CoreState]] = []
             self._exhausted_heap: List[Tuple[int, int, _CoreState]] = []
         # The plain function, not a bound method: a bound method stored on
@@ -562,61 +570,61 @@ class _Scheduler:
         return self._select(self, width_available)
 
     # -- heap implementation -------------------------------------------
-    def _candidate_eligibility(
-        self, state: _CoreState, width_available: int
-    ) -> Optional[int]:
-        """Width ``state`` would run at, or ``None`` if it cannot run now."""
-        if state.begun:
-            width = state.assigned_width or 0
-            if width > width_available:
-                return None
-        else:
-            width = state.preferred_width
-            if width > self.total_width:
-                width = self.total_width
-            if width > width_available:
-                if (
-                    not self.config.enable_idle_insertion
-                    or width - width_available > self.config.insertion_slack
-                ):
-                    return None
-                width = width_available
-        if not self._no_conflicts and self._conflicts(state):
-            return None
-        return width
+    def _best_unstarted(
+        self, width_limit: int
+    ) -> Optional[Tuple[int, int, _CoreState]]:
+        """Smallest-key unstarted entry that requests at most ``width_limit``
+        wires and conflicts with nothing running, or ``None``.
+
+        Walks the non-empty width buckets in ascending order.  Without
+        constraints a bucket's live top is its candidate; with constraints
+        its entries are popped until the first non-conflicting one, or until
+        one that can no longer beat the best found so far, and pushed back.
+        Begun entries are dropped for good.
+        """
+        buckets = self._buckets
+        no_conflicts = self._no_conflicts
+        best: Optional[Tuple[int, int, _CoreState]] = None
+        emptied = False
+        for width in self._bucket_widths:
+            if width > width_limit:
+                break
+            heap = buckets[width]
+            skipped: List[Tuple[int, int, _CoreState]] = []
+            while heap:
+                entry = heap[0]
+                if entry[2].begun:
+                    heapq.heappop(heap)
+                elif best is not None and entry > best:
+                    break  # every later entry of this bucket is worse still
+                elif no_conflicts or not self._conflicts(entry[2]):
+                    best = entry
+                    break
+                else:
+                    skipped.append(heapq.heappop(heap))
+            for entry in skipped:
+                heapq.heappush(heap, entry)
+            if not heap:
+                emptied = True
+        if emptied:
+            self._bucket_widths = [w for w in self._bucket_widths if buckets[w]]
+        return best
 
     def _select_candidate_heaps(
         self, width_available: int
     ) -> Optional[Tuple[_CoreState, int]]:
         """Heap-backed candidate selection (same result as the scan).
 
-        Each pool's heap yields candidates in decreasing priority order;
-        entries are popped until the first *eligible* one (fits the free
-        wires or can be squeezed in, and conflicts with nothing running),
-        which by construction is the max the scan would have picked.
-        Popped-but-skipped live entries are pushed back; stale entries
-        (core left the pool, or remaining changed) are dropped for good.
+        Paused pools are heaps popped until their first *eligible* entry
+        (fixed width fits, conflicts with nothing running); skipped live
+        entries are pushed back and stale ones (core left the pool, or its
+        remaining time changed) are dropped for good.  Unstarted cores come
+        from :meth:`_best_unstarted` over the widths that fit the free
+        wires, or that idle insertion can squeeze into them.  The scan's
+        idle-insertion fallback needs no counterpart: a core it could pick
+        has ``min(preferred, total) <= available + slack`` and so was
+        already considered by the bucket walk.
         """
-        # Fast path: with nothing paused (always true in non-preemptive
-        # mode), a candidate can only come from the unstarted pool, and the
-        # narrowest unstarted core (the squeeze heap's top) already tells
-        # us whether *any* candidate is width-eligible.  A core is eligible
-        # only if min(preferred, total) <= available, or -- with idle
-        # insertion -- preferred <= available + slack; both imply
-        # min(total, min_preferred) <= available + slack.
-        if not self._paused:
-            squeeze = self._squeeze_heap
-            while squeeze and squeeze[0][2].begun:
-                heapq.heappop(squeeze)
-            if not squeeze:
-                return None
-            slack = (
-                self.config.insertion_slack
-                if self.config.enable_idle_insertion
-                else 0
-            )
-            if min(self.total_width, squeeze[0][0]) > width_available + slack:
-                return None
 
         def valid_exhausted(entry: Tuple[int, int, _CoreState]) -> bool:
             state = entry[2]
@@ -638,121 +646,64 @@ class _Scheduler:
                 and state.preemptions < state.max_preemptions
             )
 
-        def valid_unstarted(entry: Tuple[int, int, _CoreState]) -> bool:
-            # A core that never began cannot be complete, so one flag check
-            # decides pool membership.
-            return not entry[2].begun
-
-        def live_top(
+        def first_eligible(
             heap: List[Tuple[int, int, _CoreState]],
             valid: Callable[[Tuple[int, int, _CoreState]], bool],
-        ) -> Optional[Tuple[int, int, _CoreState]]:
-            while heap:
-                if valid(heap[0]):
-                    return heap[0]
-                heapq.heappop(heap)
-            return None
-
-        # Priority 1: paused tests that may not be preempted again; max by
-        # (remaining, name), eligible iff their fixed width fits.
-        winner: Optional[Tuple[_CoreState, int]] = None
-        if self._paused:
+            bound: Optional[Tuple[int, int, _CoreState]] = None,
+        ) -> Optional[_CoreState]:
+            """Pop ``heap`` to its first eligible paused core; stop early at
+            an entry whose remaining time is below ``bound``'s."""
             skipped: List[Tuple[int, int, _CoreState]] = []
-            while True:
-                if live_top(self._exhausted_heap, valid_exhausted) is None:
+            found: Optional[_CoreState] = None
+            while heap:
+                entry = heap[0]
+                if not valid(entry):
+                    heapq.heappop(heap)
+                    continue
+                if bound is not None and entry[0] > bound[0]:
                     break
-                entry = heapq.heappop(self._exhausted_heap)
-                skipped.append(entry)
+                skipped.append(heapq.heappop(heap))
                 state = entry[2]
                 if (state.assigned_width or 0) <= width_available and (
                     self._no_conflicts or not self._conflicts(state)
                 ):
-                    winner = (state, state.assigned_width or 1)
+                    found = state
                     break
             for entry in skipped:
-                heapq.heappush(self._exhausted_heap, entry)
-            if winner is not None:
-                return winner
+                heapq.heappush(heap, entry)
+            return found
 
+        # Priority 1: paused tests that may not be preempted again; max by
+        # (remaining, name), eligible iff their fixed width fits.
+        if self._paused:
+            state = first_eligible(self._exhausted_heap, valid_exhausted)
+            if state is not None:
+                return state, state.assigned_width or 1
+
+        width_limit = width_available
+        if self.config.enable_idle_insertion:
+            width_limit += self.config.insertion_slack
         if self.config.strict_priority_resume:
             # Literal pseudocode ordering: all paused before any unstarted.
-            for heap, valid in (
-                (self._paused_heap, valid_paused),
-                (self._unstarted_heap, valid_unstarted),
-            ):
-                skipped = []
-                while True:
-                    if live_top(heap, valid) is None:
-                        break
-                    entry = heapq.heappop(heap)
-                    skipped.append(entry)
-                    width = self._candidate_eligibility(entry[2], width_available)
-                    if width is not None:
-                        winner = (entry[2], width)
-                        break
-                for entry in skipped:
-                    heapq.heappush(heap, entry)
-                if winner is not None:
-                    return winner
+            if self._paused:
+                state = first_eligible(self._paused_heap, valid_paused)
+                if state is not None:
+                    return state, state.assigned_width or 1
+            best = self._best_unstarted(width_limit)
         else:
-            # Merged Priorities 2/3: pop from whichever heap holds the
-            # globally best (remaining, begun, name); paused (begun) wins
-            # remaining-time ties so seamless resumption is preferred, so
-            # the paused heap is taken whenever its (negated) key is <=.
-            skipped_paused: List[Tuple[int, int, _CoreState]] = []
-            skipped_unstarted: List[Tuple[int, int, _CoreState]] = []
-            # Tops are cached and refreshed only for the heap just popped
-            # (the other heap cannot have changed).
-            paused_top = (
-                live_top(self._paused_heap, valid_paused) if self._paused else None
-            )
-            unstarted_top = live_top(self._unstarted_heap, valid_unstarted)
-            while True:
-                if paused_top is None and unstarted_top is None:
-                    break
-                if unstarted_top is None or (
-                    paused_top is not None and paused_top[0] <= unstarted_top[0]
-                ):
-                    entry = heapq.heappop(self._paused_heap)
-                    skipped_paused.append(entry)
-                    paused_top = live_top(self._paused_heap, valid_paused)
-                else:
-                    entry = heapq.heappop(self._unstarted_heap)
-                    skipped_unstarted.append(entry)
-                    unstarted_top = live_top(self._unstarted_heap, valid_unstarted)
-                width = self._candidate_eligibility(entry[2], width_available)
-                if width is not None:
-                    winner = (entry[2], width)
-                    break
-            for entry in skipped_paused:
-                heapq.heappush(self._paused_heap, entry)
-            for entry in skipped_unstarted:
-                heapq.heappush(self._unstarted_heap, entry)
-            if winner is not None:
-                return winner
-
-        # Idle-time rectangle insertion (Figure 4 lines 13-14): *smallest*
-        # (preferred width, name) over unstarted cores within the slack.
-        if self.config.enable_idle_insertion and width_available >= 1:
-            slack_limit = width_available + self.config.insertion_slack
-            skipped_squeeze: List[Tuple[int, int, _CoreState]] = []
-            while self._squeeze_heap:
-                entry = self._squeeze_heap[0]
-                if entry[2].begun:
-                    heapq.heappop(self._squeeze_heap)
-                    continue
-                if entry[0] > slack_limit:
-                    break  # min-heap: every later entry is wider still
-                heapq.heappop(self._squeeze_heap)
-                skipped_squeeze.append(entry)
-                if self._no_conflicts or not self._conflicts(entry[2]):
-                    winner = (entry[2], width_available)
-                    break
-            for entry in skipped_squeeze:
-                heapq.heappush(self._squeeze_heap, entry)
-            if winner is not None:
-                return winner
-        return None
+            # Merged Priorities 2/3: the globally best (remaining, begun,
+            # name).  Paused (begun) wins remaining-time ties so seamless
+            # resumption is preferred, so the paused heap is only cut off
+            # once its remaining time drops below the unstarted winner's.
+            best = self._best_unstarted(width_limit)
+            if self._paused:
+                state = first_eligible(self._paused_heap, valid_paused, best)
+                if state is not None:
+                    return state, state.assigned_width or 1
+        if best is None:
+            return None
+        state = best[2]
+        return state, min(state.preferred_width, self.total_width, width_available)
 
     # -- reference (re-scanning) implementation ------------------------
     def _select_candidate_scan(

@@ -64,6 +64,10 @@ class ScheduleSegment:
         return self.start < other.end and other.start < self.end
 
 
+#: A schedule's segments grouped by core (:meth:`TestSchedule.segments_by_core`).
+_SegmentsByCore = Dict[str, List[ScheduleSegment]]
+
+
 @dataclass(frozen=True)
 class CoreScheduleSummary:
     """Per-core view of a schedule: begin/end times, width(s), preemptions."""
@@ -131,6 +135,17 @@ class TestSchedule:
             return 0.0
         return self.occupied_area / total
 
+    def segments_by_core(self) -> _SegmentsByCore:
+        """Every core's segments in time order, cores in first-begin order.
+
+        One pass over the segments; the validator uses it instead of calling
+        :meth:`segments_for` once per core, which is quadratic.
+        """
+        grouped: _SegmentsByCore = {}
+        for segment in self.segments:
+            grouped.setdefault(segment.core, []).append(segment)
+        return grouped
+
     def segments_for(self, core: str) -> Tuple[ScheduleSegment, ...]:
         """All segments of the named core, in time order."""
         return tuple(segment for segment in self.segments if segment.core == core)
@@ -176,9 +191,10 @@ class TestSchedule:
 
     def power_profile(self, soc: Soc) -> List[Tuple[int, float]]:
         """Piecewise-constant total test power: (time, power) breakpoints."""
+        powers = {core.name: core.test_power for core in soc.cores}
         events: Dict[int, float] = {}
         for segment in self.segments:
-            power = soc.core(segment.core).test_power
+            power = powers[segment.core]
             events[segment.start] = events.get(segment.start, 0.0) + power
             events[segment.end] = events.get(segment.end, 0.0) - power
         profile = []
@@ -224,9 +240,10 @@ class TestSchedule:
             its assigned width plus its accumulated preemption overhead.
             (The scheduler passes this; external callers usually omit it.)
         """
+        by_core = self.segments_by_core()
         if soc is not None:
             core_names = set(soc.core_names)
-            scheduled = set(self.scheduled_cores)
+            scheduled = set(by_core)
             unknown = sorted(scheduled - core_names)
             if unknown:
                 raise ScheduleError(f"schedule references unknown cores: {unknown}")
@@ -235,7 +252,7 @@ class TestSchedule:
                 raise ScheduleError(f"schedule does not test cores: {missing}")
 
         self._check_width_capacity()
-        self._check_no_core_self_overlap()
+        self._check_no_core_self_overlap(by_core)
 
         if constraints is not None:
             if soc is None:
@@ -243,13 +260,13 @@ class TestSchedule:
                     "constraint validation needs the SOC the schedule was built for"
                 )
             constraints.validate_for(soc)
-            self._check_precedence(constraints)
-            self._check_concurrency(constraints)
+            self._check_precedence(constraints, by_core)
+            self._check_concurrency(constraints, by_core)
             self._check_power(soc, constraints)
-            self._check_preemption_limits(constraints)
+            self._check_preemption_limits(constraints, by_core)
 
         if expected_times is not None:
-            self._check_durations(expected_times)
+            self._check_durations(expected_times, by_core)
 
     def _check_width_capacity(self) -> None:
         if self.peak_width() > self.total_width:
@@ -258,9 +275,8 @@ class TestSchedule:
                 f"only {self.total_width} available"
             )
 
-    def _check_no_core_self_overlap(self) -> None:
-        for core in self.scheduled_cores:
-            segments = self.segments_for(core)
+    def _check_no_core_self_overlap(self, by_core: _SegmentsByCore) -> None:
+        for core, segments in by_core.items():
             for first, second in zip(segments, segments[1:]):
                 if first.overlaps(second):
                     raise ScheduleError(
@@ -268,10 +284,10 @@ class TestSchedule:
                         f"({first.start}..{first.end} and {second.start}..{second.end})"
                     )
 
-    def _check_precedence(self, constraints: ConstraintSet) -> None:
+    def _check_precedence(self, constraints: ConstraintSet, by_core: _SegmentsByCore) -> None:
         for before, after in constraints.precedence:
-            before_segments = self.segments_for(before)
-            after_segments = self.segments_for(after)
+            before_segments = by_core.get(before, ())
+            after_segments = by_core.get(after, ())
             if not before_segments or not after_segments:
                 continue
             before_end = max(segment.end for segment in before_segments)
@@ -282,11 +298,11 @@ class TestSchedule:
                     f"before {before!r} completes at {before_end}"
                 )
 
-    def _check_concurrency(self, constraints: ConstraintSet) -> None:
+    def _check_concurrency(self, constraints: ConstraintSet, by_core: _SegmentsByCore) -> None:
         for pair in constraints.concurrency:
             first, second = sorted(pair)
-            for seg_a in self.segments_for(first):
-                for seg_b in self.segments_for(second):
+            for seg_a in by_core.get(first, ()):
+                for seg_b in by_core.get(second, ()):
                     if seg_a.overlaps(seg_b):
                         raise ScheduleError(
                             f"concurrency violated: {first!r} and {second!r} overlap "
@@ -304,18 +320,21 @@ class TestSchedule:
                 f"limit {constraints.power_max}"
             )
 
-    def _check_preemption_limits(self, constraints: ConstraintSet) -> None:
-        for core in self.scheduled_cores:
+    def _check_preemption_limits(
+        self, constraints: ConstraintSet, by_core: _SegmentsByCore
+    ) -> None:
+        for core, segments in by_core.items():
             limit = constraints.preemption_limit(core)
-            actual = self.preemptions_of(core)
+            actual = len(segments) - 1
             if actual > limit:
                 raise ScheduleError(
                     f"core {core!r} preempted {actual} times, limit is {limit}"
                 )
 
-    def _check_durations(self, expected_times: Dict[str, Dict[int, int]]) -> None:
-        for core in self.scheduled_cores:
-            segments = self.segments_for(core)
+    def _check_durations(
+        self, expected_times: Dict[str, Dict[int, int]], by_core: _SegmentsByCore
+    ) -> None:
+        for core, segments in by_core.items():
             widths = {segment.width for segment in segments}
             if len(widths) != 1:
                 raise ScheduleError(

@@ -5,7 +5,9 @@ Two bit-identity contracts are pinned here on randomized SOCs and configs:
 * the heap-based ``_select_candidate`` (the default) produces exactly the
   schedules of the straightforward pool re-scan it replaced (reachable via
   ``SchedulerConfig(use_candidate_heaps=False)``), across non-preemptive,
-  preemptive and power-constrained scheduling;
+  preemptive, power- and concurrency-constrained scheduling, with idle
+  insertion and width increase on or off, and on crowded SOCs where many
+  cores request the same width;
 * the deduplicated / pruned / parallel grid sweep
   (:func:`repro.core.grid_sweep.run_grid_sweep`) returns exactly the
   schedule *and winning grid point* of the straightforward serial triple
@@ -46,11 +48,22 @@ PROFILE = GeneratorProfile(
     bist_fraction=0.2,
 )
 
+# Many cores per requested width: at narrow TAMs most preferred widths
+# exceed the total width and share its bucket.
+CROWDED_PROFILE = GeneratorProfile(
+    min_cores=40,
+    max_cores=60,
+    max_scan_cells=2500,
+    max_scan_chains=12,
+    bist_fraction=0.2,
+)
+
 SMALL_GRID = dict(percents=(1, 10, 40), deltas=(0, 2), slacks=(0, 3))
 
 
 def random_constraints(soc: Soc, rng: random.Random) -> ConstraintSet:
-    """A random mix of preemption budgets, power caps and precedence."""
+    """A random mix of preemption budgets, power caps, precedence and
+    concurrency pairs."""
     names = list(soc.core_names)
     limits = {
         name: rng.randint(1, 3) for name in rng.sample(names, len(names) // 2)
@@ -62,9 +75,15 @@ def random_constraints(soc: Soc, rng: random.Random) -> ConstraintSet:
     if len(names) >= 2 and rng.random() < 0.5:
         before, after = rng.sample(names, 2)
         precedence = ((before, after),)
+    concurrency = ()
+    if len(names) >= 2:
+        concurrency = tuple(
+            tuple(rng.sample(names, 2)) for _ in range(rng.choice((0, 1, 3)))
+        )
     return ConstraintSet.for_soc(
         soc,
         precedence=precedence,
+        concurrency=concurrency,
         power_max=power_max,
         max_preemptions=limits,
         default_preemptions=rng.choice((0, 0, 2)),
@@ -77,6 +96,8 @@ def random_config(rng: random.Random, **overrides) -> SchedulerConfig:
         delta=rng.choice((0, 2, 4)),
         insertion_slack=rng.choice((0, 3, 6)),
         strict_priority_resume=rng.random() < 0.3,
+        enable_idle_insertion=rng.random() < 0.8,
+        enable_width_increase=rng.random() < 0.8,
         **overrides,
     )
 
@@ -84,13 +105,20 @@ def random_config(rng: random.Random, **overrides) -> SchedulerConfig:
 class TestHeapSelectCandidate:
     """Heap-based selection is bit-identical to the reference scan."""
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_randomized_socs_and_constraints(self, seed):
+    @pytest.mark.parametrize(
+        "seed,profile",
+        [pytest.param(seed, PROFILE, id=str(seed)) for seed in range(12)]
+        + [
+            pytest.param(seed, CROWDED_PROFILE, id=f"crowded-{seed}")
+            for seed in range(100, 106)
+        ],
+    )
+    def test_randomized_socs_and_constraints(self, seed, profile):
         rng = random.Random(seed)
-        soc = generate_soc(seed, name=f"heap-{seed}", profile=PROFILE)
+        soc = generate_soc(seed, name=f"heap-{seed}", profile=profile)
         constraints = random_constraints(soc, rng)
         config = random_config(rng)
-        for width in (13, 32):
+        for width in (1, 7, 13, 32, 64):
             heap_schedule = run_paper_scheduler(
                 soc, width, constraints=constraints, config=config
             )

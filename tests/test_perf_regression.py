@@ -12,9 +12,14 @@ must carry per-phase timings, cache statistics and integrity makespans,
 and the golden comparator must actually detect drift.
 """
 
+import heapq
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis import perf
+from repro.core import scheduler
+from repro.core.rectangles import build_rectangle_sets
 from repro.soc.benchmarks import get_benchmark
 from repro.soc.constraints import ConstraintSet
 from repro.solvers import ScheduleRequest, Session
@@ -105,6 +110,38 @@ class TestSchedulerGoldenRegression:
         makespan, fingerprint = GOLDEN[(soc_name, mode, width)]
         assert result.makespan == makespan
         assert perf.schedule_fingerprint(result.schedule) == fingerprint
+
+
+class TestSchedulerWork:
+    """Heap work per scheduler run grows with the cores, not their square."""
+
+    def test_heap_operations_per_core_on_1000_cores(self, monkeypatch):
+        soc = perf.scale_soc("s1000")
+        sets = build_rectangle_sets(soc, scheduler.SchedulerConfig().max_core_width)
+        calls = {"heappush": 0, "heappop": 0}
+
+        def counted(name):
+            def call(*args):
+                calls[name] += 1
+                return getattr(heapq, name)(*args)
+
+            return call
+
+        monkeypatch.setattr(
+            scheduler,
+            "heapq",
+            SimpleNamespace(
+                heapify=heapq.heapify,
+                heappush=counted("heappush"),
+                heappop=counted("heappop"),
+            ),
+        )
+        schedule = scheduler.run_paper_scheduler(soc, 64, rectangle_sets=sets)
+        assert len(schedule.scheduled_cores) == len(soc.cores) == 1000
+        # Each start pushes one completion entry and pops it, and drops one
+        # begun entry from its width bucket.  Popping past every wider core
+        # on every selection cost about 147 operations per core.
+        assert sum(calls.values()) <= 8 * len(soc.cores)
 
 
 class TestHarness:

@@ -1,8 +1,16 @@
 """Unit tests for schedule data structures and validation (repro.schedule)."""
 
+import dataclasses
+import json
+import os
+
 import pytest
 
+from repro.analysis.perf import schedule_fingerprint
+from repro.core.rectangles import build_rectangle_sets
+from repro.core.scheduler import SchedulerConfig, run_paper_scheduler
 from repro.schedule.schedule import ScheduleError, ScheduleSegment, TestSchedule
+from repro.soc.benchmarks import get_benchmark
 from repro.soc.constraints import ConstraintSet
 from repro.soc.core import Core
 from repro.soc.soc import Soc
@@ -249,3 +257,157 @@ class TestValidation:
         )
         text = sched.describe()
         assert "a:" in text and "b:" in text and "makespan" in text
+
+
+# ----------------------------------------------------------------------
+# Mutation tests: corrupting one thing in a golden schedule is rejected
+# ----------------------------------------------------------------------
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks",
+    "golden_makespans.json",
+)
+
+
+class _Golden:
+    """A golden paper schedule plus constraints it meets with no room to spare.
+
+    The power cap is the schedule's own peak power, and the one precedence
+    edge runs between two cores where the second starts exactly when the
+    first ends, so each corruption below must be caught by the check it
+    targets rather than slip under a loose bound.
+    """
+
+    def __init__(self, soc_name: str, width: int) -> None:
+        self.soc = get_benchmark(soc_name)
+        self.width = width
+        self.schedule = run_paper_scheduler(self.soc, width)
+        with open(GOLDEN_PATH) as handle:
+            golden = json.load(handle)["fingerprints"][f"{soc_name}/paper/{width}"]
+        assert schedule_fingerprint(self.schedule) == golden
+        self.by_core = {
+            core: self.schedule.segments_for(core) for core in self.schedule.scheduled_cores
+        }
+        ends = {core: segments[-1].end for core, segments in self.by_core.items()}
+        starts = {core: segments[0].start for core, segments in self.by_core.items()}
+        self.pair = next(
+            (before, after)
+            for before in sorted(ends, key=lambda core: (ends[core], core))
+            for after in sorted(starts)
+            if starts[after] == ends[before]
+            and len(self.by_core[before]) == len(self.by_core[after]) == 1
+        )
+        self.constraints = ConstraintSet(
+            precedence=[self.pair], power_max=self.schedule.peak_power(self.soc)
+        )
+        sets = build_rectangle_sets(self.soc, SchedulerConfig().max_core_width)
+        self.expected_times = {
+            core: {segments[0].width: sets[core].time_at(segments[0].width)}
+            for core, segments in self.by_core.items()
+        }
+
+    def validate(self, schedule: TestSchedule) -> None:
+        schedule.validate(self.soc, self.constraints, self.expected_times)
+
+    def rebuilt(self, segments) -> TestSchedule:
+        return _schedule(segments, width=self.width, name=self.schedule.soc_name)
+
+    def replaced(self, old: ScheduleSegment, *new: ScheduleSegment) -> TestSchedule:
+        kept = [segment for segment in self.schedule.segments if segment != old]
+        return self.rebuilt(kept + list(new))
+
+    def swapped(self, first: str, second: str) -> TestSchedule:
+        """Cores ``first`` and ``second`` (one segment each) trade slots."""
+        relabel = {first: second, second: first}
+        return self.rebuilt(
+            dataclasses.replace(segment, core=relabel.get(segment.core, segment.core))
+            for segment in self.schedule.segments
+        )
+
+
+def _overlap(golden: _Golden) -> TestSchedule:
+    # Split one segment into two pieces that share a single cycle, at an
+    # instant with enough free wires that the TAM capacity still holds.
+    for segment in golden.schedule.segments:
+        for time, in_use in golden.schedule.width_profile():
+            if segment.start < time < segment.end - 1 and in_use + segment.width <= golden.width:
+                return golden.replaced(
+                    segment,
+                    dataclasses.replace(segment, end=time + 1),
+                    dataclasses.replace(segment, start=time),
+                )
+    raise AssertionError("no instant with room for a one-cycle overlap")
+
+
+def _width_overflow(golden: _Golden) -> TestSchedule:
+    # One wire more than the free wires around the first segment allow
+    # (every segment start is a breakpoint of the width profile).
+    segment = golden.schedule.segments[0]
+    used = max(
+        in_use
+        for time, in_use in golden.schedule.width_profile()
+        if segment.start <= time < segment.end
+    )
+    wider = segment.width + golden.width - used + 1
+    return golden.replaced(segment, dataclasses.replace(segment, width=wider))
+
+
+def _power_breach(golden: _Golden) -> TestSchedule:
+    # Two cores trade slots, so the wires in use never change, but a
+    # high-power core now runs beside others and lifts the total over the cap.
+    singles = sorted(
+        core
+        for core, segments in golden.by_core.items()
+        if len(segments) == 1 and core not in golden.pair
+    )
+    for hot in singles:
+        for cold in singles:
+            swapped = golden.swapped(hot, cold)
+            if swapped.peak_power(golden.soc) > golden.constraints.power_max:
+                return swapped
+    raise AssertionError("no slot swap breaches the power cap")
+
+
+def _precedence_inversion(golden: _Golden) -> TestSchedule:
+    # The successor takes the predecessor's slot and vice versa.
+    return golden.swapped(*golden.pair)
+
+
+def _dropped_core(golden: _Golden) -> TestSchedule:
+    dropped = golden.schedule.segments[-1].core
+    return golden.rebuilt(s for s in golden.schedule.segments if s.core != dropped)
+
+
+def _under_tested(golden: _Golden) -> TestSchedule:
+    segment = golden.schedule.segments[0]
+    return golden.replaced(segment, dataclasses.replace(segment, end=segment.end - 1))
+
+
+MUTATIONS = {
+    "overlap": (_overlap, "overlapping segments"),
+    "width-overflow": (_width_overflow, "TAM width exceeded"),
+    "power-breach": (_power_breach, "power constraint violated"),
+    "precedence-inversion": (_precedence_inversion, "precedence violated"),
+    "dropped-core": (_dropped_core, "does not test cores"),
+    "under-tested": (_under_tested, "under-tested"),
+}
+
+
+@pytest.fixture(scope="module", params=[("d695", 32), ("p93791", 64)], ids=lambda p: p[0])
+def golden(request):
+    return _Golden(*request.param)
+
+
+class TestValidateMutations:
+    """Every single corruption of a golden schedule raises ``ScheduleError``."""
+
+    def test_golden_schedule_meets_its_tight_constraints(self, golden):
+        golden.validate(golden.schedule)
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_corruption_is_rejected(self, golden, mutation):
+        corrupt, message = MUTATIONS[mutation]
+        corrupted = corrupt(golden)
+        assert corrupted.segments != golden.schedule.segments
+        with pytest.raises(ScheduleError, match=message):
+            golden.validate(corrupted)
