@@ -33,6 +33,9 @@ class ScheduleError(ValueError):
 class ScheduleSegment:
     """A contiguous run of one core's test at a fixed TAM width."""
 
+    # Slotted by hand: ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = ("core", "start", "end", "width")
+
     core: str
     start: int
     end: int
@@ -48,6 +51,11 @@ class ScheduleSegment:
             )
         if self.width <= 0:
             raise ScheduleError(f"segment for {self.core!r} has non-positive width")
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, int, int, int]]:
+        # Frozen slots cannot be restored by ``setattr``: rebuild through
+        # the constructor (pickle, copy and deepcopy all come here).
+        return type(self), (self.core, self.start, self.end, self.width)
 
     @property
     def duration(self) -> int:

@@ -25,6 +25,16 @@ produces bit-identical lengths while doing none of that per-width work:
   eligible chain to a common level, then hand the remainder to the chains
   that the heap's tie-break -- secondary key, then index -- would have
   picked); each width sorts its internal fill once for both phases;
+* a core without bidirectional cells takes the **bin-load** path.  Its raw
+  ``si`` (``so``) at width ``w`` is the longest chain after water-filling
+  ``I`` (``O``) cells onto the LPT loads, and that depends on the multiset
+  of loads alone: the tie-breaks only decide *which* tied chain grows, and
+  tied chains are interchangeable.  (With bidirs, they are not: the
+  scan-in/scan-out placement decides where the bidir cells can go.)  So
+  LPT runs on a plain integer heap, the saturated widths pass a count of
+  empty chains instead of a list, and each phase reduces to one water
+  level over one sorted list -- no per-chain fill, index order or
+  scan-in/scan-out lists;
 * past the **tail width** the design is known without computing it.  Let
   ``L`` be the longest internal chain, ``n`` the chain count and ``S`` the
   cell total ``sum(chains) + I + O + B``.  At a width ``w >= n`` with
@@ -76,29 +86,43 @@ class ParetoPoint:
 # ----------------------------------------------------------------------
 # Analytic (water-filling) emulation of the one-cell-at-a-time distributor
 # ----------------------------------------------------------------------
-def _water_level(ordered: Sequence[int], count: int) -> Tuple[int, int, int]:
-    """Water-fill ``count`` unit cells over the ascending values ``ordered``.
+def _water_level(
+    ordered: Sequence[int], count: int, zeros: int = 0
+) -> Tuple[int, int, int]:
+    """Water-fill ``count`` unit cells over ``zeros`` empty chains followed
+    by the ascending values ``ordered``.
 
     Returns ``(level, pool_size, remainder)``: every chain whose value is at
     most ``level`` ends up *at* ``level``, ``remainder`` of them get one
     extra cell, and ``pool_size`` is the number of such chains counted in
-    ascending-value order.  This is exactly the multiset the sequential
-    "add each cell to the current minimum" heap loop produces.
+    ascending-value order (the empty chains first).  This is exactly the
+    multiset the sequential "add each cell to the current minimum" heap
+    loop produces.
     """
-    level = ordered[0]
-    pool = 1
+    level = 0 if zeros else ordered[0]
+    pool = zeros
     budget = count
-    total = len(ordered)
-    while pool < total:
-        gap = ordered[pool] - level
-        need = gap * pool
+    for value in ordered:
+        need = (value - level) * pool
         if need > budget:
             break
         budget -= need
-        level = ordered[pool]
+        level = value
         pool += 1
     level += budget // pool
     return level, pool, budget % pool
+
+
+def _longest_after_fill(zeros: int, loads: Sequence[int], cells: int) -> int:
+    """Longest chain once ``cells`` are water-filled onto ``zeros`` empty
+    chains and the ascending ``loads``: the pool's common level (plus one
+    if a remainder is left) or the longest untouched load."""
+    top = loads[-1] if loads else 0
+    if cells == 0:
+        return top
+    level, _, extra = _water_level(loads, cells, zeros)
+    level += extra > 0
+    return level if level > top else top
 
 
 def _fill_cells(
@@ -137,7 +161,8 @@ def _fill_cells(
 def _raw_scan_lengths(
     internal: List[int], order: List[int], inputs: int, outputs: int, bidirs: int
 ) -> Tuple[int, int]:
-    """Longest scan-in/scan-out over chains with the given internal fills.
+    """Longest scan-in/scan-out of a core with bidir cells, over chains with
+    the given internal fills.
 
     ``order`` lists the chain indices by ascending ``(internal[i], i)``: the
     input and output phases both start from the internal fill, so one sort
@@ -152,8 +177,6 @@ def _raw_scan_lengths(
         return base + inputs + bidirs, base + outputs + bidirs
     scan_in = _fill_cells(internal, order, inputs)
     scan_out = _fill_cells(internal, order, outputs, scan_in)
-    if bidirs == 0:
-        return max(scan_in), max(scan_out)
     maxima = list(map(max, scan_in, scan_out))
     skew = [a + b - 2 * m for a, b, m in zip(scan_in, scan_out, maxima)]
     by_max = sorted(range(len(maxima)), key=maxima.__getitem__)
@@ -239,6 +262,26 @@ class _CurveData:
             heapq.heappush(heap, (load, index))
         return bins, sorted(range(width), key=bins.__getitem__)
 
+    def _bin_loads(self, width: int) -> Tuple[int, Sequence[int]]:
+        """The LPT chain loads at ``width`` as ``(zeros, ascending)``:
+        ``zeros`` empty chains followed by the ascending nonzero loads.
+
+        Only the multiset is built: adding a scan chain to any one of several
+        tied minimum bins leaves the same multiset, so plain integer loads
+        reproduce the ``(load, index)`` heap of :meth:`_internal_fill`.
+        """
+        lengths = self.lengths
+        chains = len(lengths)
+        if width >= chains:
+            return width - chains, lengths[::-1]
+        # The ``width`` longest chains open one bin each; ascending, they
+        # already form a heap.
+        heap = list(lengths[width - 1 :: -1])
+        for length in lengths[width:]:
+            heapq.heapreplace(heap, heap[0] + length)
+        heap.sort()
+        return 0, heap
+
     def extend(self, max_width: int) -> None:
         """Grow the arrays so widths ``1..max_width`` are all computed."""
         start = len(self.raw_times) + 1
@@ -251,6 +294,10 @@ class _CurveData:
         for width in range(start, last + 1):
             if width == tail:
                 si = so = self.lengths[0]
+            elif not self.bidirs:
+                zeros, loads = self._bin_loads(width)
+                si = _longest_after_fill(zeros, loads, self.inputs)
+                so = _longest_after_fill(zeros, loads, self.outputs)
             else:
                 fill, order = self._internal_fill(width, ascending)
                 si, so = _raw_scan_lengths(

@@ -12,6 +12,7 @@ must carry per-phase timings, cache statistics and integrity makespans,
 and the golden comparator must actually detect drift.
 """
 
+import hashlib
 import heapq
 from types import SimpleNamespace
 
@@ -20,9 +21,10 @@ import pytest
 from repro.analysis import perf
 from repro.core import scheduler
 from repro.core.rectangles import build_rectangle_sets
-from repro.soc.benchmarks import get_benchmark
+from repro.soc.benchmarks import get_benchmark, list_benchmarks
 from repro.soc.constraints import ConstraintSet
 from repro.solvers import ScheduleRequest, Session
+from repro.wrapper import curve
 
 # Recorded from the pre-kernel, re-scanning scheduler implementation
 # (PR 2 tree) -- (makespan, sha256 of the exact segment list).
@@ -142,6 +144,66 @@ class TestSchedulerWork:
         # begun entry from its width bucket.  Popping past every wider core
         # on every selection cost about 147 operations per core.
         assert sum(calls.values()) <= 8 * len(soc.cores)
+
+
+class TestCurveKernelWork:
+    """Bidir-free cores take their scan lengths from the sorted loads alone."""
+
+    def test_kernel_work_on_1000_cores(self, monkeypatch):
+        soc = perf.scale_soc("s1000")
+        calls = {"heap": 0, "fill_cells": 0}
+
+        def counted(key, function):
+            def call(*args):
+                calls[key] += 1
+                return function(*args)
+
+            return call
+
+        monkeypatch.setattr(
+            curve,
+            "heapq",
+            SimpleNamespace(
+                **{
+                    name: counted("heap", getattr(heapq, name))
+                    for name in ("heapify", "heappush", "heappop", "heapreplace")
+                }
+            ),
+        )
+        monkeypatch.setattr(
+            curve, "_fill_cells", counted("fill_cells", curve._fill_cells)
+        )
+        curve.clear_curve_cache()
+        for core in soc.cores:
+            curve.wrapper_curve(core, 64)
+        assert curve.curve_cache_info().widths_computed == 64 * len(soc.cores)
+        # A per-chain fill at every width cost 582 heap operations per core
+        # and 41,511 ``_fill_cells`` calls; now only cores with bidir cells
+        # build one.
+        assert calls["heap"] <= 250 * len(soc.cores)
+        assert calls["fill_cells"] <= 6000
+
+
+#: SHA-256 over the exported curve tables of the golden 1000-core SOC and
+#: the four ITC'02 SOCs at W=64, recorded before the bin-load path.
+CURVE_TABLES_SHA256 = "a1de3de921d3169162cf5e484e46b0496ae8dc022f0338ccdaa5be48d7c088e0"
+
+
+class TestCurveTableFingerprint:
+    def test_exported_curve_tables_are_unchanged(self):
+        curve.clear_curve_cache()
+        socs = [perf.scale_soc("s1000")]
+        socs += [get_benchmark(name) for name in list_benchmarks()]
+        for soc in socs:
+            for core in soc.cores:
+                curve.wrapper_curve(core, 64)
+        digest = hashlib.sha256()
+        for core, fields in curve.export_curve_tables():
+            digest.update(core.name.encode())
+            for field in fields:
+                digest.update(b"|" + ",".join(map(str, field)).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == CURVE_TABLES_SHA256
 
 
 class TestHarness:

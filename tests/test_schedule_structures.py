@@ -1,8 +1,10 @@
 """Unit tests for schedule data structures and validation (repro.schedule)."""
 
+import copy
 import dataclasses
 import json
 import os
+import pickle
 
 import pytest
 
@@ -51,6 +53,40 @@ class TestScheduleSegment:
         third = ScheduleSegment(core="c", start=10, end=20, width=1)
         assert first.overlaps(second)
         assert not first.overlaps(third)  # touching boundaries do not overlap
+
+    def test_slotted_without_instance_dict(self):
+        seg = ScheduleSegment(core="a", start=0, end=10, width=2)
+        assert not hasattr(seg, "__dict__")
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda seg: pickle.loads(pickle.dumps(seg)),
+            lambda seg: pickle.loads(pickle.dumps(seg, protocol=0)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "pickle-protocol-0", "copy", "deepcopy"],
+    )
+    def test_round_trips(self, clone):
+        seg = ScheduleSegment(core="Core 6", start=3, end=17, width=5)
+        back = clone(seg)
+        assert back == seg and back is not seg and hash(back) == hash(seg)
+
+    def test_frozen(self):
+        seg = ScheduleSegment(core="a", start=0, end=10, width=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seg.start = 1  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del seg.width  # type: ignore[misc]
+
+    def test_equal_segments_hash_equal(self):
+        first = ScheduleSegment(core="a", start=0, end=10, width=2)
+        second = ScheduleSegment(core="a", start=0, end=10, width=2)
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != dataclasses.replace(second, width=3)
 
 
 class TestScheduleAggregates:

@@ -60,7 +60,8 @@ def random_core(rng: random.Random, index: int) -> Core:
         chains = tuple(rng.randint(1, 400) for _ in range(num_chains))
         inputs = rng.randint(0, 150)
         outputs = rng.randint(0, 150)
-        bidirs = rng.randint(0, 80)
+        # Half the cores have no bidir cells: they take the bin-load path.
+        bidirs = rng.choice((0, rng.randint(0, 80)))
         if inputs + outputs + bidirs + num_chains == 0:
             continue
         return Core(
@@ -73,6 +74,22 @@ def random_core(rng: random.Random, index: int) -> Core:
         )
 
 
+#: Cores on the corners of both kernel paths.
+EDGE_CORES = [
+    Core("ties", inputs=7, outputs=7, bidirs=5, patterns=2,
+         scan_chains=(50,) * 8 + (25,) * 4),
+    # The bidir-free twin: the bin-load path over the same tied loads.
+    Core("ties-no-bidirs", inputs=7, outputs=7, patterns=2,
+         scan_chains=(50,) * 8 + (25,) * 4),
+    Core("no-inputs", inputs=0, outputs=19, patterns=3,
+         scan_chains=(40, 40, 33, 7, 7, 1)),
+    Core("no-outputs", inputs=23, outputs=0, patterns=3,
+         scan_chains=(40, 40, 33, 7, 7, 1)),
+    # No chains: the load list is empty at every width.
+    Core.combinational("comb-no-bidirs", inputs=23, outputs=9, patterns=11),
+]
+
+
 class TestKernelEqualsReference:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_randomized_cores_match_reference(self, seed):
@@ -82,24 +99,21 @@ class TestKernelEqualsReference:
             max_width = rng.choice((1, 2, 3, 7, 17, 33, 64))
             assert_curve_matches_reference(core, max_width)
 
-    def test_d695_cores_match_reference_across_full_staircase(self):
-        soc = get_benchmark("d695")
+    @pytest.mark.parametrize("soc_name", ["d695", "p93791"])
+    def test_benchmark_cores_match_reference_across_full_staircase(self, soc_name):
+        # Every ITC'02 core is bidir-free: both SOCs run the bin-load path.
+        soc = get_benchmark(soc_name)
         for core in soc.cores:
             assert_curve_matches_reference(core, 64)
 
-    def test_tie_break_heavy_core_matches_reference(self):
+    @pytest.mark.parametrize("core", EDGE_CORES, ids=[c.name for c in EDGE_CORES])
+    def test_edge_core_matches_reference(self, core):
         # Many identical chains and cell counts that leave a remainder after
         # water-filling: the analytic distributor must reproduce the heap's
-        # (secondary key, index) tie-break exactly.
-        core = Core(
-            "ties",
-            inputs=7,
-            outputs=7,
-            bidirs=5,
-            patterns=2,
-            scan_chains=(50,) * 8 + (25,) * 4,
-        )
-        assert_curve_matches_reference(core, 64)
+        # (secondary key, index) tie-break exactly, and the bin-load path
+        # must not depend on it.
+        clear_curve_cache()
+        assert_curve_matches_reference(core, 128)
 
 
 class TestWrapperCurveApi:
@@ -253,10 +267,7 @@ def table_bytes(core: Core) -> list:
 class TestGrowth:
     """Growing a curve in steps gives the table a single build would."""
 
-    CORES = [core for core, _ in TestClosedFormTail.BOUNDARY_CORES] + [
-        Core("ties", inputs=7, outputs=7, bidirs=5, patterns=2,
-             scan_chains=(50,) * 8 + (25,) * 4),
-    ]
+    CORES = [core for core, _ in TestClosedFormTail.BOUNDARY_CORES] + EDGE_CORES
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
@@ -296,7 +307,9 @@ def cores(draw):
                  max_size=20)
     )
     io = st.integers(min_value=0, max_value=draw(st.sampled_from((3, 40, 200))))
-    inputs, outputs, bidirs = draw(io), draw(io), draw(io)
+    inputs, outputs = draw(io), draw(io)
+    # Half the draws have no bidir cells: they take the bin-load path.
+    bidirs = draw(io) if draw(st.booleans()) else 0
     assume(chains or inputs + outputs + bidirs)
     return Core("drawn", inputs=inputs, outputs=outputs, bidirs=bidirs,
                 patterns=draw(st.integers(min_value=1, max_value=40)),
