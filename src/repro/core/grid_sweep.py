@@ -14,7 +14,12 @@ tests in ``tests/test_grid_sweep.py``):
   the insertion slack; grid points inducing identical ``(vector, slack)``
   signatures -- common at narrow TAMs, where many ``percent`` values snap
   to the same Pareto widths -- collapse into one run.  When idle insertion
-  is disabled the slack drops out of the signature too.
+  is disabled the slack drops out of the signature too.  The vectors and
+  the run-ordering estimates come from the SOC's
+  :class:`~repro.core.rectangles.SocPlan`, which lives on the rectangle
+  sets: each ``(percent, delta, width cap)`` vector is computed once per
+  plan, not once per sweep, and every run's scheduler set-up reads the
+  plan's per-core arrays instead of rebuilding them.
 * **Incumbent pruning.**  Every run after the first is bounded by the best
   makespan found so far (``makespan_limit``); the scheduler abandons the
   run as soon as its event clock moves *strictly* past the bound, which
@@ -48,7 +53,7 @@ if TYPE_CHECKING:  # circular at runtime: repro.engine imports this module
     from repro.engine.faults import RecoveryEvent
 
 from repro.core.lower_bounds import lower_bound
-from repro.core.rectangles import RectangleSet, resolve_rectangle_sets
+from repro.core.rectangles import RectangleSet, resolve_rectangle_sets, soc_plan
 from repro.core.scheduler import (
     IncumbentAbort,
     MakespanLimitExceeded,
@@ -196,18 +201,10 @@ def dedupe_grid(
     order; runs are returned in representative order.
     """
     width_cap = min(config.max_core_width, total_width)
-    vectors: Dict[Tuple[float, int], Tuple[int, ...]] = {}
+    plan = soc_plan(soc, rectangle_sets)
     runs: Dict[Tuple[Any, ...], List[Any]] = {}
     for index, point in enumerate(enumerate_grid_points(percents, deltas, slacks)):
-        vector = vectors.get((point.percent, point.delta))
-        if vector is None:
-            vector = tuple(
-                rectangle_sets[core.name].preferred_width(
-                    point.percent, point.delta, width_cap
-                )
-                for core in soc.cores
-            )
-            vectors[(point.percent, point.delta)] = vector
+        vector = plan.preferred_vector(point.percent, point.delta, width_cap)
         signature: Tuple[Any, ...] = (
             (vector, point.slack) if config.enable_idle_insertion else (vector,)
         )
@@ -248,18 +245,10 @@ def order_runs_by_estimate(
     tightens early and prunes the rest harder.  Both the serial sweep and
     the flat executor's task decomposition use this order.
     """
-
-    def estimate(run: GridRun) -> Tuple[int, int]:
-        area = 0
-        bottleneck = 0
-        for core, width in zip(soc.cores, run.preferred_widths):
-            time = rectangle_sets[core.name].time_at(width)
-            area += width * time
-            if time > bottleneck:
-                bottleneck = time
-        return (max(-(-area // total_width), bottleneck), run.index)
-
-    return sorted(runs, key=estimate)
+    plan = soc_plan(soc, rectangle_sets)
+    return sorted(
+        runs, key=lambda run: (plan.estimate(run.preferred_widths, total_width), run.index)
+    )
 
 
 def _execute_run(
@@ -296,7 +285,7 @@ def _execute_run(
                 insertion_slack=point.slack,
             ),
             rectangle_sets,
-            preferred_widths=dict(zip(soc.core_names, vector)),
+            preferred_widths=vector,
             makespan_limit=limit,
             limit_probe=limit_probe,
             probe_interval=probe_interval,

@@ -11,7 +11,7 @@ bin of height ``W`` (the total SOC TAM width) minimizing the filled width
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.soc.core import Core
 from repro.soc.soc import Soc
@@ -151,11 +151,123 @@ class RectangleSet:
         return self._curve.preemption_overhead(min(width, self._max_width))
 
 
+class SocPlan:
+    """Per-(SOC, max width) inputs of every scheduler run, compiled once.
+
+    A best-over-grid solve runs the scheduler dozens of times on one SOC,
+    and a session solves the same SOC again and again.  Everything those
+    runs share is gathered here in ``soc.cores`` order: core names,
+    rectangle sets, test powers, BIST resources and each core's rank in
+    descending name order (the scheduler's heap tie-break).  Two maps fill
+    lazily: the preferred-width vector per ``(percent, delta, width cap)``
+    and the run-ordering estimate per ``(vector, total width)``.
+
+    Build one with :func:`soc_plan`, which stores it on the
+    :class:`RectangleSets` it reads, so the plan lives exactly as long as
+    those sets.  The fields are never rebound after construction.
+    """
+
+    __slots__ = (
+        "soc",
+        "names",
+        "rectangles",
+        "powers",
+        "bist_resources",
+        "desc_rank",
+        "any_bist",
+        "_vectors",
+        "_estimates",
+        "__weakref__",
+    )
+
+    def __init__(self, soc: Soc, rectangle_sets: Mapping[str, RectangleSet]) -> None:
+        self.soc = soc
+        self.names: Tuple[str, ...] = soc.core_names
+        self.rectangles: Tuple[RectangleSet, ...] = tuple(
+            rectangle_sets[name] for name in self.names
+        )
+        self.powers: Tuple[float, ...] = tuple(core.test_power for core in soc.cores)
+        self.bist_resources: Tuple[Optional[str], ...] = tuple(
+            core.bist_resource for core in soc.cores
+        )
+        rank = {name: index for index, name in enumerate(sorted(self.names, reverse=True))}
+        self.desc_rank: Tuple[int, ...] = tuple(rank[name] for name in self.names)
+        self.any_bist = any(resource is not None for resource in self.bist_resources)
+        self._vectors: Dict[Tuple[float, int, int], Tuple[int, ...]] = {}
+        self._estimates: Dict[Tuple[Tuple[int, ...], int], int] = {}
+
+    def preferred_vector(
+        self, percent: float, delta: int, width_cap: int
+    ) -> Tuple[int, ...]:
+        """Every core's :meth:`RectangleSet.preferred_width`, in core order."""
+        key = (percent, delta, width_cap)
+        vector = self._vectors.get(key)
+        if vector is None:
+            vector = tuple(
+                rect.preferred_width(percent, delta, width_cap)
+                for rect in self.rectangles
+            )
+            self._vectors[key] = vector
+        return vector
+
+    def estimate(self, vector: Tuple[int, ...], total_width: int) -> int:
+        """``max(ceil(area / total_width), bottleneck)`` at the vector's widths.
+
+        The area and bottleneck lower bounds of one run, which the grid
+        sweep sorts its runs by.
+        """
+        key = (vector, total_width)
+        value = self._estimates.get(key)
+        if value is None:
+            area = 0
+            bottleneck = 0
+            for rect, width in zip(self.rectangles, vector):
+                time = rect.time_at(width)
+                area += width * time
+                if time > bottleneck:
+                    bottleneck = time
+            value = max(-(-area // total_width), bottleneck)
+            self._estimates[key] = value
+        return value
+
+
+class RectangleSets(Dict[str, RectangleSet]):
+    """The rectangle sets of one SOC by core name, with a slot for its plan.
+
+    A plain ``dict`` in every other respect.  ``plan`` is filled by
+    :func:`soc_plan` on first use; the sets are not meant to be changed
+    after that.
+    """
+
+    __slots__ = ("plan",)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.plan: Optional[SocPlan] = None
+
+
+def soc_plan(soc: Soc, rectangle_sets: Mapping[str, RectangleSet]) -> SocPlan:
+    """The :class:`SocPlan` of ``soc`` over ``rectangle_sets``.
+
+    Kept on :class:`RectangleSets` and rebuilt only when a different,
+    unequal SOC (say, the same cores in another order) asks for it.  Any
+    other mapping gets a plan built for this call alone.
+    """
+    if not isinstance(rectangle_sets, RectangleSets):
+        return SocPlan(soc, rectangle_sets)
+    plan = rectangle_sets.plan
+    if plan is None or not (plan.soc is soc or plan.soc == soc):
+        plan = rectangle_sets.plan = SocPlan(soc, rectangle_sets)
+    return plan
+
+
 def build_rectangle_sets(
     soc: Soc, max_width: int = DEFAULT_MAX_WIDTH
-) -> Dict[str, RectangleSet]:
+) -> RectangleSets:
     """Build the collection ``R`` of Pareto-optimal rectangle sets for an SOC."""
-    return {core.name: RectangleSet(core, max_width=max_width) for core in soc.cores}
+    return RectangleSets(
+        (core.name, RectangleSet(core, max_width=max_width)) for core in soc.cores
+    )
 
 
 def resolve_rectangle_sets(

@@ -68,7 +68,7 @@ from typing import (
 if TYPE_CHECKING:  # import cycle: core/ must not pull in engine/ at runtime
     from repro.engine.faults import CancelToken
 
-from repro.core.rectangles import RectangleSet, resolve_rectangle_sets
+from repro.core.rectangles import RectangleSet, resolve_rectangle_sets, soc_plan
 from repro.schedule.schedule import ScheduleSegment, TestSchedule
 from repro.soc.constraints import ConstraintSet
 from repro.soc.soc import Soc
@@ -192,6 +192,7 @@ class _CoreState:
         "max_preemptions",
         "power",
         "bist_resource",
+        "rank",
         "remaining",
         "assigned_width",
         "begun",
@@ -212,6 +213,7 @@ class _CoreState:
         max_preemptions: int,
         power: float,
         bist_resource: Optional[str],
+        rank: int,
     ) -> None:
         self.name = name
         self.rectangles = rectangles
@@ -219,6 +221,7 @@ class _CoreState:
         self.max_preemptions = max_preemptions
         self.power = power
         self.bist_resource = bist_resource
+        self.rank = rank
         self.remaining = 0
         self.assigned_width: Optional[int] = None
         self.begun = False
@@ -279,6 +282,13 @@ class _Scheduler:
       start instead of popping past (and pushing back) every wider core
       with more remaining time.  Paused cores keep one heap per priority.
 
+    Set-up reads the SOC's :class:`~repro.core.rectangles.SocPlan`, built
+    once per rectangle-set collection: the states are zipped from its
+    per-core arrays (names, rectangle sets, test powers, BIST resources,
+    descending-name ranks), and the preferred widths are either the
+    caller's vector in ``soc.cores`` order or the plan's cached vector for
+    this config.  Nothing per core is sorted or recomputed per run.
+
     Candidate selection (``max``/``min`` with name tie-breaks) is invariant
     to pool iteration order, so schedules are bit-identical to the
     re-scanning implementation this replaces -- a property pinned by the
@@ -293,7 +303,7 @@ class _Scheduler:
         constraints: ConstraintSet,
         config: SchedulerConfig,
         rectangle_sets: Optional[Dict[str, RectangleSet]] = None,
-        preferred_widths: Optional[Mapping[str, int]] = None,
+        preferred_widths: Optional[Sequence[int]] = None,
         makespan_limit: Optional[int] = None,
         limit_probe: Optional[Callable[[], int]] = None,
         probe_interval: int = 0,
@@ -325,25 +335,26 @@ class _Scheduler:
         self._cancel_token: Optional["CancelToken"] = (
             faults.active_cancel_token() if faults is not None else None
         )
-        width_cap = min(config.max_core_width, total_width)
-        self.rectangle_sets = resolve_rectangle_sets(
-            soc, config.max_core_width, rectangle_sets
+        plan = soc_plan(
+            soc, resolve_rectangle_sets(soc, config.max_core_width, rectangle_sets)
         )
-        self.states: Dict[str, _CoreState] = {}
-        for core in soc.cores:
-            rect = self.rectangle_sets[core.name]
-            if preferred_widths is not None:
-                preferred = preferred_widths[core.name]
-            else:
-                preferred = rect.preferred_width(config.percent, config.delta, width_cap)
-            self.states[core.name] = _CoreState(
-                name=core.name,
-                rectangles=rect,
-                preferred_width=preferred,
-                max_preemptions=constraints.preemption_limit(core.name),
-                power=core.test_power,
-                bist_resource=core.bist_resource,
+        if preferred_widths is None:
+            preferred_widths = plan.preferred_vector(
+                config.percent, config.delta, min(config.max_core_width, total_width)
             )
+        limits = [constraints.preemption_limit(name) for name in plan.names]
+        self.states: Dict[str, _CoreState] = {
+            name: _CoreState(name, rect, preferred, limit, power, bist, rank)
+            for name, rect, preferred, limit, power, bist, rank in zip(
+                plan.names,
+                plan.rectangles,
+                preferred_widths,
+                limits,
+                plan.powers,
+                plan.bist_resources,
+                plan.desc_rank,
+            )
+        }
         # Incremental pools and running totals (see class docstring).
         self._running: Dict[str, _CoreState] = {}
         self._paused: Dict[str, _CoreState] = {}
@@ -371,27 +382,21 @@ class _Scheduler:
         # at the widths that can fit instead of popping past wide cores.
         self._use_heaps = config.use_candidate_heaps
         self._fresh_starts: List[_CoreState] = []
-        self._no_preemption = all(
-            state.max_preemptions == 0 for state in self.states.values()
-        )
+        self._no_preemption = not any(limits)
         # With no constraints of any kind, _conflicts is identically False
         # and the per-candidate call can be skipped entirely.
         self._no_conflicts = (
             not self._pending_preds
             and not self._concurrency
             and constraints.power_max is None
-            and all(state.bist_resource is None for state in self.states.values())
+            and not plan.any_bist
         )
         if self._use_heaps:
-            names_desc = sorted(self.states, reverse=True)
-            self._desc_rank: Dict[str, int] = {
-                name: rank for rank, name in enumerate(names_desc)
-            }
             self._buckets: Dict[int, List[Tuple[int, int, _CoreState]]] = {}
-            for name, state in self.states.items():
+            for state in self.states.values():
                 self._buckets.setdefault(
                     min(state.preferred_width, total_width), []
-                ).append((-state.candidate_remaining(), self._desc_rank[name], state))
+                ).append((-state.candidate_remaining(), state.rank, state))
             for bucket in self._buckets.values():
                 heapq.heapify(bucket)
             # Non-empty bucket widths, ascending; emptied ones are dropped
@@ -530,7 +535,7 @@ class _Scheduler:
                 # A paused core's remaining time and preemption count are
                 # frozen until it resumes, so its Priority-1-vs-2 category
                 # is fixed for the whole pause and one entry suffices.
-                entry = (-state.remaining, self._desc_rank[state.name], state)
+                entry = (-state.remaining, state.rank, state)
                 if state.preemptions >= state.max_preemptions:
                     heapq.heappush(self._exhausted_heap, entry)
                 else:
@@ -990,10 +995,10 @@ def run_paper_scheduler(
         :class:`~repro.solvers.Session` passes its shared cache here so
         repeated solves stop recomputing wrapper designs.
     preferred_widths:
-        Optional precomputed per-core preferred widths (as produced by
+        Optional precomputed preferred widths by core name (as produced by
         ``RectangleSet.preferred_width`` at this config's percent/delta and
-        width cap).  The grid sweep passes these so deduplicated grid
-        points skip the per-run recomputation.
+        width cap), read once into a vector in ``soc.cores`` order.
+        Without them the run takes the SOC plan's cached vector.
     makespan_limit:
         Optional upper bound: once the event clock moves strictly past it
         the run raises :class:`MakespanLimitExceeded` instead of finishing.
@@ -1009,7 +1014,11 @@ def run_paper_scheduler(
         constraints,
         config,
         rectangle_sets,
-        preferred_widths=preferred_widths,
+        preferred_widths=(
+            None
+            if preferred_widths is None
+            else tuple(preferred_widths[core.name] for core in soc.cores)
+        ),
         makespan_limit=makespan_limit,
     )
     return scheduler.run()

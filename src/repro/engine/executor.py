@@ -98,6 +98,7 @@ from repro.core.grid_sweep import (
     preferred_pool_context,
 )
 from repro.core.lower_bounds import lower_bound
+from repro.core.rectangles import soc_plan
 from repro.core.scheduler import IncumbentAbort, SchedulerConfig
 from repro.engine.faults import (
     STAGE_PARALLEL,
@@ -268,7 +269,7 @@ def prime_context_caches(
 def _prime_soc_pairs(
     socs: Dict[str, Soc], pairs: Iterable[Tuple[str, int]]
 ) -> int:
-    """Warm the curve memo and session rectangle cache for exact pairs."""
+    """Warm the curve memo, session rectangle cache and SOC plans for exact pairs."""
     from repro.wrapper.pareto import prime_pareto_cache
 
     session = get_default_session()
@@ -276,7 +277,7 @@ def _prime_soc_pairs(
     for key, width in sorted(set(pairs)):
         soc = socs[key]
         primed += prime_pareto_cache(soc.cores, int(width))
-        session.rectangle_sets(soc, int(width))
+        soc_plan(soc, session.rectangle_sets(soc, int(width)))
     return primed
 
 

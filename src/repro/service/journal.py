@@ -85,14 +85,33 @@ class JournalRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "JournalRecord":
-        """Rebuild a record from :meth:`to_dict` output."""
+    def from_dict(cls, data: Any) -> "JournalRecord":
+        """Rebuild a record from :meth:`to_dict` output.
+
+        Raises :class:`JournalError` unless ``data`` is a JSON object whose
+        fields have the types :meth:`to_dict` writes.
+        """
+        if not isinstance(data, dict):
+            raise JournalError(
+                f"a journal record must be a JSON object, not {type(data).__name__}"
+            )
+        seq = data.get("seq", 0)
+        if isinstance(seq, bool) or not isinstance(seq, int):
+            raise JournalError(f"journal record 'seq' must be an integer, got {seq!r}")
+        for key in ("kind", "id", "fingerprint"):
+            if not isinstance(data.get(key, ""), str):
+                raise JournalError(f"journal record {key!r} must be a string")
+        payload = data.get("payload")
+        if payload is None:
+            payload = {}
+        elif not isinstance(payload, dict):
+            raise JournalError("journal record 'payload' must be a JSON object")
         return cls(
-            seq=int(data.get("seq", 0)),
-            kind=str(data.get("kind", "")),
-            request_id=str(data.get("id", "")),
-            fingerprint=str(data.get("fingerprint", "")),
-            payload=dict(data.get("payload") or {}),
+            seq=seq,
+            kind=data.get("kind", ""),
+            request_id=data.get("id", ""),
+            fingerprint=data.get("fingerprint", ""),
+            payload=payload,
         )
 
 
@@ -174,15 +193,18 @@ class EventJournal:
         write); a malformed line anywhere else raises
         :class:`JournalError`.
         """
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             lines = handle.read().splitlines()
         records: List[JournalRecord] = []
         for index, line in enumerate(lines):
             if not line.strip():
                 continue
             try:
-                records.append(JournalRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, JournalError) as error:
+                records.append(JournalRecord.from_dict(json.loads(line.decode("utf-8"))))
+            # Undecodable bytes, bad JSON and wrong-shaped records are all
+            # ValueErrors; a JSON array nested past the parser's depth
+            # limit raises RecursionError.
+            except (ValueError, RecursionError) as error:
                 if index == len(lines) - 1:
                     break  # torn final write: recover everything before it
                 raise JournalError(

@@ -51,7 +51,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Mapping, Optional
+import math
+from typing import Any, Dict, Mapping
 
 PROTOCOL_VERSION = 1
 
@@ -111,7 +112,7 @@ def parse_client_line(line: str) -> Dict[str, Any]:
     """
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, RecursionError) as error:
         raise ProtocolError(f"not valid JSON: {error}") from error
     if not isinstance(data, dict):
         raise ProtocolError("a client message must be a JSON object")
@@ -126,8 +127,8 @@ def parse_client_line(line: str) -> Dict[str, Any]:
         if deadline is not None:
             if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
                 raise ProtocolError("'deadline' must be a number of seconds")
-            if deadline <= 0:
-                raise ProtocolError(f"'deadline' must be positive, got {deadline}")
+            if not math.isfinite(deadline) or deadline <= 0:
+                raise ProtocolError(f"'deadline' must be positive and finite, got {deadline}")
     elif op in (OP_ACK, OP_CANCEL):
         _require_id(data)
     return dict(data)

@@ -15,6 +15,7 @@ Two bit-identity contracts are pinned here on randomized SOCs and configs:
   every worker count.
 """
 
+import math
 import random
 from dataclasses import replace
 
@@ -27,17 +28,18 @@ from repro.core.grid_sweep import (
     run_best_schedule_reference,
     run_grid_sweep,
 )
-from repro.core.rectangles import build_rectangle_sets
+from repro.core.rectangles import build_rectangle_sets, soc_plan
 from repro.core.scheduler import (
     MakespanLimitExceeded,
     SchedulerConfig,
     run_paper_scheduler,
 )
+from repro.engine.executor import _prime_soc_pairs
 from repro.soc.benchmarks import get_benchmark
 from repro.soc.constraints import ConstraintSet
 from repro.soc.generator import GeneratorProfile, generate_soc
 from repro.soc.soc import Soc
-from repro.solvers import ScheduleRequest, Session
+from repro.solvers import ScheduleRequest, Session, get_default_session
 
 # Small profile so each randomized case schedules in milliseconds.
 PROFILE = GeneratorProfile(
@@ -233,6 +235,78 @@ class TestGridSweep:
         schedule = run_paper_scheduler(soc, 32)
         bounded = run_paper_scheduler(soc, 32, makespan_limit=schedule.makespan)
         assert schedule_fingerprint(bounded) == schedule_fingerprint(schedule)
+
+
+class TestSocPlan:
+    """The per-(SOC, width) plan agrees with the per-core rules it caches."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_plan_matches_per_core_rules(self, seed):
+        rng = random.Random(2000 + seed)
+        soc = generate_soc(2000 + seed, name=f"plan-{seed}", profile=PROFILE)
+        sets = build_rectangle_sets(soc, 64)
+        plan = soc_plan(soc, sets)
+        assert soc_plan(soc, sets) is plan is sets.plan
+        assert plan.names == soc.core_names
+        assert plan.powers == tuple(core.test_power for core in soc.cores)
+        assert plan.bist_resources == tuple(core.bist_resource for core in soc.cores)
+        descending = sorted(soc.core_names, reverse=True)
+        assert plan.desc_rank == tuple(descending.index(name) for name in soc.core_names)
+        for _ in range(20):
+            percent = rng.choice((0, 1, 5, 10, 25, 40, 60, 75, 150))
+            delta = rng.choice((0, 2, 4, 9))
+            cap = rng.randint(1, 64)
+            vector = plan.preferred_vector(percent, delta, cap)
+            assert vector == tuple(
+                sets[core.name].preferred_width(percent, delta, cap) for core in soc.cores
+            )
+            total_width = rng.randint(1, 80)
+            times = [sets[core.name].time_at(width) for core, width in zip(soc.cores, vector)]
+            area = sum(width * time for width, time in zip(vector, times))
+            expected = max(math.ceil(area / total_width), max(times))
+            assert plan.estimate(vector, total_width) == expected
+
+    def test_reordered_soc_gets_its_own_plan(self):
+        soc = generate_soc(2100, name="plan-order", profile=CROWDED_PROFILE)
+        cores = list(soc.cores)
+        random.Random(5).shuffle(cores)
+        shuffled = soc.with_cores(cores)
+        sets = build_rectangle_sets(soc, 64)
+        plan = soc_plan(soc, sets)
+        assert soc_plan(Soc(soc.name, soc.cores), sets) is plan  # equal SOC
+        reordered = soc_plan(shuffled, sets)
+        assert reordered is not plan
+        assert reordered.names == shuffled.core_names
+        assert reordered.rectangles == tuple(sets[name] for name in shuffled.core_names)
+        outcome = run_grid_sweep(shuffled, 24, rectangle_sets=sets, **SMALL_GRID)
+        fresh = run_grid_sweep(
+            shuffled, 24, rectangle_sets=build_rectangle_sets(shuffled, 64), **SMALL_GRID
+        )
+        assert outcome == fresh
+        assert soc_plan(soc, sets).names == soc.core_names
+
+    @pytest.mark.parametrize("soc_name,width", [("d695", 24), ("p93791", 40)])
+    def test_plain_dict_solves_like_cached_sets(self, soc_name, width):
+        soc = get_benchmark(soc_name)
+        sets = build_rectangle_sets(soc, 64)
+        plain = dict(sets)
+        constraints = ConstraintSet(default_preemptions=2)
+        for mode in (None, constraints):
+            cached = run_grid_sweep(soc, width, constraints=mode, rectangle_sets=sets)
+            assert run_grid_sweep(soc, width, constraints=mode, rectangle_sets=plain) == cached
+            assert schedule_fingerprint(
+                run_paper_scheduler(soc, width, constraints=mode, rectangle_sets=plain)
+            ) == schedule_fingerprint(
+                run_paper_scheduler(soc, width, constraints=mode, rectangle_sets=sets)
+            )
+        assert not hasattr(plain, "plan")
+
+    def test_priming_builds_the_plan_before_the_fork(self):
+        soc = get_benchmark("d695")
+        _prime_soc_pairs({"d695": soc}, [("d695", 48)])
+        sets = get_default_session().rectangle_sets(soc, 48)
+        assert sets.plan is not None
+        assert sets.plan.soc == soc
 
 
 class TestBestSolverMetadata:

@@ -20,9 +20,11 @@ import pytest
 
 from repro.analysis import perf
 from repro.core import scheduler
-from repro.core.rectangles import build_rectangle_sets
+from repro.core.grid_sweep import run_grid_sweep
+from repro.core.rectangles import RectangleSet, build_rectangle_sets
 from repro.soc.benchmarks import get_benchmark, list_benchmarks
 from repro.soc.constraints import ConstraintSet
+from repro.soc.core import Core
 from repro.solvers import ScheduleRequest, Session
 from repro.wrapper import curve
 
@@ -144,6 +146,39 @@ class TestSchedulerWork:
         # begun entry from its width bucket.  Popping past every wider core
         # on every selection cost about 147 operations per core.
         assert sum(calls.values()) <= 8 * len(soc.cores)
+
+
+class TestGridSweepWork:
+    """Repeat sweeps over the same rectangle sets reuse the SOC plan."""
+
+    def test_second_sweep_recomputes_no_preferred_width_or_power(self, monkeypatch):
+        soc = perf.scale_soc("s1000")
+        sets = build_rectangle_sets(soc, scheduler.SchedulerConfig().max_core_width)
+        calls = {"preferred_width": 0, "test_power": 0}
+        preferred_width = RectangleSet.preferred_width
+        test_power = Core.test_power
+
+        def counted_preferred_width(self, *args):
+            calls["preferred_width"] += 1
+            return preferred_width(self, *args)
+
+        def counted_test_power(self):
+            calls["test_power"] += 1
+            return test_power.fget(self)
+
+        monkeypatch.setattr(RectangleSet, "preferred_width", counted_preferred_width)
+        monkeypatch.setattr(Core, "test_power", property(counted_test_power))
+        counts = []
+        for _ in range(2):
+            run_grid_sweep(soc, 64, rectangle_sets=sets)
+            counts.append(dict(calls))
+            calls.update(preferred_width=0, test_power=0)
+        # One preferred width per core and (percent, delta) grid point, and
+        # one power read per core, all on the first sweep.  Rebuilding them
+        # for every sweep and run cost 21,000 and 57,000 calls each time.
+        assert counts[0]["preferred_width"] <= 21 * len(soc.cores)
+        assert counts[0]["test_power"] <= len(soc.cores)
+        assert counts[1] == {"preferred_width": 0, "test_power": 0}
 
 
 class TestCurveKernelWork:

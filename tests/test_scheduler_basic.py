@@ -11,6 +11,7 @@ from repro.core.scheduler import (
     SchedulerConfig,
     SchedulerError,
     best_schedule,
+    run_best_schedule,
     run_paper_scheduler,
     schedule_soc,
 )
@@ -175,6 +176,23 @@ class TestRunLifetime:
         gc.disable()
         try:
             run_paper_scheduler(soc, 32, rectangle_sets=sets)
+            del sets
+            assert probe() is None
+        finally:
+            gc.enable()
+
+    def test_dropped_sets_free_their_plan_without_the_cycle_collector(self):
+        # The plan hangs off the rectangle sets and must not point back at
+        # them: dropping the sets frees the plan and its filled caches.
+        soc = get_benchmark("d695")
+        sets = build_rectangle_sets(soc, max_width=64)
+        gc.collect()
+        gc.disable()
+        try:
+            run_paper_scheduler(soc, 32, rectangle_sets=sets)
+            run_best_schedule(soc, 24, rectangle_sets=sets, percents=(1, 25), deltas=(0,))
+            assert sets.plan is not None
+            probe = weakref.ref(sets.plan)
             del sets
             assert probe() is None
         finally:

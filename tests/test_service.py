@@ -157,6 +157,14 @@ class TestProtocol:
                 "must be positive",
             ),
             (
+                '{"op": "solve", "id": "r1", "request": {}, "deadline": NaN}',
+                "must be positive",
+            ),
+            (
+                '{"op": "solve", "id": "r1", "request": {}, "deadline": Infinity}',
+                "must be positive",
+            ),
+            (
                 '{"op": "solve", "id": "r1", "request": {}, "deadline": true}',
                 "must be a number",
             ),
