@@ -206,11 +206,12 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 def _execution_metadata() -> Dict[str, Any]:
     """Board-abort count of the default executor's most recent run.
 
-    Result *objects* never carry it (it would break serial/parallel
-    metadata bit-identity -- see ``GridSweepOutcome.metadata``), so the
-    CLI reads it off :class:`~repro.engine.results.ExecutorStats` after
-    the solve and reports it alongside, ``recovery_events``-style: only
-    when nonzero.
+    Result *objects* never carry it: the count depends on scheduling
+    races, and a *serial* engine run whose jobs carry a ``workers`` option
+    still fans its inner grids out through the pool, so counter-bearing
+    metadata would break serial/parallel bit-identity.  The CLI reads it
+    off :class:`~repro.engine.results.ExecutorStats` after the solve and
+    reports it alongside, ``recovery_events``-style: only when nonzero.
     """
     from repro.engine.executor import get_default_executor
 

@@ -33,11 +33,17 @@ tests in ``tests/test_grid_sweep.py``):
   persistent pool the sweep engine dispatches to, so a ``best`` solve and
   an engine sweep never nest pools.  Tasks stream through
   ``imap_unordered`` carrying the incumbent makespan known at dispatch
-  time (monotone-tightening only), and the winner is selected by
-  ``(makespan, grid index)`` exactly as the serial loop would.  Pool-less
-  sandboxes degrade to the serial path *observably* (a RuntimeWarning plus
-  a ``degraded_to_serial`` marker in the outcome metadata); results are
-  bit-identical for every worker count.
+  time (monotone-tightening only).  Pool-less sandboxes degrade to the
+  serial path *observably* (a RuntimeWarning plus a ``degraded_to_serial``
+  marker in the outcome metadata); results are bit-identical for every
+  worker count.
+
+:class:`GridSweepState` is the one home of the winner rule: it does the
+set-up (dedup, lower bound, estimate order), holds the incumbent, picks
+the minimal ``(makespan, grid index)`` and decides which runs the lower
+bound makes skippable.  The serial sweep, every executor dispatch and
+every executor recovery rung (quarantine, serial drain) drive that same
+state, so the serial reference *is* the in-process rung.
 
 The sweep also reports *which* grid point won (:class:`GridSweepOutcome`),
 which the ``best`` solver surfaces in its result metadata.
@@ -47,7 +53,18 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # circular at runtime: repro.engine imports this module
     from repro.engine.faults import RecoveryEvent
@@ -70,17 +87,6 @@ from repro.soc.soc import Soc
 DEFAULT_PERCENTS: Tuple[float, ...] = (1, 5, 10, 25, 40, 60, 75)
 DEFAULT_DELTAS: Tuple[int, ...] = (0, 2, 4)
 DEFAULT_SLACKS: Tuple[int, ...] = (0, 3, 6)
-
-#: Metadata keys that describe *how* a sweep executed (recovery ladder,
-#: board aborts) rather than *what* it computed.  They vary
-#: with worker count, fault injection and scheduling races; byte-identity
-#: contracts compare metadata modulo this set.
-EXECUTION_METADATA_KEYS: Tuple[str, ...] = (
-    "recovery_events",
-    "degraded_to_serial",
-    "board_aborts",
-)
-
 
 @dataclass(frozen=True)
 class GridPoint:
@@ -129,11 +135,6 @@ class GridSweepOutcome:
     lower_bound: int
     early_exit: bool
     recovery_events: Tuple["RecoveryEvent", ...] = field(default=(), compare=False)
-    # Execution statistic of the parallel path (zero on the serial path).
-    # Like ``recovery_events`` it depends on scheduling races, so it is
-    # excluded from equality -- the schedule/makespan/winner fields above
-    # carry the bit-identity contract.
-    board_aborts: int = field(default=0, compare=False)
 
     @property
     def degraded_to_serial(self) -> bool:
@@ -159,13 +160,6 @@ class GridSweepOutcome:
             )
         if self.degraded_to_serial:
             metadata["degraded_to_serial"] = True
-        # The board_aborts counter deliberately stays OUT of result metadata: a
-        # *serial* engine run whose jobs carry a ``workers`` option still
-        # fans its inner grids out through the pool, so counter-bearing
-        # metadata would differ from the pool-suppressed parallel path and
-        # break the serial/parallel bit-identity contract.  It travels on
-        # :class:`~repro.engine.results.ExecutorStats` (and the
-        # compare-excluded field) instead; the CLI surfaces it from there.
         return metadata
 
 
@@ -299,6 +293,155 @@ def _execute_run(
 # ----------------------------------------------------------------------
 # The sweep
 # ----------------------------------------------------------------------
+class GridSweepState:
+    """The one best-over-grid state: set-up, incumbent and winner rule.
+
+    Built once per sweep -- constraints validated, grid deduplicated,
+    Table 1 lower bound computed, runs put in estimate order -- and then
+    fed run replies in *any* order.  The winner is the minimal
+    ``(makespan, run index)``, exactly the serial loop's "first strict
+    improvement wins", so the outcome is independent of completion order.
+    The serial sweep drains :meth:`pending` through :meth:`execute`; the
+    flat executor streams the same runs to workers and :meth:`absorb`\\ s
+    their replies, and its quarantine and serial-drain rungs call
+    :meth:`execute` -- one rule for every execution path.
+    """
+
+    __slots__ = (
+        "soc",
+        "width",
+        "constraints",
+        "config",
+        "sets",
+        "runs",
+        "by_index",
+        "grid_points",
+        "bound",
+        "best",
+        "best_schedule",
+        "acked",
+        "_resolved",
+    )
+
+    def __init__(
+        self,
+        soc: Soc,
+        width: int,
+        constraints: Optional[ConstraintSet],
+        config: SchedulerConfig,
+        sets: Dict[str, RectangleSet],
+        percents: Sequence[float],
+        deltas: Sequence[int],
+        slacks: Sequence[int],
+    ) -> None:
+        self._resolved = constraints or ConstraintSet.unconstrained()
+        self._resolved.validate_for(soc)
+        # Module globals on purpose: the benchmark's tracer wraps them.
+        runs = dedupe_grid(soc, width, config, sets, percents, deltas, slacks)
+        if not runs:
+            raise ValueError("the heuristic grid is empty; nothing to sweep")
+        self.soc = soc
+        self.width = width
+        self.constraints = constraints  # as given: travels in grid tasks
+        self.config = config
+        self.sets = sets
+        self.bound = lower_bound(soc, width, config.max_core_width, rectangle_sets=sets)
+        self.runs = tuple(order_runs_by_estimate(soc, sets, width, runs))
+        self.by_index = {run.index: run for run in self.runs}
+        self.grid_points = len(percents) * len(deltas) * len(slacks)
+        self.best: Optional[Tuple[int, int]] = None  # (makespan, run index)
+        self.best_schedule: Optional[TestSchedule] = None
+        self.acked: Set[int] = set()  # run indexes with an absorbed reply
+
+    def limit(self) -> Optional[int]:
+        """The incumbent makespan that bounds the next run (``None`` at first)."""
+        return self.best[0] if self.best is not None else None
+
+    def skippable(self, run: GridRun) -> bool:
+        """Whether ``run`` can no longer change the winner.
+
+        Once the incumbent meets the Table 1 lower bound, only an earlier
+        grid point could still displace it (by tying the makespan with a
+        smaller index); everything else is settled.
+        """
+        return self.best is not None and self.best[0] <= self.bound and run.index > self.best[1]
+
+    def pending(self) -> Iterator[GridRun]:
+        """Unacknowledged, unskippable runs in estimate order.
+
+        Lazy: each run is checked when it is reached, so runs absorbed
+        while the caller iterates tighten the skip decision for the rest.
+        """
+        for run in self.runs:
+            if run.index not in self.acked and not self.skippable(run):
+                yield run
+
+    @property
+    def settled(self) -> bool:
+        """Every run is acknowledged or provably skippable."""
+        return next(self.pending(), None) is None
+
+    def absorb(
+        self, run_index: int, makespan: Optional[int], schedule: Optional[TestSchedule]
+    ) -> None:
+        """Acknowledge one run's reply.
+
+        ``makespan`` is ``None`` when the incumbent pruned the run;
+        ``schedule`` is ``None`` when only the makespan came back (a run
+        that did not strictly beat the limit it was dispatched with).
+        """
+        self.acked.add(run_index)
+        if makespan is None:
+            return
+        key = (makespan, run_index)
+        if self.best is None or key < self.best:
+            self.best = key
+            self.best_schedule = schedule
+
+    def execute(self, run: GridRun) -> None:
+        """Run ``run`` in process, bounded by the current incumbent, and absorb it."""
+        schedule = self._run(run, self.limit())
+        self.absorb(run.index, None if schedule is None else schedule.makespan, schedule)
+
+    def _run(self, run: GridRun, limit: Optional[int]) -> Optional[TestSchedule]:
+        return _execute_run(
+            self.soc,
+            self.width,
+            self._resolved,
+            self.config,
+            self.sets,
+            run.point,
+            run.preferred_widths,
+            limit,
+        )
+
+    def outcome(self, events: Tuple["RecoveryEvent", ...] = ()) -> GridSweepOutcome:
+        """The sweep's result, with ``events`` as its recovery ladder.
+
+        The first run is limit-free and always completes, so there is a
+        winner once every run is settled.  When the winner's schedule
+        never came back (it tied the incumbent and won only on the index
+        tie-break), one deterministic limit-free rerun recomputes it.
+        """
+        assert self.best is not None, "grid sweep produced no completed run"
+        makespan, index = self.best
+        run = self.by_index[index]
+        if self.best_schedule is None:
+            self.best_schedule = self._run(run, None)
+            assert self.best_schedule is not None
+            assert self.best_schedule.makespan == makespan
+        return GridSweepOutcome(
+            schedule=self.best_schedule,
+            winner=run.point,
+            makespan=makespan,
+            grid_points=self.grid_points,
+            unique_runs=len(self.runs),
+            lower_bound=self.bound,
+            early_exit=makespan <= self.bound,
+            recovery_events=events,
+        )
+
+
 def run_grid_sweep(
     soc: Soc,
     total_width: int,
@@ -324,84 +467,20 @@ def run_grid_sweep(
     if workers < 0:
         raise ValueError(f"workers must be non-negative, got {workers}")
     base = config or SchedulerConfig()
-    resolved_constraints = constraints or ConstraintSet.unconstrained()
-    resolved_constraints.validate_for(soc)
     sets = resolve_rectangle_sets(soc, base.max_core_width, rectangle_sets)
-    runs = dedupe_grid(soc, total_width, base, sets, percents, deltas, slacks)
-    if not runs:
-        raise ValueError("the heuristic grid is empty; nothing to sweep")
-    bound = lower_bound(soc, total_width, base.max_core_width, rectangle_sets=sets)
-    grid_points = len(percents) * len(deltas) * len(slacks)
-    ordered = order_runs_by_estimate(soc, sets, total_width, runs)
-
-    best: Optional[Tuple[int, int, GridPoint, TestSchedule]] = None
+    state = GridSweepState(soc, total_width, constraints, base, sets, percents, deltas, slacks)
     events: Tuple["RecoveryEvent", ...] = ()
-    board_aborts = 0
-
-    if min(int(workers), len(runs)) > 1:
+    if workers > 1:
         # Lazy import: repro.engine imports this module at load time.
         from repro.engine.executor import get_default_executor
 
-        flat, events, _failures, exec_stats = get_default_executor().run_grid_runs(
-            soc,
-            total_width,
-            constraints,
-            base,
-            ordered,
-            grid_points,
-            bound,
-            workers,
-            rectangle_sets=sets,
-        )
-        if exec_stats is not None:
-            board_aborts = exec_stats.board_aborts
-        if flat is not None:
-            best = flat
-        # flat is None only when the executor declined to parallelise at
-        # all (too few runs per worker); pool failures are recovered
-        # *inside* the executor (resurrection or serial drain) and still
-        # yield a winner, with the ladder reported through ``events``.
-
-    if best is None:
-
-        def skippable(run: GridRun) -> bool:
-            # Once the incumbent meets the Table 1 lower bound, only an
-            # earlier grid point could still displace it (by tying the
-            # makespan with a smaller index); everything else is settled.
-            return best is not None and best[0] <= bound and run.index > best[1]
-
-        for run in ordered:
-            if skippable(run):
-                continue
-            limit = best[0] if best is not None else None
-            schedule = _execute_run(
-                soc,
-                total_width,
-                resolved_constraints,
-                base,
-                sets,
-                run.point,
-                run.preferred_widths,
-                limit,
-            )
-            if schedule is not None:
-                key = (schedule.makespan, run.index)
-                if best is None or key < (best[0], best[1]):
-                    best = (schedule.makespan, run.index, run.point, schedule)
-
-    assert best is not None  # the first (unbounded) run always completes
-    makespan, _, point, schedule = best
-    return GridSweepOutcome(
-        schedule=schedule,
-        winner=point,
-        makespan=makespan,
-        grid_points=grid_points,
-        unique_runs=len(runs),
-        lower_bound=bound,
-        early_exit=makespan <= bound,
-        recovery_events=events,
-        board_aborts=board_aborts,
-    )
+        # Pool failures are recovered inside the executor (resurrection,
+        # quarantine or serial drain), which leaves nothing pending; when it
+        # declines to parallelise (too few runs) every run drains below.
+        events = get_default_executor().run_grid_runs(state, workers)
+    for run in state.pending():
+        state.execute(run)
+    return state.outcome(events)
 
 
 def run_best_schedule_reference(

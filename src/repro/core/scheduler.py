@@ -1044,7 +1044,7 @@ def run_best_schedule(
     The default grid is slightly wider than the paper's because the synthetic
     Philips stand-ins reward smaller preferred widths at narrow TAMs.
 
-    Since PR 4 this is a thin wrapper over
+    This is a thin wrapper over
     :func:`repro.core.grid_sweep.run_grid_sweep`, which deduplicates grid
     points that induce identical per-core preferred-width vectors, prunes
     runs that cannot beat the incumbent, stops early when the Table 1 lower

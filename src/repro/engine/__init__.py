@@ -28,7 +28,6 @@ from repro.engine.api import (
     parallel_tam_sweep_results,
     power_budget,
     preemption_limits,
-    run_grid,
 )
 from repro.engine.executor import (
     FlatExecutor,
@@ -71,7 +70,6 @@ __all__ = [
     "close_default_executor",
     "use_executor",
     "run_jobs",
-    "run_grid",
     "execute_job",
     "prime_context_caches",
     "best_schedule_grid",

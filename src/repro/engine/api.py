@@ -233,12 +233,3 @@ def parallel_tam_sweep_results(
         soc.name, ordered, [result.makespan for result in results], monotone
     )
     return sweep, results
-
-
-def run_grid(
-    jobs: Sequence[ScheduleJob],
-    context: EngineContext,
-    workers: int = 0,
-) -> SweepResults:
-    """Thin alias of :func:`repro.engine.runner.run_jobs` for API symmetry."""
-    return run_jobs(jobs, context, workers=workers)

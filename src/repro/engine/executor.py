@@ -11,11 +11,12 @@ of best-over-grid solves) never used more than one process per grid point.
 :class:`FlatExecutor` replaces both layers with a single flat task queue:
 
 * **Decomposition.**  :meth:`FlatExecutor.run_jobs` breaks every job into
-  scheduler-run *tasks*.  A ``best`` job explodes into its deduplicated
-  grid runs (reusing :func:`repro.core.grid_sweep.dedupe_grid` and the
-  estimate-first ordering), any other solver stays one task.  Parallelism
-  granularity is the individual scheduler run, so stragglers shrink and
-  nested pools disappear -- workers never need a pool of their own.
+  scheduler-run *tasks*.  A ``best`` job explodes into the deduplicated,
+  estimate-ordered grid runs of a
+  :class:`~repro.core.grid_sweep.GridSweepState`, any other solver stays
+  one task.  Parallelism granularity is the individual scheduler run, so
+  stragglers shrink and nested pools disappear -- workers never need a
+  pool of their own.
 * **Dispatch.**  Tasks flow through ``imap_unordered`` behind a sliding
   backpressure window, and results are reassembled deterministically by
   ``(job index, run key)``.  Cross-task incumbent makespans for the same
@@ -90,14 +91,10 @@ from repro.core.grid_sweep import (
     DEFAULT_PERCENTS,
     DEFAULT_SLACKS,
     GridPoint,
-    GridRun,
-    GridSweepOutcome,
+    GridSweepState,
     _execute_run,
-    dedupe_grid,
-    order_runs_by_estimate,
     preferred_pool_context,
 )
-from repro.core.lower_bounds import lower_bound
 from repro.core.rectangles import soc_plan
 from repro.core.scheduler import IncumbentAbort, SchedulerConfig
 from repro.engine.faults import (
@@ -117,7 +114,6 @@ from repro.engine.faults import (
 )
 from repro.engine.jobs import EngineContext, EngineError, JobResult, ScheduleJob
 from repro.engine.results import ExecutorStats, SweepResults
-from repro.schedule.schedule import TestSchedule
 from repro.soc.constraints import ConstraintSet
 from repro.soc.soc import Soc
 from repro.solvers.registry import normalize_solver_name
@@ -574,10 +570,19 @@ class _JobPlan:
     def settled(self) -> bool:
         return self.result is not None
 
+    def pending_tasks(self, job_index: int) -> Iterator[_JobTask]:
+        if self.result is None:
+            yield _JobTask(job_index=job_index, job=self.job, constraints=self.constraints)
+
     def absorb(self, run_index: Optional[int], payload: Any, wall: float) -> None:
         self.result = payload
 
-    def finish(self, session: Any) -> JobResult:
+    def run_in_process(self, task: _Task, socs: Dict[str, Soc]) -> None:
+        self.result = _solve_job(
+            self.job, socs[self.job.soc], self.constraints, suppress_fanout=True
+        )
+
+    def finish(self) -> JobResult:
         assert self.result is not None, "job task produced no result"
         result = self.result
         if self.events:
@@ -592,173 +597,76 @@ class _JobPlan:
 
 
 class _GridPlan:
-    """Shared best-over-grid state for one decomposed ``best`` job.
+    """One decomposed ``best`` job: a :class:`GridSweepState` plus dispatch fields.
 
-    Tracks the incumbent ``(makespan, run index)`` as grid-task results
-    arrive (in any order) and keeps the schedule of the best strict
-    improvement seen.  The winner selection rule -- minimal
-    ``(makespan, run index)`` -- is exactly the serial sweep's, so the
-    outcome is independent of completion order.
+    The state owns the incumbent and the winner rule; the plan only turns
+    its pending runs into pickled tasks and worker replies back into
+    :meth:`GridSweepState.absorb` calls.  ``job`` is ``None`` for a direct
+    :meth:`FlatExecutor.run_grid_runs` sweep, whose caller builds the outcome.
     """
 
-    __slots__ = (
-        "job",
-        "soc",
-        "soc_key",
-        "width",
-        "constraints",
-        "config",
-        "runs",
-        "by_index",
-        "grid_points",
-        "bound",
-        "best",
-        "best_schedule",
-        "wall",
-        "dispatched",
-        "slot",
-        "acked",
-        "events",
-    )
+    __slots__ = ("job", "state", "soc_key", "slot", "events", "wall")
 
     def __init__(
-        self,
-        job: Optional[ScheduleJob],
-        soc: Soc,
-        soc_key: str,
-        width: int,
-        constraints: Optional[ConstraintSet],
-        config: SchedulerConfig,
-        runs: Sequence[GridRun],
-        grid_points: int,
-        bound: int,
+        self, job: Optional[ScheduleJob], state: GridSweepState, soc_key: str
     ) -> None:
         self.job = job
-        self.soc = soc
+        self.state = state
         self.soc_key = soc_key
-        self.width = width
-        self.constraints = constraints
-        self.config = config
-        self.runs = tuple(runs)  # estimate-ordered
-        self.by_index = {run.index: run for run in self.runs}
-        self.grid_points = grid_points
-        self.bound = bound
-        self.best: Optional[Tuple[int, int]] = None  # (makespan, run index)
-        self.best_schedule: Optional[TestSchedule] = None
-        self.wall = 0.0
-        self.dispatched = 0
         self.slot = -1  # shared incumbent-board slot, assigned at dispatch
-        self.acked: Set[int] = set()  # run indexes with an absorbed reply
         self.events: List[RecoveryEvent] = []
+        self.wall = 0.0
 
     @property
     def task_count(self) -> int:
-        return len(self.runs)
+        return len(self.state.runs)
 
     @property
     def settled(self) -> bool:
-        """Every run is acknowledged or provably skippable."""
-        return all(
-            run.index in self.acked or self.skippable(run) for run in self.runs
-        )
+        return self.state.settled
 
-    # -- dispatch-side -------------------------------------------------
-    def limit(self) -> Optional[int]:
-        return self.best[0] if self.best is not None else None
-
-    def skippable(self, run: GridRun) -> bool:
-        # Once the incumbent meets the lower bound, only an earlier grid
-        # point could still displace it (by tying the makespan with a
-        # smaller index); everything else is settled.
-        return (
-            self.best is not None
-            and self.best[0] <= self.bound
-            and run.index > self.best[1]
-        )
-
-    def make_task(self, job_index: int, run: GridRun) -> _GridTask:
-        self.dispatched += 1
-        return _GridTask(
-            job_index=job_index,
-            run_index=run.index,
-            soc=self.soc_key,
-            width=self.width,
-            constraints=self.constraints,
-            config=self.config,
-            point=run.point,
-            vector=run.preferred_widths,
-            limit=self.limit(),
-            slot=self.slot,
-        )
-
-    # -- result-side ---------------------------------------------------
-    def absorb(self, run_index: Optional[int], payload: Any, wall: float) -> None:
-        self.wall += wall
-        if run_index is not None:
-            self.acked.add(run_index)
-        if payload is None:  # pruned by the incumbent
-            return
-        if isinstance(payload, tuple):
-            makespan, schedule = payload
-        else:
-            makespan, schedule = payload, None
-        key = (makespan, run_index)
-        if self.best is None or key < self.best:
-            self.best = key
-            self.best_schedule = schedule
-
-    def winner(
-        self, rectangle_sets: Dict[str, Any]
-    ) -> Tuple[int, int, GridPoint, TestSchedule]:
-        """The final ``(makespan, run index, point, schedule)`` of the sweep.
-
-        The first dispatched task runs limit-free and always completes, so
-        ``best`` is set by the time dispatch ends.  When the winner's
-        schedule stayed in its worker (it tied the incumbent and won only
-        on the index tie-break), one deterministic limit-free rerun
-        recomputes it here.
-        """
-        assert self.best is not None, "grid sweep produced no completed run"
-        makespan, index = self.best
-        run = self.by_index[index]
-        schedule = self.best_schedule
-        if schedule is None:
-            schedule = _execute_run(
-                self.soc,
-                self.width,
-                self.constraints or ConstraintSet.unconstrained(),
-                self.config,
-                rectangle_sets,
-                run.point,
-                run.preferred_widths,
-                None,
+    def pending_tasks(self, job_index: int) -> Iterator[_GridTask]:
+        state = self.state
+        for run in state.pending():
+            yield _GridTask(
+                job_index=job_index,
+                run_index=run.index,
+                soc=self.soc_key,
+                width=state.width,
+                constraints=state.constraints,
+                config=state.config,
+                point=run.point,
+                vector=run.preferred_widths,
+                limit=state.limit(),
+                slot=self.slot,
             )
-            assert schedule is not None and schedule.makespan == makespan
-        return makespan, index, run.point, schedule
 
-    def finish(self, session: Any) -> JobResult:
+    def absorb(self, run_index: Optional[int], payload: Any, wall: float) -> None:
+        assert run_index is not None
+        self.wall += wall
+        if isinstance(payload, tuple):  # (makespan, schedule)
+            self.state.absorb(run_index, *payload)
+        else:  # pruned (None) or a bare makespan
+            self.state.absorb(run_index, payload, None)
+
+    def run_in_process(self, task: _Task, socs: Dict[str, Soc]) -> None:
+        assert isinstance(task, _GridTask)
+        started = time.perf_counter()
+        self.state.execute(self.state.by_index[task.run_index])
+        self.wall += time.perf_counter() - started
+
+    def finish(self) -> JobResult:
         """Assemble the JobResult exactly as the undecomposed path would."""
         assert self.job is not None
-        soc = self.soc
-        constraints = self.constraints
-        sets = session.rectangle_sets(soc, self.config.max_core_width)
-        makespan, _, point, schedule = self.winner(sets)
-        outcome = GridSweepOutcome(
-            schedule=schedule,
-            winner=point,
-            makespan=makespan,
-            grid_points=self.grid_points,
-            unique_runs=len(self.runs),
-            lower_bound=self.bound,
-            early_exit=makespan <= self.bound,
-            recovery_events=tuple(self.events),
-        )
+        state = self.state
+        outcome = state.outcome(tuple(self.events))
+        schedule = outcome.schedule
         # Parity with Session.solve: the best solver supports constraints,
         # so its schedules are validated against them.
-        schedule.validate(soc, constraints=constraints)
+        schedule.validate(state.soc, constraints=state.constraints)
         return JobResult(
             job=self.job,
-            makespan=makespan,
+            makespan=outcome.makespan,
             data_volume=tester_data_volume(schedule),
             schedule=schedule,
             metadata=tuple(sorted(outcome.metadata().items())),
@@ -888,6 +796,12 @@ class FlatExecutor:
     reused verbatim while those match and refreshed (close + recreate)
     when they change.  ``close()`` tears the pool down; the process-wide
     default executor (:func:`get_default_executor`) is closed at exit.
+
+    The executor holds no winner rule of its own: every decomposed
+    ``best`` job (and every :meth:`run_grid_runs` sweep) absorbs its
+    replies into a :class:`~repro.core.grid_sweep.GridSweepState`, the
+    same state the serial sweep drives, and the quarantine and serial
+    drain rungs run their grid tasks through its ``execute``.
     """
 
     def __init__(
@@ -1084,31 +998,17 @@ class FlatExecutor:
         options = job.solver_options()
         if not set(options) <= _BEST_OPTION_NAMES:
             return _JobPlan(job, constraints)
-        if constraints is not None:
-            constraints.validate_for(soc)
-        percents = tuple(options.get("percents") or DEFAULT_PERCENTS)
-        deltas = tuple(options.get("deltas") or DEFAULT_DELTAS)
-        slacks = tuple(options.get("slacks") or DEFAULT_SLACKS)
-        sets = session.rectangle_sets(soc, job.config.max_core_width)
-        runs = dedupe_grid(
-            soc, job.width, job.config, sets, percents, deltas, slacks
+        state = GridSweepState(
+            soc,
+            job.width,
+            constraints,
+            job.config,
+            session.rectangle_sets(soc, job.config.max_core_width),
+            tuple(options.get("percents") or DEFAULT_PERCENTS),
+            tuple(options.get("deltas") or DEFAULT_DELTAS),
+            tuple(options.get("slacks") or DEFAULT_SLACKS),
         )
-        if not runs:  # empty grid: let the solver raise its canonical error
-            return _JobPlan(job, constraints)
-        bound = lower_bound(
-            soc, job.width, job.config.max_core_width, rectangle_sets=sets
-        )
-        return _GridPlan(
-            job=job,
-            soc=soc,
-            soc_key=job.soc,
-            width=job.width,
-            constraints=constraints,
-            config=job.config,
-            runs=order_runs_by_estimate(soc, sets, job.width, runs),
-            grid_points=len(percents) * len(deltas) * len(slacks),
-            bound=bound,
-        )
+        return _GridPlan(job, state, job.soc)
 
     # -- dispatch -------------------------------------------------------
     def _supervise(
@@ -1118,16 +1018,15 @@ class FlatExecutor:
         pairs: Set[Tuple[str, int]],
         processes: int,
         chunksize: int,
-        session: Any,
         journal: _Journal,
         reason: str,
     ) -> None:
         """Drive every plan to settlement, descending the recovery ladder.
 
         Work proceeds in *rounds*: each round dispatches every pending
-        (unacknowledged, unquarantined, unskippable) task through the
-        pool.  A clean round that leaves retryable failures is followed by
-        another round (bounded per-task attempts, deterministic backoff);
+        (unacknowledged, unskippable) task through the pool.  A clean
+        round that leaves retryable failures is followed by another
+        round (bounded per-task attempts, deterministic backoff);
         a stalled or broken pool is torn down, tasks implicated in
         ``_QUARANTINE_STRIKES`` pool deaths are quarantined to an
         in-process run, and the pool is resurrected for the survivors.
@@ -1138,7 +1037,6 @@ class FlatExecutor:
         """
         attempts: Dict[_TaskKey, int] = {}
         suspect_strikes: Dict[_TaskKey, int] = {}
-        quarantined: Set[_TaskKey] = set()
         resurrect_reason: Optional[str] = None
         while not all(plan.settled for plan in plans):
             pool = self._ensure_pool(socs, pairs, processes, reason, journal)
@@ -1152,7 +1050,7 @@ class FlatExecutor:
                     for plan in plans:
                         if not plan.settled:
                             plan.events.append(event)
-                self._drain_serial(plans, socs, session)
+                self._drain_serial(plans, socs)
                 return
             if resurrect_reason is not None:
                 journal.resurrections += 1
@@ -1163,7 +1061,7 @@ class FlatExecutor:
                 resurrect_reason = None
             try:
                 failure, retry_delay = self._stream_round(
-                    pool, plans, processes, chunksize, attempts, quarantined, journal
+                    pool, plans, processes, chunksize, attempts, journal
                 )
             except (KeyboardInterrupt, SystemExit) as error:
                 journal.failure(
@@ -1182,7 +1080,8 @@ class FlatExecutor:
                 continue  # settled plans end the loop; retries re-dispatch
             # The pool is stalled or broken: record, tear it down, add a
             # strike against every unacknowledged task, quarantine repeat
-            # offenders in-process, then resurrect for the survivors.
+            # offenders in-process (which acknowledges them, so they are
+            # never dispatched again), then resurrect for the survivors.
             journal.failure(
                 kind=failure.kind, action="resurrect", error=failure.error
             )
@@ -1191,11 +1090,10 @@ class FlatExecutor:
             for key in ordered_suspects:
                 suspect_strikes[key] = suspect_strikes.get(key, 0) + 1
             for key in ordered_suspects:
-                if suspect_strikes[key] < _QUARANTINE_STRIKES or key in quarantined:
+                if suspect_strikes[key] < _QUARANTINE_STRIKES:
                     continue
                 task = failure.suspects[key]
                 fingerprint = task_fingerprint(task)
-                quarantined.add(key)
                 journal.quarantined += 1
                 journal.failure(
                     kind=failure.kind,
@@ -1210,7 +1108,7 @@ class FlatExecutor:
                 plans[key[0]].events.append(event)
                 # In-process, injection-free, bounded by the current
                 # incumbent: the ladder always terminates here.
-                self._run_task_in_process(plans, socs, session, task)
+                plans[key[0]].run_in_process(task, socs)
             resurrect_reason = failure.reason
 
     def _stream_round(
@@ -1220,7 +1118,6 @@ class FlatExecutor:
         processes: int,
         chunksize: int,
         attempts: Dict[_TaskKey, int],
-        quarantined: Set[_TaskKey],
         journal: _Journal,
     ) -> Tuple[Optional[_RoundFailure], float]:
         """One dispatch round: stream pending tasks, absorb replies.
@@ -1249,7 +1146,7 @@ class FlatExecutor:
                     plan.slot = slot
                     # Re-seed across rounds: a resurrected pool's fresh
                     # board starts from the incumbents already absorbed.
-                    board[slot] = plan.best[0] if plan.best is not None else 0
+                    board[slot] = plan.state.limit() or 0
                     slot += 1
                 else:
                     plan.slot = -1
@@ -1270,34 +1167,20 @@ class FlatExecutor:
 
         def stream() -> Iterator[_Task]:
             for job_index, plan in enumerate(plans):
-                if isinstance(plan, _JobPlan):
-                    if plan.result is not None or (job_index, -1) in quarantined:
-                        continue
+                tasks = plan.pending_tasks(job_index)
+                while True:
+                    # Take the permit *before* the next task is built: the
+                    # plan's pending iterator is lazy, so a task created
+                    # after blocking carries the freshest incumbent limit
+                    # and skip decision.
                     permits.acquire()
                     if abort.is_set():
                         return
-                    yield stamp(
-                        _JobTask(
-                            job_index=job_index,
-                            job=plan.job,
-                            constraints=plan.constraints,
-                        )
-                    )
-                    continue
-                for run in plan.runs:
-                    if (
-                        run.index in plan.acked
-                        or (job_index, run.index) in quarantined
-                        or plan.skippable(run)
-                    ):
-                        continue
-                    permits.acquire()
-                    if abort.is_set():
-                        return
-                    if plan.skippable(run):  # re-check after blocking
+                    task = next(tasks, None)
+                    if task is None:
                         permits.release()
-                        continue
-                    yield stamp(plan.make_task(job_index, run))
+                        break
+                    yield stamp(task)
 
         def chunked() -> Iterator[Tuple[_Task, ...]]:
             batch: List[_Task] = []
@@ -1410,13 +1293,10 @@ class FlatExecutor:
                         journal.board_aborts += 1
                         payload = None
                     plan.absorb(run_index, payload, wall)
-                    if (
-                        isinstance(plan, _GridPlan)
-                        and plan.slot >= 0
-                        and plan.best is not None
-                        and board is not None
-                    ):
-                        board[plan.slot] = plan.best[0]
+                    if isinstance(plan, _GridPlan) and plan.slot >= 0 and board is not None:
+                        limit = plan.state.limit()
+                        if limit is not None:
+                            board[plan.slot] = limit
         finally:
             # Unblock the feeder thread (it may be parked on the
             # semaphore) whatever way the round ended.
@@ -1424,69 +1304,19 @@ class FlatExecutor:
             for _ in range(window + 1):
                 permits.release()
 
-    # -- in-process execution (quarantine and serial drain) -------------
-    def _run_task_in_process(
-        self,
-        plans: Sequence[_Plan],
-        socs: Dict[str, Soc],
-        session: Any,
-        task: _Task,
-    ) -> None:
-        """Execute one task in the supervising process and absorb it.
+    # -- in-process execution (serial drain) ----------------------------
+    @staticmethod
+    def _drain_serial(plans: Sequence[_Plan], socs: Dict[str, Soc]) -> None:
+        """Run every pending task in-process, in deterministic plan order.
 
-        Used for quarantined tasks and the serial drain.  Injection-free
-        (the fault plan lives only in pool workers) and bounded by the
-        plan's *current* incumbent -- fresher than any dispatch-time
-        limit, and pruning is monotone, so the winner is unaffected.
+        Injection-free (the fault plan lives only in pool workers); a grid
+        run is bounded by its plan's *current* incumbent -- fresher than
+        any dispatch-time limit, and pruning is monotone, so the winner is
+        unaffected.
         """
-        started = time.perf_counter()
-        plan = plans[task.job_index]
-        if isinstance(task, _JobTask):
-            result = _solve_job(
-                task.job, socs[task.job.soc], task.constraints, suppress_fanout=True
-            )
-            plan.absorb(None, result, time.perf_counter() - started)
-            return
-        assert isinstance(plan, _GridPlan)
-        sets = session.rectangle_sets(plan.soc, plan.config.max_core_width)
-        run = plan.by_index[task.run_index]
-        schedule = _execute_run(
-            plan.soc,
-            plan.width,
-            plan.constraints or ConstraintSet.unconstrained(),
-            plan.config,
-            sets,
-            run.point,
-            run.preferred_widths,
-            plan.limit(),
-        )
-        payload = None if schedule is None else (schedule.makespan, schedule)
-        plan.absorb(task.run_index, payload, time.perf_counter() - started)
-
-    def _drain_serial(
-        self, plans: Sequence[_Plan], socs: Dict[str, Soc], session: Any
-    ) -> None:
-        """Run every pending task in-process, in deterministic plan order."""
         for job_index, plan in enumerate(plans):
-            if isinstance(plan, _JobPlan):
-                if plan.result is None:
-                    self._run_task_in_process(
-                        plans,
-                        socs,
-                        session,
-                        _JobTask(
-                            job_index=job_index,
-                            job=plan.job,
-                            constraints=plan.constraints,
-                        ),
-                    )
-                continue
-            for run in plan.runs:
-                if run.index in plan.acked or plan.skippable(run):
-                    continue
-                self._run_task_in_process(
-                    plans, socs, session, plan.make_task(job_index, run)
-                )
+            for task in plan.pending_tasks(job_index):
+                plan.run_in_process(task, socs)
 
     # -- entry points ---------------------------------------------------
     def run_jobs(
@@ -1533,7 +1363,6 @@ class FlatExecutor:
             for job in ordered
         ]
         total_tasks = sum(plan.task_count for plan in plans)
-        decomposed = sum(1 for plan in plans if isinstance(plan, _GridPlan))
         processes = min(int(workers), total_tasks)
         if processes <= 1:
             return self._run_serial(ordered, context, pairs)
@@ -1543,6 +1372,50 @@ class FlatExecutor:
             # board keeps pruning tight despite the coarser dispatch --
             # but cap the chunk so heterogeneous tails still spread.
             chunksize = _resolve_chunksize(total_tasks, processes)
+        stats = self._dispatch(
+            plans, dict(context.socs), pairs, processes, chunksize, "flat executor"
+        )
+        return SweepResults(tuple(plan.finish() for plan in plans), stats=stats)
+
+    def run_grid_runs(
+        self, state: GridSweepState, workers: int
+    ) -> Tuple[RecoveryEvent, ...]:
+        """Fan one best-over-grid sweep out over the shared flat queue.
+
+        The direct entry point for :func:`repro.core.grid_sweep.run_grid_sweep`
+        (a ``Session.solve`` of the ``best`` solver with ``workers > 1``),
+        so standalone best solves and engine sweeps share one pool.  The
+        replies are absorbed into ``state``; the caller builds the outcome
+        from it.  Returns the run's recovery ladder.  Nothing runs (and no
+        events come back) when the executor declines to parallelise (too
+        few runs per worker); pool failures are recovered *internally* --
+        resurrection, quarantine or serial drain -- and leave ``state``
+        settled, with the path taken reported through the events.
+        """
+        processes = min(int(workers), len(state.runs))
+        if processes <= 1:
+            return ()
+        soc = state.soc
+        stats = self._dispatch(
+            [_GridPlan(None, state, soc.name)],
+            {soc.name: soc},
+            {(soc.name, state.config.max_core_width)},
+            processes,
+            _resolve_chunksize(len(state.runs), processes),
+            "grid sweep",
+        )
+        return stats.recovery_events
+
+    def _dispatch(
+        self,
+        plans: Sequence[_Plan],
+        socs: Dict[str, Soc],
+        pairs: Set[Tuple[str, int]],
+        processes: int,
+        chunksize: int,
+        reason: str,
+    ) -> ExecutorStats:
+        """Supervise ``plans`` on the pool and record the run's stats."""
         if self._fault_plan is not None:
             # Chaos runs pin chunksize to 1: a lost chunk implicates only
             # the task that actually broke the pool, keeping quarantine
@@ -1551,23 +1424,15 @@ class FlatExecutor:
         journal = _Journal()
         try:
             self._supervise(
-                plans,
-                dict(context.socs),
-                pairs,
-                processes,
-                max(1, int(chunksize)),
-                session,
-                journal,
-                "flat executor",
+                plans, socs, pairs, processes, max(1, int(chunksize)), journal, reason
             )
         finally:
             self._last_failures = tuple(journal.failures)
             self._last_events = tuple(journal.events)
-        results = tuple(plan.finish(session) for plan in plans)
         stats = ExecutorStats(
-            jobs=len(ordered),
-            decomposed_jobs=decomposed,
-            tasks=total_tasks,
+            jobs=len(plans),
+            decomposed_jobs=sum(isinstance(plan, _GridPlan) for plan in plans),
+            tasks=sum(plan.task_count for plan in plans),
             workers=processes if journal.pools_created else 0,
             retries=journal.retries,
             resurrections=journal.resurrections,
@@ -1577,92 +1442,7 @@ class FlatExecutor:
             failures=tuple(journal.failures),
         )
         self._last_stats = stats
-        return SweepResults(results, stats=stats)
-
-    def run_grid_runs(
-        self,
-        soc: Soc,
-        total_width: int,
-        constraints: Optional[ConstraintSet],
-        config: SchedulerConfig,
-        runs: Sequence[GridRun],
-        grid_points: int,
-        bound: int,
-        workers: int,
-        rectangle_sets: Dict[str, Any],
-    ) -> Tuple[
-        Optional[Tuple[int, int, GridPoint, TestSchedule]],
-        Tuple[RecoveryEvent, ...],
-        Tuple[FailureRecord, ...],
-        Optional[ExecutorStats],
-    ]:
-        """Fan one best-over-grid sweep out over the shared flat queue.
-
-        The direct entry point for :func:`repro.core.grid_sweep.run_grid_sweep`
-        (a ``Session.solve`` of the ``best`` solver with ``workers > 1``),
-        so standalone best solves and engine sweeps share one pool.  ``runs``
-        must already be deduplicated and estimate-ordered.  Returns the
-        winning ``(makespan, run index, point, schedule)`` plus the run's
-        recovery ladder, fault journal and execution stats (``None`` stats
-        when the executor declined to run).  The winner is ``None`` only
-        when the executor declines to parallelise (too few runs per
-        worker); pool failures are recovered *internally* -- resurrection,
-        quarantine or serial drain -- and still produce the winner, with
-        the path taken reported through the events.
-        """
-        processes = min(int(workers), len(runs))
-        if processes <= 1:
-            return None, (), (), None
-        pairs = {(soc.name, config.max_core_width)}
-        plan = _GridPlan(
-            job=None,
-            soc=soc,
-            soc_key=soc.name,
-            width=total_width,
-            constraints=constraints,
-            config=config,
-            runs=runs,
-            grid_points=grid_points,
-            bound=bound,
-        )
-        chunksize = _resolve_chunksize(len(runs), processes)
-        if self._fault_plan is not None:
-            chunksize = 1  # exact quarantine attribution under chaos
-        journal = _Journal()
-        session = get_default_session()
-        try:
-            self._supervise(
-                [plan],
-                {soc.name: soc},
-                pairs,
-                processes,
-                chunksize,
-                session,
-                journal,
-                "grid sweep",
-            )
-        finally:
-            self._last_failures = tuple(journal.failures)
-            self._last_events = tuple(journal.events)
-        stats = ExecutorStats(
-            jobs=1,
-            decomposed_jobs=1,
-            tasks=len(runs),
-            workers=processes if journal.pools_created else 0,
-            retries=journal.retries,
-            resurrections=journal.resurrections,
-            quarantined=journal.quarantined,
-            board_aborts=journal.board_aborts,
-            recovery_events=tuple(journal.events),
-            failures=tuple(journal.failures),
-        )
-        self._last_stats = stats
-        return (
-            plan.winner(rectangle_sets),
-            tuple(journal.events),
-            tuple(journal.failures),
-            stats,
-        )
+        return stats
 
     # -- serial path ----------------------------------------------------
     def _run_serial(

@@ -70,10 +70,10 @@ def run_jobs(
         persistent pool (at most ``min(n, tasks)`` worker processes).
         Results are bit-identical for every value.
     chunksize:
-        Tasks handed to a worker per dispatch.  Defaults to roughly four
-        chunks per worker, capped at 8 tasks per chunk so heterogeneous
-        tails still spread; on fork pools the shared incumbent board
-        keeps pruning tight despite the chunked dispatch.
+        Tasks handed to a worker per dispatch.  Defaults to roughly a
+        dozen chunks per worker, capped at 64 tasks per chunk so a pool
+        death never forfeits an unbounded batch; on fork pools the shared
+        incumbent board keeps pruning tight despite the chunked dispatch.
     """
     return get_default_executor().run_jobs(
         jobs, context, workers=workers, chunksize=chunksize

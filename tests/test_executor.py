@@ -370,7 +370,9 @@ class TestGridTaskDispatch:
                     swept = run_grid_sweep(soc, 32, workers=2, **SMALL_GRID)
                 assert sweep_identical(swept, serial)
                 if poll == 0:
-                    assert swept.board_aborts == 0  # checkpoint disabled
+                    stats = executor.last_stats
+                    assert stats is not None
+                    assert stats.board_aborts == 0  # checkpoint disabled
             finally:
                 executor.close()
 
@@ -662,7 +664,6 @@ class TestWorkerUniverse:
             assert (stats.jobs, stats.decomposed_jobs) == (1, 1)
             assert stats.tasks == swept.unique_runs
             assert stats.workers == 2
-            assert stats.board_aborts == swept.board_aborts
             assert stats.failures == () and stats.recovery_events == ()
         finally:
             executor.close()

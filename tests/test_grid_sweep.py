@@ -15,15 +15,20 @@ Two bit-identity contracts are pinned here on randomized SOCs and configs:
   every worker count.
 """
 
+import functools
 import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.perf import schedule_fingerprint
+from repro.core import grid_sweep
 from repro.core.grid_sweep import (
     GridPoint,
+    GridSweepState,
     dedupe_grid,
     run_best_schedule_reference,
     run_grid_sweep,
@@ -235,6 +240,128 @@ class TestGridSweep:
         schedule = run_paper_scheduler(soc, 32)
         bounded = run_paper_scheduler(soc, 32, makespan_limit=schedule.makespan)
         assert schedule_fingerprint(bounded) == schedule_fingerprint(schedule)
+
+
+# (SOC, width) cases of the GridSweepState properties, over SMALL_GRID.
+STATE_CASES = (("d695", 32), ("p93791", 48))
+
+
+def new_state(case) -> GridSweepState:
+    soc_name, width = case
+    soc = get_benchmark(soc_name)
+    config = SchedulerConfig()
+    sets = get_default_session().rectangle_sets(soc, config.max_core_width)
+    return GridSweepState(soc, width, None, config, sets, **SMALL_GRID)
+
+
+@functools.lru_cache(maxsize=None)
+def state_replies(case):
+    """Every run's limit-free schedule, the serial outcome and its run index."""
+    state = new_state(case)
+    schedules = {
+        run.index: grid_sweep._execute_run(
+            state.soc,
+            state.width,
+            ConstraintSet.unconstrained(),
+            state.config,
+            state.sets,
+            run.point,
+            run.preferred_widths,
+            None,
+        )
+        for run in state.runs
+    }
+    serial = run_grid_sweep(state.soc, state.width, **SMALL_GRID)
+    (winner,) = [run.index for run in state.runs if run.point == serial.winner]
+    return schedules, serial, winner
+
+
+class TestGridSweepState:
+    """The one winner rule, fed replies the way the executor feeds it."""
+
+    @pytest.mark.parametrize("case", STATE_CASES)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_replies_in_any_order_pick_the_serial_winner(self, case, data):
+        schedules, serial, _ = state_replies(case)
+        best = min(schedule.makespan for schedule in schedules.values())
+        state = new_state(case)
+        for index in data.draw(st.permutations(sorted(schedules))):
+            schedule = schedules[index]
+            # A prune is only sound for a run strictly worse than the best.
+            kinds = ["completed", "bare"] + (["pruned"] if schedule.makespan > best else [])
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "pruned":
+                state.absorb(index, None, None)
+            elif kind == "bare":
+                state.absorb(index, schedule.makespan, None)
+            else:
+                state.absorb(index, schedule.makespan, schedule)
+        assert state.settled and list(state.pending()) == []
+        outcome = state.outcome()
+        assert outcome == serial
+        assert schedule_fingerprint(outcome.schedule) == schedule_fingerprint(
+            serial.schedule
+        )
+
+    @pytest.mark.parametrize("case", STATE_CASES)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_bare_winner_is_recomputed_exactly_once(self, case, data):
+        schedules, serial, winner = state_replies(case)
+        state = new_state(case)
+        for index in data.draw(st.permutations(sorted(schedules))):
+            schedule = schedules[index]
+            bare = index == winner or data.draw(st.booleans())
+            state.absorb(index, schedule.makespan, None if bare else schedule)
+        limits = []
+        real = grid_sweep._execute_run
+
+        def counting(*args, **kwargs):
+            limits.append(args[7])
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid_sweep, "_execute_run", counting)
+            outcomes = [state.outcome(), state.outcome()]
+        assert limits == [None]  # one limit-free rerun, however often asked
+        for outcome in outcomes:
+            assert outcome == serial
+            assert schedule_fingerprint(outcome.schedule) == schedule_fingerprint(
+                serial.schedule
+            )
+
+    @pytest.mark.parametrize("case", STATE_CASES)
+    def test_completed_winner_is_not_recomputed(self, case, monkeypatch):
+        schedules, serial, _ = state_replies(case)
+        state = new_state(case)
+        for index, schedule in schedules.items():
+            state.absorb(index, schedule.makespan, schedule)
+        monkeypatch.setattr(grid_sweep, "_execute_run", None)  # must not be called
+        assert state.outcome() == serial
+
+    @pytest.mark.parametrize("case", STATE_CASES)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pending_after_the_bound_is_met_yields_only_earlier_runs(self, case, data):
+        state = new_state(case)
+        indexes = [run.index for run in state.runs]
+        pruned = data.draw(st.sets(st.sampled_from(indexes)))
+        for index in pruned:
+            state.absorb(index, None, None)
+        incumbent = data.draw(st.sampled_from(indexes))
+        makespan = data.draw(st.integers(state.bound - 3, state.bound + 3))
+        state.absorb(incumbent, makespan, None)
+        unacked = [
+            run.index for run in state.runs if run.index not in pruned | {incumbent}
+        ]
+        pending = [run.index for run in state.pending()]
+        if makespan <= state.bound:
+            assert pending == [index for index in unacked if index < incumbent]
+        else:
+            assert pending == unacked
+        assert state.settled == (not pending)
+        assert state.limit() == makespan
 
 
 class TestSocPlan:

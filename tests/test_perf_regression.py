@@ -14,6 +14,9 @@ and the golden comparator must actually detect drift.
 
 import hashlib
 import heapq
+import importlib
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -239,6 +242,50 @@ class TestCurveTableFingerprint:
                 digest.update(b"|" + ",".join(map(str, field)).encode())
             digest.update(b"\n")
         assert digest.hexdigest() == CURVE_TABLES_SHA256
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: Every function and method the benchmark's tracer wraps, by attribute.
+PROBED = {
+    "wrapper_curve", "build_rectangle_sets", "resolve_rectangle_sets", "lower_bound",
+    "dedupe_grid", "order_runs_by_estimate", "run_paper_scheduler", "run_jobs",
+    "encode_message", "parse_client_line", "run_grid_sweep", "rectangle_sets", "solve",
+    "run_grid_runs", "__init__", "submit", "append", "validate", "process",
+}
+
+
+class TestBenchmarkProbes:
+    """The benchmark's trace probes still resolve against the library.
+
+    A renamed probe target would otherwise only fail at
+    ``perfbench/run.py --trace 1``.
+    """
+
+    def test_probe_targets_resolve_and_see_the_sweep_set_up(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        loaded = set(sys.modules)
+        try:
+            measure = importlib.import_module("measure")
+            workloads = importlib.import_module("workloads")
+            tracer = measure.Tracer()
+            workloads.install_probes(tracer)
+            try:
+                patched = [attribute for _, attribute, _ in tracer._patches]
+                assert set(patched) == PROBED
+                assert len(patched) >= len(PROBED)
+                # The sweep set-up runs through the patched module globals.
+                run_grid_sweep(get_benchmark("d695"), 32, percents=(1, 25), deltas=(0,))
+                for name in ("dedupe_grid", "lower_bound", "order_runs_by_estimate"):
+                    assert tracer.spans_named(name), name
+            finally:
+                tracer.restore()
+            assert not tracer._patches
+        finally:
+            for name in set(sys.modules) - loaded:
+                origin = getattr(sys.modules[name], "__file__", None) or ""
+                if Path(origin).parent == PERFBENCH:
+                    del sys.modules[name]
 
 
 class TestHarness:
