@@ -66,7 +66,6 @@ import hashlib
 import json
 import os
 import platform
-import sys
 import time
 from typing import (
     Any,
@@ -124,22 +123,18 @@ def schedule_fingerprint(schedule: Optional[TestSchedule]) -> Optional[str]:
 def cold_reset() -> None:
     """Drop every per-process wrapper cache for a deterministic cold start.
 
-    Clears the curve kernel memo, the reference BFD memos, the
-    process-wide default solver session's rectangle cache (the sweep
-    engine solves through that session, and its cached ``RectangleSet``
-    objects embed already-built curves, so leaving it warm would let a
-    "cold" run skip all wrapper-design work) *and* the flat executor's
-    persistent worker pool, so parallel measurements pay their pool
-    spin-up like a fresh process would.
+    Clears the curve kernel memo, the process-wide default solver
+    session's rectangle cache (the sweep engine solves through that
+    session, and its cached ``RectangleSet`` objects embed already-built
+    curves, so leaving it warm would let a "cold" run skip all
+    wrapper-design work) *and* the flat executor's persistent worker pool,
+    so parallel measurements pay their pool spin-up like a fresh process
+    would.
     """
-    import repro.wrapper.design_wrapper  # noqa: F401  (module, not the function)
     from repro.engine.executor import close_default_executor
     from repro.solvers.session import get_default_session
 
-    reference = sys.modules["repro.wrapper.design_wrapper"]
     clear_curve_cache()
-    reference._scan_lengths_cached.cache_clear()
-    reference._best_width_upto.cache_clear()
     get_default_session().clear_cache()
     close_default_executor()
 

@@ -22,6 +22,7 @@ Two optional attributes extend the model for constraint-driven scheduling
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -68,11 +69,16 @@ class Core:
     parent: Optional[str] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scan_chains", tuple(int(c) for c in self.scan_chains))
+        # ``operator.index`` takes ints and int-likes and rejects floats and
+        # strings, which would otherwise truncate or fail deep in the kernel.
+        object.__setattr__(
+            self, "scan_chains", tuple(map(operator.index, self.scan_chains))
+        )
         if not self.name:
             raise ValueError("core name must be a non-empty string")
         for attr in ("inputs", "outputs", "bidirs", "patterns"):
-            value = getattr(self, attr)
+            value = operator.index(getattr(self, attr))
+            object.__setattr__(self, attr, value)
             if value < 0:
                 raise ValueError(f"{attr} must be non-negative, got {value}")
         if self.patterns == 0:

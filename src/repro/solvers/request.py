@@ -72,7 +72,10 @@ class ScheduleRequest:
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.total_width <= 0:
+        width = self.total_width
+        if not isinstance(width, int) or isinstance(width, bool):
+            raise SolverError(f"total TAM width must be an integer, got {width!r}")
+        if width <= 0:
             raise SolverError("total TAM width must be positive")
         if not self.solver:
             raise SolverError("a request must name a solver")
@@ -124,7 +127,7 @@ class ScheduleRequest:
         constraints = data.get("constraints")
         return cls(
             soc=parse_soc(data["soc"]),
-            total_width=int(data["total_width"]),
+            total_width=data["total_width"],
             solver=str(data.get("solver", DEFAULT_SOLVER)),
             config=SchedulerConfig.from_dict(data.get("config") or {}),
             constraints=(

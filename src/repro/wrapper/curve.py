@@ -44,7 +44,16 @@ produces bit-identical lengths while doing none of that per-width work:
   ``min(si, so)`` is at least the chain's internal fill.  So ``si = so = L``,
   the lower bound of every design, at every width from
   ``max(n, ceil(S / L))`` on, and those widths are filled by copying;
-* results are stored in flat integer arrays, not object tuples.
+* **dominated widths** are skipped.  A width ``w`` enters the staircase
+  only if its raw time beats ``T(w-1)``.  Every wrapper chain holds at
+  least ``L`` cells, and the ``w`` chains carry all ``sum(chains) + I + B``
+  scan-in and all ``sum(chains) + O + B`` scan-out bits, so
+  ``si >= max(L, ceil((sum(chains) + I + B) / w))`` and likewise for ``so``.
+  The testing time does not decrease as ``si`` or ``so`` grows, so those
+  two bounds give a time bound; a width whose bound is already
+  ``>= T(w-1)`` repeats its predecessor without running the step;
+* results are stored in flat integer arrays, not object tuples; the BFD
+  design with exactly ``w`` chains is not stored, only the staircase.
 
 ``design_wrapper`` remains the executable reference implementation; the
 property tests in ``tests/test_wrapper_curve.py`` pin the kernel to it on
@@ -193,22 +202,26 @@ def _raw_scan_lengths(
 class _CurveData:
     """Arrays for one core, grown monotonically to the widest request seen.
 
-    Index ``w - 1`` holds the value at TAM width ``w``.  ``raw_*`` arrays
-    describe the BFD design with *exactly* ``w`` wrapper chains; ``times``
-    / ``scan_in`` / ``scan_out`` describe the best design with *at most*
-    ``w`` chains (what the non-increasing staircase is made of), and
-    ``best_widths[w-1]`` records which chain count achieves it.
+    Index ``w - 1`` holds the value at TAM width ``w``: ``times`` /
+    ``scan_in`` / ``scan_out`` describe the best design with *at most* ``w``
+    chains (what the non-increasing staircase is made of), and
+    ``best_widths[w-1]`` records which chain count achieves it.  The BFD
+    design with *exactly* ``w`` chains is :meth:`step`; it is not stored.
+    ``evaluated`` counts the widths whose step was computed.
     """
 
     __slots__ = (
         "lengths",
+        "ascending",
         "patterns",
         "inputs",
         "outputs",
         "bidirs",
-        "raw_times",
-        "raw_scan_in",
-        "raw_scan_out",
+        "longest",
+        "heavy_bits",
+        "light_bits",
+        "tail_width",
+        "evaluated",
         "best_widths",
         "times",
         "scan_in",
@@ -217,42 +230,41 @@ class _CurveData:
     )
 
     def __init__(self, core: Core) -> None:
-        self.lengths: Tuple[int, ...] = tuple(sorted(core.scan_chains, reverse=True))
+        lengths = tuple(sorted(core.scan_chains, reverse=True))
+        self.lengths: Tuple[int, ...] = lengths
+        # Chain indices by ascending ``(length, index)``.
+        self.ascending = sorted(range(len(lengths)), key=lengths.__getitem__)
         self.patterns = core.patterns
         self.inputs = core.inputs
         self.outputs = core.outputs
         self.bidirs = core.bidirs
-        self.raw_times = array("q")
-        self.raw_scan_in = array("q")
-        self.raw_scan_out = array("q")
+        self.longest = lengths[0] if lengths else 0
+        # Scan bits of the heavier and the lighter phase.
+        bits = sum(lengths) + core.bidirs
+        self.heavy_bits = bits + max(core.inputs, core.outputs)
+        self.light_bits = bits + min(core.inputs, core.outputs)
+        # The first width of the closed-form tail (``None``: no chains).
+        self.tail_width: Optional[int] = None
+        if lengths:
+            cells = bits + core.inputs + core.outputs
+            self.tail_width = max(len(lengths), -(-cells // self.longest))
+        self.evaluated = 0
         self.best_widths = array("q")
         self.times = array("q")
         self.scan_in = array("q")
         self.scan_out = array("q")
         self.pareto_widths = array("q")
 
-    @property
-    def tail_width(self) -> Optional[int]:
-        """The first width of the closed-form tail (``None``: no chains)."""
-        lengths = self.lengths
-        if not lengths:
-            return None
-        cells = sum(lengths) + self.inputs + self.outputs + self.bidirs
-        return max(len(lengths), -(-cells // lengths[0]))
-
-    def _internal_fill(
-        self, width: int, ascending: List[int]
-    ) -> Tuple[List[int], List[int]]:
+    def _internal_fill(self, width: int) -> Tuple[List[int], List[int]]:
         """Per-chain internal lengths of the LPT partition at ``width``, and
-        the chain indices by ascending ``(length, index)``; ``ascending`` is
-        that order for the chains alone."""
+        the chain indices by ascending ``(length, index)``."""
         lengths = self.lengths
         chains = len(lengths)
         if width >= chains:
             # Saturated: every internal chain sits alone in a bin, so both
             # the fill and its ascending order are known without LPT or a sort.
             fill = list(lengths) + [0] * (width - chains)
-            return fill, list(range(chains, width)) + ascending
+            return fill, list(range(chains, width)) + self.ascending
         bins = [0] * width
         heap: List[Tuple[int, int]] = [(0, index) for index in range(width)]
         for length in lengths:
@@ -282,49 +294,64 @@ class _CurveData:
         heap.sort()
         return 0, heap
 
+    def step(self, width: int) -> Tuple[int, int]:
+        """``(si, so)`` of the BFD design with *exactly* ``width`` chains."""
+        tail = self.tail_width
+        if tail is not None and width >= tail:
+            return self.longest, self.longest
+        if not self.bidirs:
+            zeros, loads = self._bin_loads(width)
+            return (
+                _longest_after_fill(zeros, loads, self.inputs),
+                _longest_after_fill(zeros, loads, self.outputs),
+            )
+        fill, order = self._internal_fill(width)
+        return _raw_scan_lengths(fill, order, self.inputs, self.outputs, self.bidirs)
+
+    def time_bound(self, width: int) -> int:
+        """A lower bound on the testing time of :meth:`step` at ``width``,
+        from the longest chain and the scan bits of each phase alone."""
+        high = -(-self.heavy_bits // width)
+        low = -(-self.light_bits // width)
+        longest = self.longest
+        return (1 + (high if high > longest else longest)) * self.patterns + (
+            low if low > longest else longest
+        )
+
     def extend(self, max_width: int) -> None:
         """Grow the arrays so widths ``1..max_width`` are all computed."""
-        start = len(self.raw_times) + 1
+        times = self.times
+        start = len(times) + 1
         if max_width < start:
             return
         patterns = self.patterns
         tail = self.tail_width
         last = max_width if tail is None else min(max_width, tail)
-        ascending = sorted(range(len(self.lengths)), key=self.lengths.__getitem__)
         for width in range(start, last + 1):
-            if width == tail:
-                si = so = self.lengths[0]
-            elif not self.bidirs:
-                zeros, loads = self._bin_loads(width)
-                si = _longest_after_fill(zeros, loads, self.inputs)
-                so = _longest_after_fill(zeros, loads, self.outputs)
-            else:
-                fill, order = self._internal_fill(width, ascending)
-                si, so = _raw_scan_lengths(
-                    fill, order, self.inputs, self.outputs, self.bidirs
+            # A width whose bound cannot go below ``T(w-1)`` repeats its
+            # predecessor without running the step.
+            if width == 1 or self.time_bound(width) < times[-1]:
+                self.evaluated += 1
+                si, so = self.step(width)
+                raw_time = (1 + (si if si > so else so)) * patterns + (
+                    so if si > so else si
                 )
-            raw_time = (1 + (si if si > so else so)) * patterns + (
-                so if si > so else si
-            )
-            self.raw_times.append(raw_time)
-            self.raw_scan_in.append(si)
-            self.raw_scan_out.append(so)
-            if width == 1 or raw_time < self.times[-1]:
-                # A strict improvement: this width starts a new staircase step
-                # (and is therefore Pareto-optimal).
-                self.best_widths.append(width)
-                self.times.append(raw_time)
-                self.scan_in.append(si)
-                self.scan_out.append(so)
-                self.pareto_widths.append(width)
-            else:
-                self.best_widths.append(self.best_widths[-1])
-                self.times.append(self.times[-1])
-                self.scan_in.append(self.scan_in[-1])
-                self.scan_out.append(self.scan_out[-1])
+                if width == 1 or raw_time < times[-1]:
+                    # A strict improvement: this width starts a new staircase
+                    # step (and is therefore Pareto-optimal).
+                    self.best_widths.append(width)
+                    times.append(raw_time)
+                    self.scan_in.append(si)
+                    self.scan_out.append(so)
+                    self.pareto_widths.append(width)
+                    continue
+            self.best_widths.append(self.best_widths[-1])
+            times.append(times[-1])
+            self.scan_in.append(self.scan_in[-1])
+            self.scan_out.append(self.scan_out[-1])
         # Past the tail width every width repeats the tail's entries; the
         # Pareto widths (the last table field) stay as they are.
-        copies = max_width - len(self.raw_times)
+        copies = max_width - len(times)
         if copies > 0:
             for name in CURVE_TABLE_FIELDS[:-1]:
                 field = getattr(self, name)
@@ -381,22 +408,11 @@ class WrapperCurve:
         self._check_width(width)
         return self._data.times[width - 1]
 
-    def raw_time(self, width: int) -> int:
-        """Testing time of the BFD design with *exactly* ``width`` chains."""
-        self._check_width(width)
-        return self._data.raw_times[width - 1]
-
     def scan_lengths(self, width: int) -> Tuple[int, int]:
         """``(si, so)`` of the best design with at most ``width`` chains."""
         self._check_width(width)
         data = self._data
         return data.scan_in[width - 1], data.scan_out[width - 1]
-
-    def raw_scan_lengths(self, width: int) -> Tuple[int, int]:
-        """``(si, so)`` of the BFD design with *exactly* ``width`` chains."""
-        self._check_width(width)
-        data = self._data
-        return data.raw_scan_in[width - 1], data.raw_scan_out[width - 1]
 
     def best_width(self, width: int) -> int:
         """The chain count ``w' <= width`` whose BFD design tests fastest."""
@@ -481,17 +497,16 @@ class WrapperCurve:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CurveCacheInfo:
-    """Statistics of the per-process wrapper-curve cache."""
+    """Statistics of the per-process wrapper-curve cache.
+
+    ``widths_computed`` counts the widths whose design the kernel evaluated;
+    the widths the bound settles and the copies past the tail are not counted.
+    """
 
     hits: int
     misses: int
     cores: int
     widths_computed: int
-
-    @property
-    def currsize(self) -> int:
-        """Number of cached (core, max_width) views (lru_cache-compatible)."""
-        return self.cores
 
 
 # Fork-local by design: the per-process curve memo caches pure derived
@@ -535,7 +550,7 @@ def curve_cache_info() -> CurveCacheInfo:
         hits=_HITS,
         misses=_MISSES,
         cores=len(_DATA),
-        widths_computed=sum(len(data.raw_times) for data in _DATA.values()),
+        widths_computed=sum(data.evaluated for data in _DATA.values()),
     )
 
 
@@ -548,33 +563,13 @@ def clear_curve_cache() -> None:
     _MISSES = 0
 
 
-# ----------------------------------------------------------------------
-# Export of the per-core tables
-# ----------------------------------------------------------------------
-#: The array fields of one per-core table, in export order.  The first
-#: four are width-indexed over ``1..W`` (one entry per computed width);
-#: the middle three share that indexing; ``pareto_widths`` is the
-#: ascending subset of widths where the staircase steps down.
+#: The array fields of one per-core table.  The first four are
+#: width-indexed over ``1..W``; ``pareto_widths`` is the ascending subset
+#: of widths where the staircase steps down.
 CURVE_TABLE_FIELDS: Tuple[str, ...] = (
-    "raw_times",
-    "raw_scan_in",
-    "raw_scan_out",
     "best_widths",
     "times",
     "scan_in",
     "scan_out",
     "pareto_widths",
 )
-
-
-def export_curve_tables() -> List[Tuple[Core, Tuple["array[int]", ...]]]:
-    """Snapshot every memoised per-core table.
-
-    Each entry pairs a core with its arrays in :data:`CURVE_TABLE_FIELDS`
-    order.  The arrays are the live cache arrays -- callers must copy
-    (e.g. ``tobytes``) rather than retain them.
-    """
-    return [
-        (core, tuple(getattr(data, name) for name in CURVE_TABLE_FIELDS))
-        for core, data in _DATA.items()
-    ]

@@ -16,7 +16,6 @@ response needs an extra ``min(si, so)`` cycles to flush.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 from repro.soc.core import Core
@@ -125,34 +124,3 @@ def preemption_overhead(core: Core, width: int) -> int:
     from repro.wrapper.curve import wrapper_curve
 
     return wrapper_curve(core, width).preemption_overhead(width)
-
-
-# ----------------------------------------------------------------------
-# Reference implementations (kernel equality is pinned against these)
-# ----------------------------------------------------------------------
-@lru_cache(maxsize=65536)
-def _scan_lengths_cached(core: Core, width: int) -> Tuple[int, int]:
-    design = design_wrapper(core, width)
-    return design.scan_in_length, design.scan_out_length
-
-
-def _raw_testing_time(core: Core, width: int) -> int:
-    scan_in, scan_out = _scan_lengths_cached(core, width)
-    return (1 + max(scan_in, scan_out)) * core.patterns + min(scan_in, scan_out)
-
-
-@lru_cache(maxsize=65536)
-def _best_width_upto(core: Core, width: int) -> int:
-    """The chain count ``w' <= width`` whose BFD design tests fastest.
-
-    Reference counterpart of :meth:`repro.wrapper.curve.WrapperCurve.best_width`,
-    retained (with its per-width memo) for the kernel equality tests.
-    """
-    if width <= 0:
-        raise ValueError(f"TAM width must be positive, got {width}")
-    if width == 1:
-        return 1
-    previous = _best_width_upto(core, width - 1)
-    if _raw_testing_time(core, width) < _raw_testing_time(core, previous):
-        return width
-    return previous

@@ -48,6 +48,35 @@ class TestCoreConstruction:
         with pytest.raises(ValueError):
             Core("c", inputs=1, outputs=1, patterns=1, power=-2.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scan_chains", (2.7, 3)),
+            ("scan_chains", ("4",)),
+            ("inputs", 2.5),
+            ("outputs", 3.0),
+            ("bidirs", "1"),
+            ("patterns", 1.5),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        # A float chain length used to be truncated and a float count used
+        # to crash the wrapper kernel; both now fail at construction.
+        fields = dict(inputs=1, outputs=1, patterns=1, scan_chains=(5,))
+        fields[field] = value
+        with pytest.raises(TypeError):
+            Core("c", **fields)
+
+    def test_integer_likes_are_normalised_to_int(self):
+        class Count:
+            def __index__(self):
+                return 4
+
+        core = Core("c", inputs=Count(), outputs=1, patterns=Count(),
+                    scan_chains=(Count(),))
+        assert (core.inputs, core.patterns, core.scan_chains) == (4, 4, (4,))
+        assert type(core.inputs) is int and type(core.scan_chains[0]) is int
+
     def test_core_is_hashable_and_frozen(self):
         core = Core("c", inputs=1, outputs=1, patterns=1)
         assert hash(core) == hash(Core("c", inputs=1, outputs=1, patterns=1))

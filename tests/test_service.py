@@ -707,6 +707,25 @@ class TestServeStream:
         assert rejected[0]["reason"] == protocol.REJECT_BAD_REQUEST
         assert served == 1  # the server outlived the garbage line
 
+    def test_non_integer_width_line_answers_bad_request(self):
+        # A served width of 32.9 used to be truncated to 32, so it shared
+        # the fingerprint (and the dedup answer) of a real 32 request.
+        payload = paper_request(32).to_dict()
+        lines = [
+            protocol.encode_message({"op": "solve", "id": "real", "request": payload}),
+            protocol.encode_message(
+                {"op": "solve", "id": "fraction", "request": {**payload, "total_width": 32.9}}
+            ),
+            '{"op": "shutdown"}',
+        ]
+        served, messages, _ = self.run_client([line + "\n" for line in lines])
+        rejected = [m for m in messages if m["event"] == protocol.EVENT_REJECTED]
+        assert [(m["id"], m["reason"]) for m in rejected] == [
+            ("fraction", protocol.REJECT_BAD_REQUEST)
+        ]
+        assert "integer" in rejected[0]["error"]
+        assert served == 1
+
     def test_broken_output_pipe_disconnects_the_client(self):
         class BrokenAfter:
             """A sink that dies after ``allow`` successful writes."""

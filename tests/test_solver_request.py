@@ -93,6 +93,21 @@ class TestScheduleRequestRoundTrip:
         with pytest.raises(SolverError, match="positive"):
             ScheduleRequest(soc=small_soc, total_width=0)
 
+    @pytest.mark.parametrize("width", [32.5, 32.0, "32", True])
+    def test_non_integer_width_rejected(self, small_soc, width):
+        # A float width used to pass and then fail deep in the kernel.
+        with pytest.raises(SolverError, match="integer"):
+            ScheduleRequest(soc=small_soc, total_width=width)
+
+    @pytest.mark.parametrize("width", [32.9, "32"])
+    def test_non_integer_wire_width_is_not_truncated(self, small_soc, width):
+        # ``from_dict`` used to apply ``int()``, so 32.9 and "32" answered
+        # as a real 32 request with the same fingerprint.
+        data = ScheduleRequest(soc=small_soc, total_width=32).to_dict()
+        data["total_width"] = width
+        with pytest.raises(SolverError, match="integer"):
+            ScheduleRequest.from_dict(data)
+
     def test_with_solver_and_with_options(self, small_soc):
         request = ScheduleRequest(soc=small_soc, total_width=8)
         shelf = request.with_solver("shelf")

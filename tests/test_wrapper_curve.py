@@ -2,9 +2,9 @@
 
 The single-pass kernel (:mod:`repro.wrapper.curve`) must agree *exactly*
 with the per-width reference implementation
-(:func:`repro.wrapper.design_wrapper.design_wrapper` and its memoised
-helpers) -- every scan-in/scan-out length, every staircase value, every
-Pareto point, on every core.  The randomized cases here are
+(:func:`repro.wrapper.design_wrapper.design_wrapper` and the memoised
+staircase helpers below) -- every scan-in/scan-out length, every staircase
+value, every Pareto point, on every core.  The randomized cases here are
 hypothesis-style: a seeded generator draws random scan-chain multisets and
 I/O counts so the analytic water-filling distributor is exercised across
 tie-break and saturation corners that the benchmark SOCs never hit; cores
@@ -13,7 +13,7 @@ a Hypothesis property draws its own.
 """
 
 import random
-import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,34 +23,54 @@ import repro.wrapper.curve as curve_module
 from repro.soc.benchmarks import get_benchmark
 from repro.soc.core import Core
 from repro.wrapper.curve import (
+    CURVE_TABLE_FIELDS,
     WrapperCurve,
     clear_curve_cache,
     curve_cache_info,
-    export_curve_tables,
     wrapper_curve,
 )
+from repro.wrapper.design_wrapper import design_wrapper
 
-# The reference module object (the package re-exports a function under the
-# same name, so plain attribute imports would shadow it).
-import repro.wrapper.design_wrapper  # noqa: F401
 
-reference = sys.modules["repro.wrapper.design_wrapper"]
+def testing_time(core: Core, scan_lengths: tuple) -> int:
+    """``T = (1 + max(si, so)) * p + min(si, so)``."""
+    return (1 + max(scan_lengths)) * core.patterns + min(scan_lengths)
+
+
+@lru_cache(maxsize=65536)
+def reference_scan_lengths(core: Core, width: int) -> tuple:
+    """``(si, so)`` of the reference BFD design with exactly ``width`` chains."""
+    design = design_wrapper(core, width)
+    return design.scan_in_length, design.scan_out_length
+
+
+@lru_cache(maxsize=65536)
+def reference_best_width(core: Core, width: int) -> int:
+    """The chain count ``w' <= width`` whose reference design tests fastest."""
+    if width == 1:
+        return 1
+    previous = reference_best_width(core, width - 1)
+    if testing_time(core, reference_scan_lengths(core, width)) < testing_time(
+        core, reference_scan_lengths(core, previous)
+    ):
+        return width
+    return previous
 
 
 def assert_curve_matches_reference(core: Core, max_width: int) -> None:
-    """Pin every kernel quantity to the reference BFD design at each width."""
+    """Pin every kernel quantity to the reference BFD design at each width:
+    first the kernel's per-width step, then the staircase it builds."""
+    data = curve_module._CurveData(core)
+    for width in range(1, max_width + 1):
+        assert data.step(width) == reference_scan_lengths(
+            core, width
+        ), f"{core.name}: raw scan lengths diverge at width {width}"
     curve = wrapper_curve(core, max_width)
     for width in range(1, max_width + 1):
-        design = reference.design_wrapper(core, width)
-        assert curve.raw_scan_lengths(width) == (
-            design.scan_in_length,
-            design.scan_out_length,
-        ), f"{core.name}: raw scan lengths diverge at width {width}"
-        assert curve.raw_time(width) == design.testing_time
-        best = reference._best_width_upto(core, width)
+        best = reference_best_width(core, width)
         assert curve.best_width(width) == best
-        assert curve.time(width) == reference._raw_testing_time(core, best)
-        assert curve.scan_lengths(width) == reference._scan_lengths_cached(core, best)
+        assert curve.time(width) == testing_time(core, reference_scan_lengths(core, best))
+        assert curve.scan_lengths(width) == reference_scan_lengths(core, best)
 
 
 def random_core(rng: random.Random, index: int) -> Core:
@@ -190,7 +210,12 @@ class TestCurveCache:
         narrow = wrapper_curve(core, 8)
         wide = wrapper_curve(core, 32)
         assert curve_cache_info().cores == 1
-        assert curve_cache_info().widths_computed == 32
+        # Growing to 32 evaluates what one 32-wide build evaluates: no
+        # width of the 8-wide prefix runs twice.
+        grown = curve_cache_info().widths_computed
+        clear_curve_cache()
+        wrapper_curve(core, 32)
+        assert grown == curve_cache_info().widths_computed
         assert wide.times[:8] == narrow.times
         # The narrower view still answers correctly after the growth.
         assert narrow.max_width == 8
@@ -251,17 +276,17 @@ class TestClosedFormTail:
         "core, expected", BOUNDARY_CORES, ids=[c.name for c, _ in BOUNDARY_CORES]
     )
     def test_tail_is_the_lower_bound_design(self, core, expected):
-        curve = wrapper_curve(core, 128)
+        data = curve_module._CurveData(core)
         longest = max(core.scan_chains, default=0)
         for width in range(expected or 129, 129):
-            assert curve.raw_scan_lengths(width) == (longest, longest)
-            assert curve.raw_time(width) == (1 + longest) * core.patterns + longest
+            assert data.step(width) == (longest, longest)
+            assert data.time_bound(width) == testing_time(core, (longest, longest))
 
 
 def table_bytes(core: Core) -> list:
-    """The exported per-core table of ``core``, as bytes per field."""
-    (table,) = [fields for cached, fields in export_curve_tables() if cached == core]
-    return [field.tobytes() for field in table]
+    """The cached per-core table of ``core``, as bytes per field."""
+    data = curve_module._DATA[core]
+    return [getattr(data, name).tobytes() for name in CURVE_TABLE_FIELDS]
 
 
 class TestGrowth:
@@ -322,3 +347,41 @@ class TestKernelProperty:
     def test_kernel_equals_design_wrapper(self, core, max_width):
         clear_curve_cache()
         assert_curve_matches_reference(core, max_width)
+
+
+def documented_bound(core: Core, width: int) -> int:
+    """The dominance bound as the kernel documents it: every chain holds at
+    least the longest internal chain, and ``width`` chains carry all the
+    scan-in and all the scan-out bits."""
+    longest = max(core.scan_chains, default=0)
+    cells = sum(core.scan_chains)
+    si = max(longest, -(-(cells + core.inputs + core.bidirs) // width))
+    so = max(longest, -(-(cells + core.outputs + core.bidirs) // width))
+    return testing_time(core, (si, so))
+
+
+class TestTimeBound:
+    """The bound that settles dominated widths is the documented one, and
+    it never exceeds the time of the design it stands in for."""
+
+    @given(core=cores())
+    @settings(max_examples=60, deadline=None)
+    def test_bound_is_at_most_the_step_time(self, core):
+        data = curve_module._CurveData(core)
+        for width in range(1, 97):
+            bound = data.time_bound(width)
+            assert bound == documented_bound(core, width)
+            assert bound <= testing_time(core, data.step(width))
+
+    @pytest.mark.parametrize("core", EDGE_CORES, ids=[c.name for c in EDGE_CORES])
+    def test_settled_widths_are_not_evaluated(self, core):
+        clear_curve_cache()
+        curve = wrapper_curve(core, 128)
+        data = curve_module._DATA[core]
+        last = min(128, data.tail_width or 128)
+        settled = [
+            width
+            for width in range(2, last + 1)
+            if data.time_bound(width) >= curve.time(width - 1)
+        ]
+        assert data.evaluated == last - len(settled)
