@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from conftest import write_result
 from repro.analysis.reporting import format_table
+from repro.core.grid_sweep import run_grid_sweep
 from repro.core.lower_bounds import lower_bound
-from repro.core.scheduler import SchedulerConfig, best_schedule, schedule_soc
+from repro.core.scheduler import SchedulerConfig, run_paper_scheduler
 from repro.soc.benchmarks import d695, p34392
 from repro.soc.constraints import ConstraintSet
 
@@ -29,7 +30,7 @@ def test_ablation_percent_and_delta(benchmark, results_dir):
             for percent in (1, 5, 10, 25, 40, 60):
                 for delta in (0, 4):
                     config = SchedulerConfig(percent=percent, delta=delta)
-                    makespan = schedule_soc(soc, width, config=config).makespan
+                    makespan = run_paper_scheduler(soc, width, config=config).makespan
                     rows.append((soc.name, width, percent, delta, makespan))
         return rows
 
@@ -55,9 +56,9 @@ def test_ablation_insertion_slack(benchmark, results_dir):
         for width in widths:
             entries = [width, lower_bound(soc, width)]
             for slack in (0, 1, 3, 6, 10):
-                best = best_schedule(
+                best = run_grid_sweep(
                     soc, width, percents=(1, 10, 25, 60), deltas=(0, 2), slacks=(slack,)
-                )
+                ).schedule
                 entries.append(best.makespan)
             rows.append(tuple(entries))
         return rows
@@ -85,7 +86,7 @@ def test_ablation_preemption_limit(benchmark, results_dir):
             entries = [width]
             for limit in (0, 1, 2, 4):
                 constraints = ConstraintSet.for_soc(soc, default_preemptions=limit)
-                best = best_schedule(soc, width, constraints=constraints, **grid)
+                best = run_grid_sweep(soc, width, constraints=constraints, **grid).schedule
                 best.validate(soc, constraints)
                 entries.append(best.makespan)
             rows.append(tuple(entries))

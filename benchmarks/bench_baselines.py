@@ -12,10 +12,10 @@ import pytest
 
 from conftest import write_result
 from repro.analysis.reporting import format_table
-from repro.baselines.fixed_width import fixed_width_schedule
-from repro.baselines.shelf import shelf_schedule
+from repro.baselines.fixed_width import run_fixed_width
+from repro.baselines.shelf import run_shelf
+from repro.core.grid_sweep import run_grid_sweep
 from repro.core.lower_bounds import lower_bound
-from repro.core.scheduler import best_schedule
 from repro.soc.benchmarks import get_benchmark
 
 WIDTHS = (16, 32, 48, 64)
@@ -29,9 +29,9 @@ def test_flexible_vs_baselines(benchmark, results_dir, soc_name):
         rows = []
         for width in WIDTHS:
             bound = lower_bound(soc, width)
-            flexible = best_schedule(soc, width).makespan
-            fixed = fixed_width_schedule(soc, width, max_buses=3).makespan
-            shelf = shelf_schedule(soc, width).makespan
+            flexible = run_grid_sweep(soc, width).schedule.makespan
+            fixed = run_fixed_width(soc, width, max_buses=3).makespan
+            shelf = run_shelf(soc, width).makespan
             rows.append((width, bound, flexible, fixed, shelf, fixed / flexible, shelf / flexible))
         return rows
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import TABLE1_WIDTHS
-from repro.core.scheduler import SchedulerConfig, schedule_soc
+from repro.core.scheduler import SchedulerConfig, run_paper_scheduler
 from repro.soc.benchmarks import get_benchmark
 
 
@@ -24,9 +24,9 @@ def test_single_schedule_cpu_time(benchmark, soc_name):
 
     # Warm the wrapper-design cache once so the benchmark isolates the packer
     # itself (the paper's CPU-time figure likewise excludes one-off setup).
-    schedule_soc(soc, width, config=config)
+    run_paper_scheduler(soc, width, config=config)
 
-    schedule = benchmark(lambda: schedule_soc(soc, width, config=config))
+    schedule = benchmark(lambda: run_paper_scheduler(soc, width, config=config))
     assert schedule.makespan > 0
     # The paper's headline: well under 5 seconds per run.
     assert benchmark.stats["mean"] < 5.0
@@ -34,10 +34,10 @@ def test_single_schedule_cpu_time(benchmark, soc_name):
 
 def test_full_parameter_grid_cpu_time(benchmark):
     """The complete Table 1 grid for the largest SOC stays in interactive range."""
-    from repro.core.scheduler import best_schedule
+    from repro.core.grid_sweep import run_grid_sweep
 
     soc = get_benchmark("p93791")
     schedule = benchmark.pedantic(
-        lambda: best_schedule(soc, 64), rounds=1, iterations=1
+        lambda: run_grid_sweep(soc, 64).schedule, rounds=1, iterations=1
     )
     assert schedule.makespan > 0

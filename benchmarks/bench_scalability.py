@@ -15,7 +15,7 @@ from repro.analysis.multisite import TesterModel, best_multisite_width, evaluate
 from repro.analysis.reporting import format_table
 from repro.core.data_volume import sweep_tam_widths
 from repro.core.lower_bounds import lower_bound
-from repro.core.scheduler import schedule_soc
+from repro.core.scheduler import run_paper_scheduler
 from repro.soc.benchmarks import d695
 from repro.soc.generator import GeneratorProfile, generate_soc
 
@@ -33,7 +33,7 @@ def test_scalability_with_core_count(benchmark, results_dir):
             )
             soc = generate_soc(seed=size, profile=profile)
             start = time.perf_counter()
-            schedule = schedule_soc(soc, 64)
+            schedule = run_paper_scheduler(soc, 64)
             elapsed = time.perf_counter() - start
             bound = lower_bound(soc, 64)
             rows.append(

@@ -24,8 +24,7 @@ import pytest
 
 from conftest import write_result
 from repro.analysis.experiments import run_table1
-from repro.engine.jobs import EngineContext
-from repro.engine.runner import prime_context_caches
+from repro.engine import EngineContext, prime_context_caches
 from repro.soc.benchmarks import get_benchmark
 from repro.wrapper.pareto import DEFAULT_MAX_WIDTH
 

@@ -1,23 +1,17 @@
 """Run a parameter sweep on the parallel sweep engine.
 
-The sweep engine (``repro.engine``) expands a declarative parameter grid
-into independent jobs and executes them either serially or across a
-``multiprocessing`` worker pool -- with results guaranteed identical for
-every worker count.  This example runs the Table 1 grid for d695 both ways,
-checks the rows match, and shows the raw engine API (grids, jobs, grouped
-results, CSV export).
+The sweep engine (``repro.engine``) executes lists of independent jobs
+either serially or across a ``multiprocessing`` worker pool -- with results
+guaranteed identical for every worker count.  This example runs the Table 1
+grid for d695 both ways, checks the rows match, and shows the raw engine API
+(``best``-solver jobs, their winning grid points, CSV export).
 """
 
 import os
 import time
 
-from repro import ParameterGrid, run_table1, table1_to_text
-from repro.engine import (
-    EngineContext,
-    config_grid,
-    expand_config_jobs,
-    run_jobs,
-)
+from repro import run_table1, table1_to_text
+from repro.engine import EngineContext, ScheduleJob, run_jobs
 from repro.soc.benchmarks import d695
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -49,39 +43,36 @@ def main() -> None:
     print(f"results           : {match}")
 
     # ------------------------------------------------------------------
-    # Low level: declarative grid -> jobs -> grouped results.
+    # Low level: one ``best``-solver job per width; each job sweeps the
+    # heuristic grid and reports its winning grid point in the metadata.
     # ------------------------------------------------------------------
-    heuristics = config_grid(percents=(1, 5, 10), deltas=(0, 2), slacks=(0, 3))
-    print()
-    print(f"heuristic grid    : {len(heuristics)} points over axes {heuristics.names}")
-
+    heuristics = {"percents": (1, 5, 10), "deltas": (0, 2), "slacks": (0, 3)}
     context = EngineContext.for_soc(soc)
-    jobs = []
-    for width in (16, 32):
-        jobs.extend(
-            expand_config_jobs(
-                soc.name,
-                width,
-                heuristics,
-                group=(width,),
-                start_index=len(jobs),
-            )
+    jobs = [
+        ScheduleJob(
+            index=index,
+            soc=soc.name,
+            width=width,
+            solver="best",
+            options=heuristics,
+            group=(width,),
         )
+        for index, width in enumerate((16, 32))
+    ]
     results = run_jobs(jobs, context, workers=WORKERS)
+    print()
     print(f"jobs executed     : {len(results)}")
-    for width, best in sorted(results.best_by_group().items()):
+    for result in results:
+        metadata = dict(result.metadata)
         print(
-            f"best at W={best.job.width:<3}: makespan {best.makespan} "
-            f"(percent={best.job.config.percent}, delta={best.job.config.delta})"
+            f"best at W={result.job.width:<3}: makespan {result.makespan} "
+            f"(percent={metadata['winner_percent']}, delta={metadata['winner_delta']}, "
+            f"{metadata['unique_runs']} of {metadata['grid_points']} grid points run)"
         )
 
     csv_lines = results.to_csv().splitlines()
     print(f"CSV export        : {len(csv_lines) - 1} records, header:")
     print(f"  {csv_lines[0]}")
-
-    grid_demo = ParameterGrid.of(width=(16, 32), mode=("np", "preemptive"))
-    print(f"grid points       : {list(grid_demo.points())[:2]} ...")
-
 
 if __name__ == "__main__":
     main()

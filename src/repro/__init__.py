@@ -33,18 +33,16 @@ The public API re-exported here covers the full framework:
   ``SolverRegistry``, ``register_solver``, ``SolverCapabilities`` -- the
   registry front door every scheduler, baseline and sweep goes through
   (``repro solvers`` lists the registered solvers).
-* Scheduling: ``SchedulerConfig``, ``TestSchedule``, ``render_gantt`` and
-  the ``lower_bound`` (plus the deprecated free functions
-  ``schedule_soc``/``best_schedule`` and baseline shims, kept for
-  backward compatibility).
+* Scheduling: ``SchedulerConfig``, ``TestSchedule``, ``render_gantt``,
+  the ``lower_bound`` and ``run_grid_sweep`` (the ``best`` solver's
+  deduplicated best-over-grid sweep, with its winning grid point).
 * Tester data volume: ``sweep_tam_widths``, ``tester_data_volume``,
   ``effective_width``.
 * Experiments: ``run_table1``, ``run_table2``, ``figure1_staircase``,
   ``figure9_curves``.
-* Sweep engine: ``ParameterGrid``, ``ScheduleJob``, ``run_jobs``,
-  ``best_schedule_grid``, ``parallel_tam_sweep`` -- declarative parameter
-  grids executed serially or across a ``multiprocessing`` worker pool with
-  bit-identical results, every job solved through the solver session.
+* Sweep engine: ``ScheduleJob``, ``run_jobs``, ``parallel_tam_sweep`` --
+  job lists executed serially or across a ``multiprocessing`` worker pool
+  with bit-identical results, every job solved through the solver session.
 """
 
 from repro.soc import (
@@ -92,20 +90,13 @@ from repro.core import (
     SchedulerConfig,
     SchedulerError,
     TamSweep,
-    best_schedule,
     build_rectangle_sets,
     cost_curve,
     effective_width,
     lower_bound,
     run_grid_sweep,
-    schedule_soc,
     sweep_tam_widths,
     tester_data_volume,
-)
-from repro.baselines import (
-    exhaustive_schedule,
-    fixed_width_schedule,
-    shelf_schedule,
 )
 from repro.solvers import (
     BaseSolver,
@@ -125,10 +116,8 @@ from repro.engine import (
     EngineContext,
     EngineError,
     JobResult,
-    ParameterGrid,
     ScheduleJob,
     SweepResults,
-    best_schedule_grid,
     parallel_tam_sweep,
     run_jobs,
 )
@@ -189,8 +178,6 @@ __all__ = [
     "build_rectangle_sets",
     "SchedulerConfig",
     "SchedulerError",
-    "schedule_soc",
-    "best_schedule",
     "GridPoint",
     "GridSweepOutcome",
     "run_grid_sweep",
@@ -200,10 +187,6 @@ __all__ = [
     "tester_data_volume",
     "cost_curve",
     "effective_width",
-    # baselines
-    "fixed_width_schedule",
-    "shelf_schedule",
-    "exhaustive_schedule",
     # solver API
     "Session",
     "ScheduleRequest",
@@ -218,14 +201,12 @@ __all__ = [
     "get_default_session",
     "solve",
     # engine
-    "ParameterGrid",
     "ScheduleJob",
     "JobResult",
     "EngineContext",
     "EngineError",
     "SweepResults",
     "run_jobs",
-    "best_schedule_grid",
     "parallel_tam_sweep",
     # analysis
     "run_table1",

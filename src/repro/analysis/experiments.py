@@ -148,11 +148,9 @@ def run_table1(
     grid expansion's scheduler work, serially or in parallel (the flat
     executor dispatches cells whole when there are enough of them to fill
     the pool, and explodes them into grid-run tasks when there are not).
-    Rows are byte-identical to the historical per-point expansion for
-    every ``workers`` value: the
-    ``best`` sweep keeps the first grid point (percent outer, delta
-    middle, slack inner) achieving the minimum makespan, exactly like the
-    engine's ``(makespan, job index)`` aggregation did.
+    Rows are byte-identical for every ``workers`` value: the ``best``
+    sweep keeps the first grid point (percent outer, delta middle, slack
+    inner) achieving the minimum makespan.
     """
     if widths is None:
         widths = TABLE1_WIDTHS.get(soc.name, (16, 32, 48, 64))
@@ -182,7 +180,7 @@ def run_table1(
                     tags=(("mode", mode),),
                 )
             )
-    best = run_jobs(jobs, context, workers=workers).best_by_group()
+    best = {result.job.group: result for result in run_jobs(jobs, context, workers=workers)}
     rows = []
     for width in widths:
         rows.append(

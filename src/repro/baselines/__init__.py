@@ -11,20 +11,13 @@
   SOCs, used by the test suite to sanity-check the heuristic scheduler.
 """
 
-from repro.baselines.fixed_width import (
-    FixedWidthResult,
-    fixed_width_schedule,
-    run_fixed_width,
-)
-from repro.baselines.shelf import run_shelf, shelf_schedule
-from repro.baselines.exact import exhaustive_schedule, run_exhaustive
+from repro.baselines.fixed_width import FixedWidthResult, run_fixed_width
+from repro.baselines.shelf import run_shelf
+from repro.baselines.exact import run_exhaustive
 
 __all__ = [
     "FixedWidthResult",
-    "fixed_width_schedule",
     "run_fixed_width",
-    "shelf_schedule",
     "run_shelf",
-    "exhaustive_schedule",
     "run_exhaustive",
 ]

@@ -15,7 +15,6 @@ more than ``max_cores`` cores.
 
 from __future__ import annotations
 
-import warnings
 from itertools import permutations, product
 from typing import Dict, List, Optional, Tuple
 
@@ -114,34 +113,4 @@ def run_exhaustive(
     assert best_segments is not None
     return TestSchedule(
         soc_name=soc.name, total_width=total_width, segments=tuple(best_segments)
-    )
-
-
-def exhaustive_schedule(
-    soc: Soc,
-    total_width: int,
-    constraints: Optional[ConstraintSet] = None,
-    config: Optional[SchedulerConfig] = None,
-    max_cores: int = 6,
-    max_widths_per_core: int = 8,
-) -> TestSchedule:
-    """Deprecated alias of :func:`run_exhaustive`.
-
-    Prefer ``Session().solve(ScheduleRequest(..., solver="exhaustive"))``
-    from :mod:`repro.solvers`.  Signature and results are unchanged.
-    """
-    warnings.warn(
-        "exhaustive_schedule is deprecated; use "
-        'Session.solve(ScheduleRequest(..., solver="exhaustive")) '
-        "(see repro.solvers) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_exhaustive(
-        soc,
-        total_width,
-        constraints=constraints,
-        config=config,
-        max_cores=max_cores,
-        max_widths_per_core=max_widths_per_core,
     )

@@ -12,19 +12,17 @@ The optimizer below enumerates all partitions of ``W`` into at most
 to buses with a longest-processing-time-first heuristic, keeping the best
 architecture found.  The paper's point -- that such architectures waste TAM
 wires compared with flexible-width rectangle packing -- is reproduced by
-comparing the resulting makespan against :func:`repro.core.scheduler.schedule_soc`.
+comparing the resulting makespan against
+:func:`repro.core.scheduler.run_paper_scheduler`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.rectangles import RectangleSet, resolve_rectangle_sets
-from repro.core.scheduler import SchedulerConfig
 from repro.schedule.schedule import ScheduleSegment, TestSchedule
-from repro.soc.constraints import ConstraintSet
 from repro.soc.soc import Soc
 from repro.wrapper.pareto import DEFAULT_MAX_WIDTH
 
@@ -133,31 +131,3 @@ def run_fixed_width(
             )
     assert best is not None
     return best
-
-
-def fixed_width_schedule(
-    soc: Soc,
-    total_width: int,
-    constraints: Optional[ConstraintSet] = None,
-    config: Optional[SchedulerConfig] = None,
-    max_buses: int = 3,
-    max_core_width: int = DEFAULT_MAX_WIDTH,
-) -> FixedWidthResult:
-    """Deprecated alias of :func:`run_fixed_width`.
-
-    Prefer ``Session().solve(ScheduleRequest(..., solver="fixed-width"))``
-    from :mod:`repro.solvers`.  ``constraints`` and ``config`` are accepted
-    for signature compatibility with the old ``schedule_soc`` shape and
-    ignored, exactly as before; signature and results are unchanged.
-    """
-    del constraints, config  # intentionally unused; see docstring
-    warnings.warn(
-        "fixed_width_schedule is deprecated; use "
-        'Session.solve(ScheduleRequest(..., solver="fixed-width")) '
-        "(see repro.solvers) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_fixed_width(
-        soc, total_width, max_buses=max_buses, max_core_width=max_core_width
-    )

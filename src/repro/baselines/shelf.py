@@ -20,14 +20,12 @@ unequal lengths.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.rectangles import RectangleSet, resolve_rectangle_sets
 from repro.core.scheduler import SchedulerConfig
 from repro.schedule.schedule import ScheduleSegment, TestSchedule
-from repro.soc.constraints import ConstraintSet
 from repro.soc.soc import Soc
 
 
@@ -91,27 +89,3 @@ def run_shelf(
     return TestSchedule(
         soc_name=soc.name, total_width=total_width, segments=tuple(segments)
     )
-
-
-def shelf_schedule(
-    soc: Soc,
-    total_width: int,
-    constraints: Optional[ConstraintSet] = None,
-    config: Optional[SchedulerConfig] = None,
-) -> TestSchedule:
-    """Deprecated alias of :func:`run_shelf`.
-
-    Prefer ``Session().solve(ScheduleRequest(..., solver="shelf"))`` from
-    :mod:`repro.solvers`.  ``constraints`` are ignored (the baseline predates
-    constraint-driven scheduling), exactly as before; signature and results
-    are unchanged.
-    """
-    del constraints  # the classic baseline is unconstrained
-    warnings.warn(
-        "shelf_schedule is deprecated; use "
-        'Session.solve(ScheduleRequest(..., solver="shelf")) '
-        "(see repro.solvers) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_shelf(soc, total_width, config=config)

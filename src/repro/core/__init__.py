@@ -20,10 +20,7 @@ from repro.core.scheduler import (
     MakespanLimitExceeded,
     SchedulerConfig,
     SchedulerError,
-    schedule_soc,
-    best_schedule,
     run_paper_scheduler,
-    run_best_schedule,
 )
 from repro.core.grid_sweep import (
     GridPoint,
@@ -48,10 +45,7 @@ __all__ = [
     "SchedulerConfig",
     "SchedulerError",
     "MakespanLimitExceeded",
-    "schedule_soc",
-    "best_schedule",
     "run_paper_scheduler",
-    "run_best_schedule",
     "GridPoint",
     "GridSweepOutcome",
     "run_grid_sweep",

@@ -20,6 +20,7 @@ whose minimiser ``W_e`` is the *effective* TAM width for a given
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -149,7 +150,10 @@ def normalize_sweep_widths(widths: Sequence[int], monotone: bool = True) -> List
     """
     if not widths:
         raise ValueError("at least one TAM width is required")
-    ordered = [int(w) for w in widths]
+    for width in widths:
+        if isinstance(width, bool) or not hasattr(width, "__index__"):
+            raise ValueError(f"TAM widths must be integers, got {width!r}")
+    ordered = [operator.index(width) for width in widths]
     if monotone and ordered != sorted(ordered):
         raise ValueError("monotone sweeps require widths in increasing order")
     return ordered

@@ -318,7 +318,7 @@ class GridSweepState:
         "grid_points",
         "bound",
         "best",
-        "best_schedule",
+        "winner_schedule",
         "acked",
         "_resolved",
     )
@@ -350,7 +350,7 @@ class GridSweepState:
         self.by_index = {run.index: run for run in self.runs}
         self.grid_points = len(percents) * len(deltas) * len(slacks)
         self.best: Optional[Tuple[int, int]] = None  # (makespan, run index)
-        self.best_schedule: Optional[TestSchedule] = None
+        self.winner_schedule: Optional[TestSchedule] = None
         self.acked: Set[int] = set()  # run indexes with an absorbed reply
 
     def limit(self) -> Optional[int]:
@@ -396,7 +396,7 @@ class GridSweepState:
         key = (makespan, run_index)
         if self.best is None or key < self.best:
             self.best = key
-            self.best_schedule = schedule
+            self.winner_schedule = schedule
 
     def execute(self, run: GridRun) -> None:
         """Run ``run`` in process, bounded by the current incumbent, and absorb it."""
@@ -426,12 +426,12 @@ class GridSweepState:
         assert self.best is not None, "grid sweep produced no completed run"
         makespan, index = self.best
         run = self.by_index[index]
-        if self.best_schedule is None:
-            self.best_schedule = self._run(run, None)
-            assert self.best_schedule is not None
-            assert self.best_schedule.makespan == makespan
+        if self.winner_schedule is None:
+            self.winner_schedule = self._run(run, None)
+            assert self.winner_schedule is not None
+            assert self.winner_schedule.makespan == makespan
         return GridSweepOutcome(
-            schedule=self.best_schedule,
+            schedule=self.winner_schedule,
             winner=run.point,
             makespan=makespan,
             grid_points=self.grid_points,
@@ -455,7 +455,14 @@ def run_grid_sweep(
 ) -> GridSweepOutcome:
     """Best paper-scheduler run over the heuristic grid, with provenance.
 
-    Parameters mirror :func:`repro.core.scheduler.run_best_schedule`;
+    The implementation behind the ``"best"`` solver of the registry.  The
+    paper tabulates the best result over all integer ``1 <= q <= 10`` and
+    ``0 <= delta <= 4`` (with the idle-insertion slack fixed at 3); this
+    sweep reproduces that protocol over a configurable (``percents``,
+    ``deltas``, ``slacks``) grid.  The default grid is slightly wider than
+    the paper's because the synthetic Philips stand-ins reward smaller
+    preferred widths at narrow TAMs.
+
     ``workers > 1`` fans the deduplicated runs out as individual tasks on
     the process-wide flat executor (:mod:`repro.engine.executor`), sharing
     its persistent worker pool with the sweep engine.  When no pool can be

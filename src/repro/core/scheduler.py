@@ -49,7 +49,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -258,7 +257,7 @@ class _CoreState:
 
 
 class _Scheduler:
-    """One scheduling run; see :func:`schedule_soc` for the public entry point.
+    """One scheduling run; see :func:`run_paper_scheduler` for the public entry point.
 
     The event loop keeps its hot-path state *incremental* instead of
     re-deriving it from ``states.values()`` on every query:
@@ -1022,97 +1021,3 @@ def run_paper_scheduler(
         makespan_limit=makespan_limit,
     )
     return scheduler.run()
-
-
-def run_best_schedule(
-    soc: Soc,
-    total_width: int,
-    constraints: Optional[ConstraintSet] = None,
-    percents: Sequence[float] = (1, 5, 10, 25, 40, 60, 75),
-    deltas: Sequence[int] = (0, 2, 4),
-    slacks: Sequence[int] = (0, 3, 6),
-    config: Optional[SchedulerConfig] = None,
-    rectangle_sets: Optional[Dict[str, RectangleSet]] = None,
-    workers: int = 0,
-) -> TestSchedule:
-    """Run the scheduler over a (``percent``, ``delta``, ``slack``) grid, keep the best.
-
-    The implementation behind the ``"best"`` solver of the registry.  The
-    paper tabulates the best result over all integer ``1 <= q <= 10`` and
-    ``0 <= delta <= 4`` (with the idle-insertion slack fixed at 3); this
-    helper reproduces that experimental protocol with a configurable grid.
-    The default grid is slightly wider than the paper's because the synthetic
-    Philips stand-ins reward smaller preferred widths at narrow TAMs.
-
-    This is a thin wrapper over
-    :func:`repro.core.grid_sweep.run_grid_sweep`, which deduplicates grid
-    points that induce identical per-core preferred-width vectors, prunes
-    runs that cannot beat the incumbent, stops early when the Table 1 lower
-    bound is met and can fan the surviving runs out over ``workers``
-    processes -- all bit-identical to the straightforward triple loop (kept
-    as :func:`repro.core.grid_sweep.run_best_schedule_reference`).  Use
-    ``run_grid_sweep`` directly to also learn *which* grid point won.
-    """
-    from repro.core.grid_sweep import run_grid_sweep
-
-    return run_grid_sweep(
-        soc,
-        total_width,
-        constraints=constraints,
-        percents=percents,
-        deltas=deltas,
-        slacks=slacks,
-        config=config,
-        rectangle_sets=rectangle_sets,
-        workers=workers,
-    ).schedule
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see repro.solvers) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def schedule_soc(
-    soc: Soc,
-    total_width: int,
-    constraints: Optional[ConstraintSet] = None,
-    config: Optional[SchedulerConfig] = None,
-) -> TestSchedule:
-    """Deprecated alias of :func:`run_paper_scheduler`.
-
-    Prefer ``Session().solve(ScheduleRequest(soc=soc, total_width=W,
-    solver="paper"))`` from :mod:`repro.solvers`, which shares Pareto
-    rectangle sets across solves.  Signature and results are unchanged.
-    """
-    _deprecated("schedule_soc", 'Session.solve(ScheduleRequest(..., solver="paper"))')
-    return run_paper_scheduler(soc, total_width, constraints=constraints, config=config)
-
-
-def best_schedule(
-    soc: Soc,
-    total_width: int,
-    constraints: Optional[ConstraintSet] = None,
-    percents: Sequence[float] = (1, 5, 10, 25, 40, 60, 75),
-    deltas: Sequence[int] = (0, 2, 4),
-    slacks: Sequence[int] = (0, 3, 6),
-    config: Optional[SchedulerConfig] = None,
-) -> TestSchedule:
-    """Deprecated alias of :func:`run_best_schedule`.
-
-    Prefer ``Session().solve(ScheduleRequest(..., solver="best"))`` from
-    :mod:`repro.solvers`.  Signature and results are unchanged.
-    """
-    _deprecated("best_schedule", 'Session.solve(ScheduleRequest(..., solver="best"))')
-    return run_best_schedule(
-        soc,
-        total_width,
-        constraints=constraints,
-        percents=percents,
-        deltas=deltas,
-        slacks=slacks,
-        config=config,
-    )

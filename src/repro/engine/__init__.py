@@ -1,16 +1,15 @@
 """Parallel experiment/sweep engine.
 
-The engine turns a declarative parameter grid (benchmark x percent x delta
-x TAM width x scheduler mode x preemption budget) into independent,
-picklable jobs, executes them serially or across a ``multiprocessing``
-worker pool (with per-worker warm Pareto-curve caches), and aggregates the
-results into typed records with CSV/JSON export.
+The engine runs lists of independent, picklable jobs (one SOC at one TAM
+width through one registry solver), serially or across a
+``multiprocessing`` worker pool (with per-worker warm Pareto-curve caches),
+and collects the results into typed records with CSV/JSON export.
 
-Layering: ``grid`` (declarative grids) -> ``jobs`` (typed work units) ->
-``runner`` (serial / pool execution) -> ``results`` (aggregation, export),
-with ``api`` providing the experiment-shaped entry points the analysis
-drivers use.  Results are guaranteed identical for every worker count; see
-:mod:`repro.engine.runner`.
+Layering: ``jobs`` (typed work units) -> ``runner`` / ``executor`` (serial
+or pool execution) -> ``results`` (ordered records, export), with ``api``
+providing the experiment-shaped entry points the analysis drivers use.
+Results are guaranteed identical for every worker count; see
+:mod:`repro.engine.executor`.
 """
 
 from repro.engine.api import (
@@ -20,9 +19,6 @@ from repro.engine.api import (
     POWER_BUDGET_FACTOR,
     PREEMPTION_LIMIT,
     SCHEDULER_MODES,
-    best_schedule_grid,
-    config_grid,
-    expand_config_jobs,
     mode_constraint_sets,
     parallel_tam_sweep,
     parallel_tam_sweep_results,
@@ -32,7 +28,9 @@ from repro.engine.api import (
 from repro.engine.executor import (
     FlatExecutor,
     close_default_executor,
+    execute_job,
     get_default_executor,
+    prime_context_caches,
     use_executor,
 )
 from repro.engine.faults import (
@@ -44,14 +42,11 @@ from repro.engine.faults import (
     InjectedFault,
     RecoveryEvent,
 )
-from repro.engine.grid import GridError, ParameterGrid
 from repro.engine.jobs import EngineContext, EngineError, JobResult, ScheduleJob
 from repro.engine.results import ExecutorStats, SweepResults
-from repro.engine.runner import execute_job, prime_context_caches, run_jobs
+from repro.engine.runner import run_jobs
 
 __all__ = [
-    "ParameterGrid",
-    "GridError",
     "ScheduleJob",
     "JobResult",
     "EngineContext",
@@ -72,11 +67,8 @@ __all__ = [
     "run_jobs",
     "execute_job",
     "prime_context_caches",
-    "best_schedule_grid",
     "parallel_tam_sweep",
     "parallel_tam_sweep_results",
-    "config_grid",
-    "expand_config_jobs",
     "mode_constraint_sets",
     "preemption_limits",
     "power_budget",

@@ -1,18 +1,9 @@
 """High-level sweep-engine entry points used by the experiment drivers.
 
-These helpers encode the two sweep shapes the paper's evaluation needs:
-
-* :func:`best_schedule_grid` -- the best schedule over a
-  (``percent``, ``delta``, ``insertion_slack``) heuristic grid at one TAM
-  width, the engine-backed equivalent of
-  :func:`repro.core.scheduler.best_schedule`.
 * :func:`parallel_tam_sweep` -- ``T(W)`` / ``D(W)`` over a width range, the
   engine-backed equivalent of
-  :func:`repro.core.data_volume.sweep_tam_widths`.
-
-Both are bit-compatible with their serial counterparts for any worker
-count: the grid expansion order fixes the job indexes, and aggregation
-tie-breaks on those indexes.
+  :func:`repro.core.data_volume.sweep_tam_widths`, bit-compatible with it
+  for any worker count.
 
 The *scheduler mode* vocabulary of Table 1 (non-preemptive / preemptive /
 power-constrained) also lives here, together with the constraint-set
@@ -22,16 +13,13 @@ budget relative to the hottest core test).
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.data_volume import TamSweep, build_tam_sweep, normalize_sweep_widths
 from repro.core.scheduler import SchedulerConfig
-from repro.engine.grid import ParameterGrid
 from repro.engine.jobs import EngineContext, ScheduleJob
 from repro.engine.results import SweepResults
 from repro.engine.runner import run_jobs
-from repro.schedule.schedule import TestSchedule
 from repro.soc.constraints import ConstraintSet
 from repro.soc.soc import Soc
 
@@ -93,74 +81,6 @@ def mode_constraint_sets(
             power_budget(soc, power_factor)
         ),
     }
-
-
-def config_grid(
-    percents: Sequence[float] = (1, 5, 10, 25, 40, 60, 75),
-    deltas: Sequence[int] = (0, 2, 4),
-    slacks: Sequence[int] = (0, 3, 6),
-) -> ParameterGrid:
-    """The heuristic-parameter grid the paper's protocol sweeps per schedule."""
-    return ParameterGrid.of(percent=percents, delta=deltas, insertion_slack=slacks)
-
-
-def expand_config_jobs(
-    soc_key: str,
-    width: int,
-    grid: ParameterGrid,
-    base_config: Optional[SchedulerConfig] = None,
-    constraints_key: Optional[str] = None,
-    group: Sequence[Any] = (),
-    tags: Sequence[Tuple[str, Any]] = (),
-    start_index: int = 0,
-) -> List[ScheduleJob]:
-    """One job per grid point; point values override ``base_config`` fields."""
-    base = base_config or SchedulerConfig()
-    jobs = []
-    for index, point in grid.enumerate_points(start=start_index):
-        jobs.append(
-            ScheduleJob(
-                index=index,
-                soc=soc_key,
-                width=width,
-                config=replace(base, **point),
-                constraints=constraints_key,
-                group=tuple(group),
-                tags=tuple(tags),
-            )
-        )
-    return jobs
-
-
-def best_schedule_grid(
-    soc: Soc,
-    total_width: int,
-    constraints: Optional[ConstraintSet] = None,
-    percents: Sequence[float] = (1, 5, 10, 25, 40, 60, 75),
-    deltas: Sequence[int] = (0, 2, 4),
-    slacks: Sequence[int] = (0, 3, 6),
-    config: Optional[SchedulerConfig] = None,
-    workers: int = 0,
-) -> TestSchedule:
-    """Best schedule over the heuristic grid; engine-backed ``best_schedule``.
-
-    With any ``workers`` value this returns the same schedule as
-    :func:`repro.core.scheduler.best_schedule` called with the same
-    arguments: the first grid point (in ``percent`` outer, ``delta`` middle,
-    ``slack`` inner order) achieving the minimum makespan wins.
-    """
-    named = {"constraints": constraints} if constraints is not None else {}
-    context = EngineContext.for_soc(soc, named)
-    jobs = expand_config_jobs(
-        soc.name,
-        total_width,
-        config_grid(percents, deltas, slacks),
-        base_config=config,
-        constraints_key="constraints" if constraints is not None else None,
-        group=(soc.name, total_width),
-    )
-    results = run_jobs(jobs, context, workers=workers)
-    return results.best_for_group((soc.name, total_width)).schedule
 
 
 def parallel_tam_sweep(

@@ -236,30 +236,20 @@ def _solve_job(
 
 
 def prime_context_caches(
-    context: EngineContext,
-    pairs: Iterable[Union[Tuple[str, int], int]],
+    context: EngineContext, pairs: Iterable[Tuple[str, int]]
 ) -> int:
     """Warm the Pareto caches for exactly the referenced (SOC, width) pairs.
 
     ``pairs`` holds ``(soc_key, max_core_width)`` tuples -- only those
     combinations are warmed, so a multi-SOC context does not pay for the
     full SOC x width cross-product when the job list references a subset.
-    Bare ``int`` widths are accepted for backward compatibility and warm
-    that width for every SOC in the context.
 
     Both the per-process testing-time curve memo and the default solver
     session's rectangle cache are primed, so every subsequent solve of a
     referenced combination skips wrapper design entirely.  Returns the
     number of per-core curves now cached.
     """
-    resolved: Set[Tuple[str, int]] = set()
-    for item in pairs:
-        if isinstance(item, tuple):
-            key, width = item
-            resolved.add((key, int(width)))
-        else:  # legacy form: one width for every SOC in the context
-            resolved.update((key, int(item)) for key in context.socs)
-    return _prime_soc_pairs(dict(context.socs), resolved)
+    return _prime_soc_pairs(dict(context.socs), pairs)
 
 
 def _prime_soc_pairs(

@@ -35,10 +35,8 @@ class ScheduleJob:
     Parameters
     ----------
     index:
-        Position of this job in the grid expansion order.  Doubles as the
-        deterministic tie-break key during aggregation: among equal
-        makespans, the job generated first wins, which reproduces the
-        serial loop's "keep the first strict improvement" behaviour.
+        Position of this job in its job list; results come back sorted by
+        it, so every worker count reports the jobs in the same order.
     soc:
         Key of the SOC in the :class:`EngineContext`.
     width:
@@ -57,8 +55,8 @@ class ScheduleJob:
         (normalised to name-sorted pairs so equal option sets compare
         equal); e.g. a trimmed ``percents`` grid for the ``best`` solver.
     group:
-        Aggregation key: results sharing a group compete for "best of
-        group" (e.g. ``(soc, width, mode)`` for a Table 1 cell).
+        A label carried through to result records and exports (e.g.
+        ``(width, mode)`` for a Table 1 cell).
     tags:
         Extra ``(name, value)`` metadata carried through to result records
         (e.g. the scheduler mode or preemption budget of the grid point).
@@ -75,6 +73,10 @@ class ScheduleJob:
     tags: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("index", "width"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise EngineError(f"job {name} must be an integer, got {value!r}")
         if self.index < 0:
             raise EngineError(f"job index must be non-negative, got {self.index}")
         if self.width <= 0:

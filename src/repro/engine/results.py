@@ -1,10 +1,8 @@
 """Aggregation and export of sweep results.
 
 A :class:`SweepResults` holds the :class:`~repro.engine.jobs.JobResult`
-records of one engine run, in job order.  It offers the two reductions every
-experiment driver needs -- *best per group* (Table 1 cells) and *per-width
-series* (TAM sweeps) -- plus dependency-free CSV and JSON export of the flat
-record form.
+records of one engine run, in job order, with dependency-free CSV and JSON
+export of the flat record form.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.engine.faults import (
     STAGE_SERIAL,
@@ -22,7 +20,7 @@ from repro.engine.faults import (
     RecoveryEvent,
     ladder_stage,
 )
-from repro.engine.jobs import EngineError, JobResult
+from repro.engine.jobs import JobResult
 
 # Columns every record has, in export order; tag columns follow.
 _BASE_FIELDS = (
@@ -134,55 +132,6 @@ class SweepResults:
 
     def __getitem__(self, index: int) -> JobResult:
         return self.results[index]
-
-    # ------------------------------------------------------------------
-    # Reductions
-    # ------------------------------------------------------------------
-    def best_by_group(self) -> Dict[Tuple[Any, ...], JobResult]:
-        """The best (smallest makespan) result of every job group.
-
-        Ties break on the job index, i.e. the job generated *first* in grid
-        order wins -- exactly the result the equivalent serial loop keeps.
-        Groups appear in order of first appearance.
-        """
-        best: Dict[Tuple[Any, ...], JobResult] = {}
-        for result in self.results:
-            group = result.job.group
-            current = best.get(group)
-            if current is None or (result.makespan, result.job.index) < (
-                current.makespan,
-                current.job.index,
-            ):
-                best[group] = result
-        return best
-
-    def for_group(self, group: Sequence[Any]) -> List[JobResult]:
-        """All results whose job belongs to the given group, in job order."""
-        key = tuple(group)
-        return [result for result in self.results if result.job.group == key]
-
-    def best_for_group(self, group: Sequence[Any]) -> JobResult:
-        """The best result of one group."""
-        candidates = self.for_group(group)
-        if not candidates:
-            raise EngineError(f"no results in group {tuple(group)!r}")
-        return min(
-            candidates, key=lambda result: (result.makespan, result.job.index)
-        )
-
-    @property
-    def groups(self) -> List[Tuple[Any, ...]]:
-        """All distinct job groups, in order of first appearance."""
-        seen: List[Tuple[Any, ...]] = []
-        for result in self.results:
-            if result.job.group not in seen:
-                seen.append(result.job.group)
-        return seen
-
-    @property
-    def total_wall_time(self) -> float:
-        """Sum of per-job wall times (CPU work, not elapsed sweep time)."""
-        return sum(result.wall_time for result in self.results)
 
     # ------------------------------------------------------------------
     # Export

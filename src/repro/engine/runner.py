@@ -10,9 +10,8 @@ deterministically by ``(job index, run key)``.
 
 The executor guarantees that for a fixed job list the *results are
 independent of the worker count*: jobs are pure functions of their inputs
-(every solver is deterministic), results are returned in job order, and all
-aggregation downstream tie-breaks on the job index.  ``workers <= 1`` runs
-a deterministic in-process loop.
+(every solver is deterministic) and results are returned in job order.
+``workers <= 1`` runs a deterministic in-process loop.
 
 Jobs are solved through the process-wide solver
 :class:`~repro.solvers.session.Session` (see :mod:`repro.solvers`), so the
@@ -38,13 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-# Re-exported for backward compatibility: these historically lived here.
-from repro.core.grid_sweep import preferred_pool_context  # noqa: F401
-from repro.engine.executor import (  # noqa: F401
-    execute_job,
-    get_default_executor,
-    prime_context_caches,
-)
+from repro.engine.executor import get_default_executor
 from repro.engine.jobs import EngineContext, ScheduleJob
 from repro.engine.results import SweepResults
 
@@ -60,8 +53,8 @@ def run_jobs(
     Parameters
     ----------
     jobs:
-        The jobs to run.  Their ``index`` fields must be unique -- they are
-        the deterministic tie-break key for downstream aggregation.
+        The jobs to run.  Their ``index`` fields must be unique -- results
+        come back sorted by them.
     context:
         Shared SOCs and constraint sets the jobs reference.
     workers:

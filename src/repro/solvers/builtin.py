@@ -14,8 +14,8 @@
 =============  ==============================================================
 
 Each solver draws its Pareto rectangle sets from the owning session's
-shared cache with exactly the ``max_width`` its legacy free function used,
-so registry results are identical to the historical entry points.
+shared cache with exactly the ``max_width`` its direct ``run_*`` entry point
+uses, so registry results are identical to calling that function.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class FixedWidthSolver(Solver):
     """Best fixed-width bus architecture.
 
     Options: ``max_buses`` (default 3) and ``max_core_width`` (default 64,
-    independent of the request config, matching the legacy function).
+    independent of the request config, matching :func:`run_fixed_width`).
     """
 
     def solve(self, request: ScheduleRequest) -> ScheduleResult:

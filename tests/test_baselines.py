@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.baselines.exact import exhaustive_schedule
-from repro.baselines.fixed_width import FixedWidthResult, fixed_width_schedule
-from repro.baselines.shelf import shelf_schedule
+from repro.baselines.exact import run_exhaustive
+from repro.baselines.fixed_width import FixedWidthResult, run_fixed_width
+from repro.baselines.shelf import run_shelf
+from repro.core.grid_sweep import run_grid_sweep
 from repro.core.lower_bounds import lower_bound
-from repro.core.scheduler import best_schedule, schedule_soc
+from repro.core.scheduler import run_paper_scheduler
 from repro.soc.constraints import ConstraintSet
 from repro.soc.core import Core
 from repro.soc.soc import Soc
@@ -25,14 +26,14 @@ def tiny_soc():
 
 class TestFixedWidthBaseline:
     def test_result_structure(self, small_soc):
-        result = fixed_width_schedule(small_soc, 8, max_buses=2)
+        result = run_fixed_width(small_soc, 8, max_buses=2)
         assert isinstance(result, FixedWidthResult)
         assert sum(result.bus_widths) <= 8
         assert set(result.assignment) == set(small_soc.core_names)
         result.schedule.validate(small_soc)
 
     def test_cores_on_a_bus_run_sequentially(self, small_soc):
-        result = fixed_width_schedule(small_soc, 8, max_buses=2)
+        result = run_fixed_width(small_soc, 8, max_buses=2)
         by_bus = {}
         for name, bus in result.assignment.items():
             by_bus.setdefault(bus, []).append(name)
@@ -44,7 +45,7 @@ class TestFixedWidthBaseline:
                 assert second.start >= first.end
 
     def test_makespan_at_least_lower_bound(self, small_soc):
-        result = fixed_width_schedule(small_soc, 8, max_buses=3)
+        result = run_fixed_width(small_soc, 8, max_buses=3)
         assert result.makespan >= lower_bound(small_soc, 8)
 
     def test_flexible_packer_beats_fixed_width_at_wide_tams(self, d695_soc):
@@ -52,10 +53,10 @@ class TestFixedWidthBaseline:
         wires more efficiently than fixed-width partitions, most visibly at
         wide TAMs where a handful of buses cannot exploit all wires."""
         width = 64
-        fixed = fixed_width_schedule(d695_soc, width, max_buses=3)
-        flexible = best_schedule(
+        fixed = run_fixed_width(d695_soc, width, max_buses=3)
+        flexible = run_grid_sweep(
             d695_soc, width, percents=(1, 10, 25, 60), deltas=(0, 2), slacks=(0, 3)
-        )
+        ).schedule
         assert flexible.makespan < fixed.makespan
 
     def test_flexible_packer_competitive_at_narrow_tams(self, d695_soc):
@@ -63,55 +64,55 @@ class TestFixedWidthBaseline:
         exhaustive fixed-width baseline can edge ahead; the flexible packer
         must stay within a few percent of it (see EXPERIMENTS.md)."""
         width = 32
-        fixed = fixed_width_schedule(d695_soc, width, max_buses=3)
-        flexible = best_schedule(
+        fixed = run_fixed_width(d695_soc, width, max_buses=3)
+        flexible = run_grid_sweep(
             d695_soc, width, percents=(1, 10, 25, 60, 75), deltas=(0, 2), slacks=(0, 3)
-        )
+        ).schedule
         assert flexible.makespan <= 1.05 * fixed.makespan
 
     def test_more_buses_never_hurt(self, small_soc):
-        one = fixed_width_schedule(small_soc, 8, max_buses=1).makespan
-        three = fixed_width_schedule(small_soc, 8, max_buses=3).makespan
+        one = run_fixed_width(small_soc, 8, max_buses=1).makespan
+        three = run_fixed_width(small_soc, 8, max_buses=3).makespan
         assert three <= one
 
     def test_invalid_width(self, small_soc):
         with pytest.raises(ValueError):
-            fixed_width_schedule(small_soc, 0)
+            run_fixed_width(small_soc, 0)
 
 
 class TestShelfBaseline:
     def test_schedule_valid(self, small_soc):
-        schedule = shelf_schedule(small_soc, 8)
+        schedule = run_shelf(small_soc, 8)
         schedule.validate(small_soc)
 
     def test_no_test_spans_shelf_boundaries(self, small_soc):
-        schedule = shelf_schedule(small_soc, 8)
+        schedule = run_shelf(small_soc, 8)
         for core in small_soc.core_names:
             assert len(schedule.segments_for(core)) == 1
 
     def test_flexible_packer_beats_or_matches_shelf(self, d695_soc):
         width = 32
-        shelf = shelf_schedule(d695_soc, width)
-        flexible = best_schedule(
+        shelf = run_shelf(d695_soc, width)
+        flexible = run_grid_sweep(
             d695_soc, width, percents=(1, 10, 25), deltas=(0, 2), slacks=(0, 3)
-        )
+        ).schedule
         assert flexible.makespan <= shelf.makespan
 
     def test_respects_lower_bound(self, d695_soc):
-        assert shelf_schedule(d695_soc, 16).makespan >= lower_bound(d695_soc, 16)
+        assert run_shelf(d695_soc, 16).makespan >= lower_bound(d695_soc, 16)
 
     def test_invalid_width(self, small_soc):
         with pytest.raises(ValueError):
-            shelf_schedule(small_soc, -1)
+            run_shelf(small_soc, -1)
 
 
 class TestExhaustiveReference:
     def test_matches_or_beats_heuristic_on_tiny_soc(self, tiny_soc):
         for width in (3, 5, 8):
-            reference = exhaustive_schedule(tiny_soc, width)
-            heuristic = best_schedule(
+            reference = run_exhaustive(tiny_soc, width)
+            heuristic = run_grid_sweep(
                 tiny_soc, width, percents=(0, 1, 10, 25), deltas=(0, 2), slacks=(0, 3)
-            )
+            ).schedule
             reference.validate(tiny_soc)
             assert reference.makespan >= lower_bound(tiny_soc, width)
             # The heuristic cannot beat an exhaustive left-justified search by
@@ -120,18 +121,18 @@ class TestExhaustiveReference:
 
     def test_reference_refuses_large_socs(self, d695_soc):
         with pytest.raises(ValueError):
-            exhaustive_schedule(d695_soc, 16, max_cores=6)
+            run_exhaustive(d695_soc, 16, max_cores=6)
 
     def test_reference_refuses_constraints(self, tiny_soc):
         constraints = ConstraintSet(precedence=[("a", "b")])
         with pytest.raises(ValueError):
-            exhaustive_schedule(tiny_soc, 8, constraints=constraints)
+            run_exhaustive(tiny_soc, 8, constraints=constraints)
 
     def test_single_core_reference_is_exact(self):
         core = Core("solo", inputs=2, outputs=2, patterns=6, scan_chains=(4, 4))
         soc = Soc("solo", (core,))
-        reference = exhaustive_schedule(soc, 4)
-        heuristic = schedule_soc(soc, 4)
+        reference = run_exhaustive(soc, 4)
+        heuristic = run_paper_scheduler(soc, 4)
         assert reference.makespan <= heuristic.makespan
 
     def test_two_equal_cores_pack_side_by_side(self):
@@ -140,6 +141,6 @@ class TestExhaustiveReference:
             Core("b", inputs=2, outputs=2, patterns=6, scan_chains=(4, 4)),
         )
         soc = Soc("pair", cores)
-        wide = exhaustive_schedule(soc, 8)
-        narrow = exhaustive_schedule(soc, 2)
+        wide = run_exhaustive(soc, 8)
+        narrow = run_exhaustive(soc, 2)
         assert wide.makespan < narrow.makespan

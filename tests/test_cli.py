@@ -1,11 +1,10 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
-import warnings
 
 import pytest
 
-from repro.baselines.shelf import shelf_schedule
+from repro.baselines.shelf import run_shelf
 from repro.cli import build_parser, main
 from repro.soc.benchmarks import d695
 from repro.soc.itc02 import save_soc
@@ -81,9 +80,7 @@ class TestCommands:
     def test_solve_command_shelf_end_to_end(self, capsys):
         assert main(["solve", "--solver", "shelf", "--", "d695", "32"]) == 0
         out = capsys.readouterr().out
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            expected = shelf_schedule(d695(), 32).makespan
+        expected = run_shelf(d695(), 32).makespan
         assert f"makespan    : {expected} cycles" in out
 
     def test_solve_command_json_output(self, capsys):

@@ -10,7 +10,8 @@ from repro.core.data_volume import (
     sweep_tam_widths,
     tester_data_volume,
 )
-from repro.core.scheduler import schedule_soc
+from repro.core.scheduler import run_paper_scheduler
+from repro.engine.api import parallel_tam_sweep
 from repro.schedule.schedule import ScheduleSegment, TestSchedule
 
 
@@ -24,7 +25,7 @@ class TestTesterDataVolume:
         assert tester_data_volume(schedule) == 16 * 100
 
     def test_volume_of_real_schedule(self, small_soc):
-        schedule = schedule_soc(small_soc, 8)
+        schedule = run_paper_scheduler(small_soc, 8)
         assert tester_data_volume(schedule) == 8 * schedule.makespan
 
 
@@ -112,11 +113,17 @@ class TestSweepTamWidths:
         sweep = sweep_tam_widths(small_soc, widths=(2, 4, 8))
         assert sweep.widths == (2, 4, 8)
         for width, time in zip(sweep.widths, sweep.testing_times):
-            assert time == schedule_soc(small_soc, width).makespan
+            assert time == run_paper_scheduler(small_soc, width).makespan
 
     def test_sweep_requires_widths(self, small_soc):
         with pytest.raises(ValueError):
             sweep_tam_widths(small_soc, widths=())
+
+    @pytest.mark.parametrize("sweep", [sweep_tam_widths, parallel_tam_sweep])
+    @pytest.mark.parametrize("bad", [16.9, "16", True])
+    def test_sweep_rejects_non_integer_widths(self, small_soc, sweep, bad):
+        with pytest.raises(ValueError, match="TAM widths must be integers"):
+            sweep(small_soc, [bad, 32])
 
     def test_sweep_with_custom_scheduler(self, small_soc):
         calls = []

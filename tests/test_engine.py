@@ -1,5 +1,6 @@
 """Tests for the parallel parameter-sweep engine (repro.engine)."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -8,18 +9,14 @@ import sys
 import pytest
 
 from repro.core.data_volume import sweep_tam_widths
-from repro.core.scheduler import best_schedule
+from repro.core.grid_sweep import run_grid_sweep
+from repro.core.scheduler import SchedulerConfig
 from repro.engine import (
     EngineContext,
     EngineError,
-    GridError,
     JobResult,
-    ParameterGrid,
     ScheduleJob,
     SweepResults,
-    best_schedule_grid,
-    config_grid,
-    expand_config_jobs,
     mode_constraint_sets,
     parallel_tam_sweep,
     run_jobs,
@@ -36,48 +33,19 @@ SMALL_DELTAS = (0, 2)
 SMALL_SLACKS = (0, 3)
 
 
-class TestParameterGrid:
-    def test_row_major_expansion_order(self):
-        grid = ParameterGrid.of(a=(1, 2), b=("x", "y"))
-        assert list(grid.points()) == [
-            {"a": 1, "b": "x"},
-            {"a": 1, "b": "y"},
-            {"a": 2, "b": "x"},
-            {"a": 2, "b": "y"},
-        ]
-
-    def test_len_is_product_of_axis_sizes(self):
-        grid = ParameterGrid.of(a=(1, 2, 3), b=(1, 2), c=(1, 2, 3, 4))
-        assert len(grid) == 24
-        assert len(list(grid.points())) == 24
-        assert len(ParameterGrid()) == 0
-
-    def test_enumerate_points_assigns_serial_indexes(self):
-        grid = ParameterGrid.of(a=(1, 2), b=(1, 2))
-        indexed = list(grid.enumerate_points(start=10))
-        assert [index for index, _ in indexed] == [10, 11, 12, 13]
-
-    def test_from_dict_preserves_axis_order(self):
-        grid = ParameterGrid.from_dict({"b": (1,), "a": (2,)})
-        assert grid.names == ("b", "a")
-        assert grid.values("a") == (2,)
-
-    def test_rejects_empty_axis(self):
-        with pytest.raises(GridError):
-            ParameterGrid.of(a=())
-
-    def test_rejects_duplicate_axis_name(self):
-        with pytest.raises(GridError):
-            ParameterGrid((("a", (1,)), ("a", (2,))))
-
-    def test_unknown_axis_lookup(self):
-        with pytest.raises(GridError):
-            ParameterGrid.of(a=(1,)).values("b")
-
-    def test_with_axis_replaces_and_appends(self):
-        grid = ParameterGrid.of(a=(1,), b=(2,))
-        assert grid.with_axis("a", (9, 10)).values("a") == (9, 10)
-        assert grid.with_axis("c", (3,)).names == ("a", "b", "c")
+def _grid_jobs(soc_name, width, percents, deltas, slacks, constraints=None, start=0):
+    """One ``paper`` job per (percent, delta, slack) point, percent outermost."""
+    points = itertools.product(percents, deltas, slacks)
+    return [
+        ScheduleJob(
+            index=start + offset,
+            soc=soc_name,
+            width=width,
+            config=SchedulerConfig(percent=percent, delta=delta, insertion_slack=slack),
+            constraints=constraints,
+        )
+        for offset, (percent, delta, slack) in enumerate(points)
+    ]
 
 
 class TestJobsAndContext:
@@ -86,6 +54,14 @@ class TestJobsAndContext:
             ScheduleJob(index=-1, soc="s", width=8)
         with pytest.raises(EngineError):
             ScheduleJob(index=0, soc="s", width=0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("index", 0.5), ("index", True), ("width", 16.5), ("width", True)]
+    )
+    def test_job_rejects_non_integer_index_and_width(self, field, value):
+        fields = {"index": 0, "soc": "s", "width": 16, field: value}
+        with pytest.raises(EngineError, match=f"job {field} must be an integer"):
+            ScheduleJob(**fields)
 
     def test_job_tags(self):
         job = ScheduleJob(index=0, soc="s", width=8, tags=(("mode", "np"),))
@@ -123,12 +99,7 @@ class TestSerialParallelEquality:
     @pytest.fixture
     def context_and_jobs(self, small_soc):
         context = EngineContext.for_soc(small_soc)
-        jobs = expand_config_jobs(
-            small_soc.name,
-            12,
-            config_grid(SMALL_PERCENTS, SMALL_DELTAS, SMALL_SLACKS),
-            group=(small_soc.name, 12),
-        )
+        jobs = _grid_jobs(small_soc.name, 12, SMALL_PERCENTS, SMALL_DELTAS, SMALL_SLACKS)
         return context, jobs
 
     def test_parallel_results_bit_identical_to_serial(self, context_and_jobs):
@@ -141,24 +112,48 @@ class TestSerialParallelEquality:
             assert left.schedule == right.schedule
             assert left.schedule.segments == right.schedule.segments
 
-    def test_best_schedule_grid_matches_best_schedule(self, small_soc):
-        reference = best_schedule(
+    def test_best_jobs_match_run_grid_sweep(self, small_soc):
+        reference = run_grid_sweep(
             small_soc,
             12,
             percents=SMALL_PERCENTS,
             deltas=SMALL_DELTAS,
             slacks=SMALL_SLACKS,
         )
+        job = ScheduleJob(
+            index=0,
+            soc=small_soc.name,
+            width=12,
+            solver="best",
+            options={
+                "percents": SMALL_PERCENTS,
+                "deltas": SMALL_DELTAS,
+                "slacks": SMALL_SLACKS,
+            },
+        )
+        context = EngineContext.for_soc(small_soc)
         for workers in (0, 1, 3):
-            candidate = best_schedule_grid(
-                small_soc,
-                12,
-                percents=SMALL_PERCENTS,
-                deltas=SMALL_DELTAS,
-                slacks=SMALL_SLACKS,
-                workers=workers,
-            )
-            assert candidate == reference
+            (result,) = run_jobs([job], context, workers=workers)
+            assert result.makespan == reference.makespan
+            assert result.schedule == reference.schedule
+
+    def test_run_table1_cells_match_direct_sweeps(self, small_soc):
+        widths = (8, 12)
+        grid = dict(percents=SMALL_PERCENTS, deltas=SMALL_DELTAS, slacks=SMALL_SLACKS)
+        constraints = mode_constraint_sets(small_soc)
+        rows = run_table1(small_soc, widths=widths, workers=0, **grid)
+        assert [row.width for row in rows] == list(widths)
+        for row in rows:
+            cells = {
+                "non_preemptive": None,
+                "preemptive": constraints["preemptive"],
+                "power_constrained": constraints["power_constrained"],
+            }
+            for column, mode_constraints in cells.items():
+                direct = run_grid_sweep(
+                    small_soc, row.width, constraints=mode_constraints, **grid
+                )
+                assert getattr(row, column) == direct.makespan, (row.width, column)
 
     def test_parallel_tam_sweep_matches_serial_sweep(self, small_soc):
         widths = tuple(range(4, 17, 4))
@@ -194,19 +189,13 @@ class TestSerialParallelEquality:
         jobs = []
         for mode in (None, "preemptive", "power_constrained"):
             jobs.extend(
-                expand_config_jobs(
-                    small_soc.name,
-                    10,
-                    config_grid((1, 5), (0, 2), (3,)),
-                    constraints_key=mode,
-                    group=(mode,),
-                    start_index=len(jobs),
+                _grid_jobs(
+                    small_soc.name, 10, (1, 5), (0, 2), (3,), constraints=mode, start=len(jobs)
                 )
             )
         serial = run_jobs(jobs, context, workers=0)
         parallel = run_jobs(jobs, context, workers=3)
         assert tuple(serial) == tuple(parallel)
-        assert serial.best_by_group() == parallel.best_by_group()
 
 
 class TestWorkerEdgeCases:
@@ -241,36 +230,16 @@ class TestWorkerEdgeCases:
 
 
 def _result_with(index, group, makespan):
-    """A synthetic JobResult for aggregation tests (no scheduling involved)."""
+    """A synthetic JobResult for ordering tests (no scheduling involved)."""
     job = ScheduleJob(index=index, soc="s", width=4, group=group)
     schedule = TestSchedule(soc_name="s", total_width=4, segments=())
     return JobResult(job=job, makespan=makespan, data_volume=0, schedule=schedule)
 
 
 class TestResults:
-    def test_best_by_group_tie_breaks_on_job_index(self):
-        results = SweepResults(
-            (
-                _result_with(2, ("g",), 100),
-                _result_with(0, ("g",), 100),
-                _result_with(1, ("g",), 200),
-            )
-        )
-        best = results.best_by_group()
-        assert best[("g",)].job.index == 0
-
     def test_results_sorted_by_job_index(self):
         results = SweepResults((_result_with(1, (), 5), _result_with(0, (), 3)))
         assert [result.job.index for result in results] == [0, 1]
-
-    def test_groups_and_best_for_group(self):
-        results = SweepResults(
-            (_result_with(0, ("a",), 7), _result_with(1, ("b",), 9))
-        )
-        assert results.groups == [("a",), ("b",)]
-        assert results.best_for_group(("b",)).makespan == 9
-        with pytest.raises(EngineError):
-            results.best_for_group(("missing",))
 
     def test_csv_and_json_export(self, tmp_path, small_soc):
         context = EngineContext.for_soc(small_soc)

@@ -312,14 +312,15 @@ class TestPrecisePriming:
         info = session.cache_info()
         assert info.entries == 1
 
-    def test_prime_legacy_width_form_covers_every_soc(self):
+    def test_prime_pairs_for_every_soc_cover_every_core(self):
         small = get_benchmark("d695")
-        context = EngineContext.for_soc(small)
+        big = get_benchmark("p93791")
+        context = EngineContext(socs={small.name: small, big.name: big})
         session = get_default_session()
         session.clear_cache()
-        primed = prime_context_caches(context, (16,))
-        assert primed == len(small.cores)
-        assert session.cache_info().entries == 1
+        primed = prime_context_caches(context, {(small.name, 16), (big.name, 16)})
+        assert primed == len(small.cores) + len(big.cores)
+        assert session.cache_info().entries == 2
 
     def test_run_jobs_primes_exactly_the_job_pairs(self):
         small = get_benchmark("d695")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scheduler import schedule_soc
+from repro.core.scheduler import run_paper_scheduler
 from repro.schedule.gantt import render_gantt
 from repro.schedule.schedule import ScheduleSegment, TestSchedule
 
@@ -54,7 +54,7 @@ class TestRenderGantt:
         assert "utilisation" in render_gantt(_schedule())
 
     def test_renders_real_schedule(self, d695_soc):
-        schedule = schedule_soc(d695_soc, 32)
+        schedule = run_paper_scheduler(d695_soc, 32)
         text = render_gantt(schedule)
         for core in d695_soc.core_names:
             assert core in text

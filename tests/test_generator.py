@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.lower_bounds import lower_bound
-from repro.core.scheduler import schedule_soc
+from repro.core.scheduler import run_paper_scheduler
 from repro.soc.generator import GeneratorProfile, generate_soc, generate_soc_family
 
 
@@ -64,7 +64,7 @@ class TestGenerateSoc:
         profile = GeneratorProfile(min_cores=4, max_cores=6, max_scan_cells=800, max_patterns=60)
         for seed in range(3):
             soc = generate_soc(seed, profile=profile)
-            schedule = schedule_soc(soc, 16)
+            schedule = run_paper_scheduler(soc, 16)
             schedule.validate(soc)
             assert schedule.makespan >= lower_bound(soc, 16)
 

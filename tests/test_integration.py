@@ -10,13 +10,10 @@ import pytest
 
 from repro import (
     ConstraintSet,
-    best_schedule,
     d695,
-    fixed_width_schedule,
     lower_bound,
     render_gantt,
-    schedule_soc,
-    shelf_schedule,
+    run_grid_sweep,
     sweep_tam_widths,
     tester_data_volume,
 )
@@ -27,6 +24,8 @@ from repro.analysis.experiments import (
     run_table1,
     run_table2,
 )
+from repro.baselines import run_fixed_width, run_shelf
+from repro.core.scheduler import run_paper_scheduler
 
 
 GRID = dict(percents=(1, 10, 25), deltas=(0, 2), slacks=(0, 3))
@@ -52,16 +51,16 @@ class TestFullPipelineD695:
 
     def test_schedules_for_all_modes_are_valid(self, soc):
         width = 24
-        non_preemptive = best_schedule(soc, width, **GRID)
+        non_preemptive = run_grid_sweep(soc, width, **GRID).schedule
         non_preemptive.validate(soc)
 
         limits = preemption_limits(soc)
         preemptive_constraints = ConstraintSet.for_soc(soc, max_preemptions=limits)
-        preemptive = best_schedule(soc, width, constraints=preemptive_constraints, **GRID)
+        preemptive = run_grid_sweep(soc, width, constraints=preemptive_constraints, **GRID).schedule
         preemptive.validate(soc, preemptive_constraints)
 
         power_constraints = preemptive_constraints.with_power_max(power_budget(soc))
-        constrained = best_schedule(soc, width, constraints=power_constraints, **GRID)
+        constrained = run_grid_sweep(soc, width, constraints=power_constraints, **GRID).schedule
         constrained.validate(soc, power_constraints)
         assert constrained.peak_power(soc) <= power_budget(soc)
 
@@ -75,7 +74,7 @@ class TestFullPipelineD695:
 
     def test_gantt_renders_for_every_width(self, soc):
         for width in (16, 48):
-            text = render_gantt(schedule_soc(soc, width))
+            text = render_gantt(run_paper_scheduler(soc, width))
             assert "d695" in text
 
 
@@ -83,9 +82,9 @@ class TestQualitativeClaims:
     def test_flexible_beats_baselines_on_d695(self):
         soc = d695()
         width = 64
-        flexible = best_schedule(soc, width, **GRID).makespan
-        assert flexible < fixed_width_schedule(soc, width, max_buses=3).makespan
-        assert flexible <= shelf_schedule(soc, width).makespan
+        flexible = run_grid_sweep(soc, width, **GRID).schedule.makespan
+        assert flexible < run_fixed_width(soc, width, max_buses=3).makespan
+        assert flexible <= run_shelf(soc, width).makespan
 
     def test_staircase_and_volume_minima_relationship(self):
         """Figure 9: D(W) = W*T(W) has its minima on Pareto widths of T(W)."""
@@ -105,8 +104,8 @@ class TestQualitativeClaims:
         constraints = ConstraintSet.for_soc(
             soc, max_preemptions=limits, power_max=power_budget(soc)
         )
-        wide_free = best_schedule(soc, 64, **GRID).makespan
-        wide_power = best_schedule(soc, 64, constraints=constraints, **GRID).makespan
+        wide_free = run_grid_sweep(soc, 64, **GRID).schedule.makespan
+        wide_power = run_grid_sweep(soc, 64, constraints=constraints, **GRID).schedule.makespan
         assert wide_power >= wide_free
 
     def test_volume_at_min_width_versus_time_tradeoff(self):
@@ -126,12 +125,12 @@ class TestQualitativeClaims:
 
         soc = p93791()
         start = time.perf_counter()
-        schedule = schedule_soc(soc, 64)
+        schedule = run_paper_scheduler(soc, 64)
         elapsed = time.perf_counter() - start
         assert schedule.makespan >= lower_bound(soc, 64)
         assert elapsed < 5.0
 
     def test_volume_function_consistency(self):
         soc = d695()
-        schedule = schedule_soc(soc, 32)
+        schedule = run_paper_scheduler(soc, 32)
         assert tester_data_volume(schedule) == 32 * schedule.makespan

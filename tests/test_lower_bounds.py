@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.lower_bounds import area_lower_bound, bottleneck_lower_bound, lower_bound
 from repro.core.rectangles import build_rectangle_sets
-from repro.core.scheduler import schedule_soc
+from repro.core.scheduler import run_paper_scheduler
 from repro.soc.core import Core
 from repro.soc.soc import Soc
 
@@ -69,7 +69,7 @@ class TestBehaviour:
     def test_any_schedule_respects_the_bound(self, small_soc, d695_soc):
         for soc in (small_soc, d695_soc):
             for width in (4, 16, 32):
-                schedule = schedule_soc(soc, width)
+                schedule = run_paper_scheduler(soc, width)
                 assert schedule.makespan >= lower_bound(soc, width)
 
     def test_halving_width_roughly_doubles_area_bound(self, d695_soc):

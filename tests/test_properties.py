@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.lower_bounds import lower_bound
 from repro.core.rectangles import RectangleSet, build_rectangle_sets
-from repro.core.scheduler import schedule_soc
+from repro.core.scheduler import run_paper_scheduler
 from repro.soc.constraints import ConstraintSet
 from repro.soc.core import Core
 from repro.soc.itc02 import format_soc, parse_soc_with_constraints
@@ -128,7 +128,7 @@ class TestSchedulerProperties:
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
     def test_schedule_is_valid_and_respects_lower_bound(self, soc, width):
-        schedule = schedule_soc(soc, width)
+        schedule = run_paper_scheduler(soc, width)
         schedule.validate(soc)
         assert schedule.peak_width() <= width
         assert schedule.makespan >= lower_bound(soc, width)
@@ -143,7 +143,7 @@ class TestSchedulerProperties:
     )
     def test_preemptive_schedule_is_valid(self, soc, width, limit):
         constraints = ConstraintSet.for_soc(soc, default_preemptions=limit)
-        schedule = schedule_soc(soc, width, constraints=constraints)
+        schedule = run_paper_scheduler(soc, width, constraints=constraints)
         schedule.validate(soc, constraints)
         for core in soc.core_names:
             assert schedule.preemptions_of(core) <= limit
@@ -155,7 +155,7 @@ class TestSchedulerProperties:
     def test_precedence_constraint_always_honoured(self, soc, width):
         names = soc.core_names
         constraints = ConstraintSet.for_soc(soc, precedence=[(names[0], names[1])])
-        schedule = schedule_soc(soc, width, constraints=constraints)
+        schedule = run_paper_scheduler(soc, width, constraints=constraints)
         schedule.validate(soc, constraints)
         assert (
             schedule.core_summary(names[1]).first_begin
@@ -169,7 +169,7 @@ class TestSchedulerProperties:
     def test_power_budget_always_honoured(self, soc, width):
         power_max = 1.05 * soc.max_test_power()
         constraints = ConstraintSet.for_soc(soc, power_max=power_max)
-        schedule = schedule_soc(soc, width, constraints=constraints)
+        schedule = run_paper_scheduler(soc, width, constraints=constraints)
         schedule.validate(soc, constraints)
         assert schedule.peak_power(soc) <= power_max + 1e-9
 
@@ -179,7 +179,7 @@ class TestSchedulerProperties:
     )
     def test_area_conservation(self, soc):
         """Occupied TAM area equals the sum of the packed rectangles' areas."""
-        schedule = schedule_soc(soc, 8)
+        schedule = run_paper_scheduler(soc, 8)
         sets = build_rectangle_sets(soc)
         expected = 0
         for core in soc.core_names:

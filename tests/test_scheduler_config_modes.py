@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.lower_bounds import lower_bound
-from repro.core.scheduler import SchedulerConfig, schedule_soc
+from repro.core.scheduler import SchedulerConfig, run_paper_scheduler
 from repro.soc.constraints import ConstraintSet
 from repro.soc.core import Core
 from repro.soc.soc import Soc
@@ -34,7 +34,7 @@ class TestHeuristicToggles:
     def test_disabled_heuristics_still_produce_valid_schedules(self, soc, kwargs):
         config = SchedulerConfig(**kwargs)
         for width in (4, 8, 16):
-            schedule = schedule_soc(soc, width, config=config)
+            schedule = run_paper_scheduler(soc, width, config=config)
             schedule.validate(soc)
             assert schedule.makespan >= lower_bound(soc, width)
 
@@ -42,8 +42,8 @@ class TestHeuristicToggles:
         """Disabling the insertion heuristic may leave wires idle but must not
         change correctness; with it enabled the makespan is usually no worse."""
         width = 12
-        with_insertion = schedule_soc(soc, width, config=SchedulerConfig()).makespan
-        without = schedule_soc(
+        with_insertion = run_paper_scheduler(soc, width, config=SchedulerConfig()).makespan
+        without = run_paper_scheduler(
             soc, width, config=SchedulerConfig(enable_idle_insertion=False)
         ).makespan
         assert with_insertion <= 1.2 * without
@@ -55,28 +55,28 @@ class TestHeuristicToggles:
         core = Core("solo", inputs=6, outputs=6, patterns=30, scan_chains=(20, 20, 20, 20))
         soc = Soc("solo", (core,))
         config = SchedulerConfig(percent=50)  # deliberately narrow preferred width
-        schedule = schedule_soc(soc, 32, config=config)
-        no_increase = schedule_soc(
+        schedule = run_paper_scheduler(soc, 32, config=config)
+        no_increase = run_paper_scheduler(
             soc, 32, config=SchedulerConfig(percent=50, enable_width_increase=False)
         )
         assert schedule.makespan <= no_increase.makespan
 
     def test_strict_mode_is_non_preemptive_equivalent_without_budget(self, soc):
-        plain = schedule_soc(soc, 8)
-        strict = schedule_soc(soc, 8, config=SchedulerConfig(strict_priority_resume=True))
+        plain = run_paper_scheduler(soc, 8)
+        strict = run_paper_scheduler(soc, 8, config=SchedulerConfig(strict_priority_resume=True))
         assert plain.makespan == strict.makespan
 
     def test_max_core_width_smaller_than_total(self, soc):
         config = SchedulerConfig(max_core_width=4)
-        schedule = schedule_soc(soc, 16, config=config)
+        schedule = run_paper_scheduler(soc, 16, config=config)
         schedule.validate(soc)
         assert all(segment.width <= 4 for segment in schedule.segments)
 
 
 class TestPreferredWidthEffects:
     def test_small_percent_prefers_wide_cores(self, soc):
-        wide = schedule_soc(soc, 32, config=SchedulerConfig(percent=0))
-        narrow = schedule_soc(soc, 32, config=SchedulerConfig(percent=60))
+        wide = run_paper_scheduler(soc, 32, config=SchedulerConfig(percent=0))
+        narrow = run_paper_scheduler(soc, 32, config=SchedulerConfig(percent=60))
         avg_width_wide = sum(s.width for s in wide.segments) / len(wide.segments)
         avg_width_narrow = sum(s.width for s in narrow.segments) / len(narrow.segments)
         assert avg_width_wide >= avg_width_narrow
@@ -89,8 +89,8 @@ class TestPreferredWidthEffects:
         )
         filler = Core("filler", inputs=4, outputs=4, patterns=10, scan_chains=(10, 10))
         soc = Soc("bump", (bottleneck, filler))
-        no_bump = schedule_soc(soc, 8, config=SchedulerConfig(percent=10, delta=0))
-        bump = schedule_soc(soc, 8, config=SchedulerConfig(percent=10, delta=4))
+        no_bump = run_paper_scheduler(soc, 8, config=SchedulerConfig(percent=10, delta=0))
+        bump = run_paper_scheduler(soc, 8, config=SchedulerConfig(percent=10, delta=4))
         width_no_bump = no_bump.core_summary("bottleneck").widths[0]
         width_bump = bump.core_summary("bottleneck").widths[0]
         assert width_bump >= width_no_bump
@@ -103,7 +103,7 @@ class TestConstraintEdgeCases:
             precedence=[("w1", "w2"), ("w2", "w3")],
             default_preemptions=2,
         )
-        schedule = schedule_soc(soc, 8, constraints=constraints)
+        schedule = run_paper_scheduler(soc, 8, constraints=constraints)
         schedule.validate(soc, constraints)
 
     def test_concurrency_clique_with_power(self, soc):
@@ -112,10 +112,10 @@ class TestConstraintEdgeCases:
             concurrency=[("w1", "w2"), ("w1", "w3"), ("w2", "w3")],
             power_max=2.0 * soc.max_test_power(),
         )
-        schedule = schedule_soc(soc, 16, constraints=constraints)
+        schedule = run_paper_scheduler(soc, 16, constraints=constraints)
         schedule.validate(soc, constraints)
 
     def test_width_one_with_constraints(self, soc):
         constraints = ConstraintSet.for_soc(soc, precedence=[("w5", "w1")])
-        schedule = schedule_soc(soc, 1, constraints=constraints)
+        schedule = run_paper_scheduler(soc, 1, constraints=constraints)
         schedule.validate(soc, constraints)

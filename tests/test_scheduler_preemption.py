@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.grid_sweep import run_grid_sweep
 from repro.core.rectangles import build_rectangle_sets
-from repro.core.scheduler import SchedulerConfig, best_schedule, schedule_soc
+from repro.core.scheduler import SchedulerConfig, run_paper_scheduler
 from repro.soc.constraints import ConstraintSet
 from repro.soc.core import Core
 from repro.soc.soc import Soc
@@ -29,14 +30,14 @@ def preemption_soc():
 
 class TestPreemptionLimits:
     def test_default_is_non_preemptive(self, preemption_soc):
-        schedule = schedule_soc(preemption_soc, 8)
+        schedule = run_paper_scheduler(preemption_soc, 8)
         for core in preemption_soc.core_names:
             assert schedule.preemptions_of(core) == 0
 
     def test_preemption_limits_respected(self, preemption_soc):
         constraints = ConstraintSet.for_soc(preemption_soc, default_preemptions=2)
         for width in (6, 8, 12):
-            schedule = schedule_soc(preemption_soc, width, constraints=constraints)
+            schedule = run_paper_scheduler(preemption_soc, width, constraints=constraints)
             schedule.validate(preemption_soc, constraints)
             for core in preemption_soc.core_names:
                 assert schedule.preemptions_of(core) <= 2
@@ -47,7 +48,7 @@ class TestPreemptionLimits:
             max_preemptions={"short_0": 3, "short_1": 1},
             default_preemptions=0,
         )
-        schedule = schedule_soc(preemption_soc, 8, constraints=constraints)
+        schedule = run_paper_scheduler(preemption_soc, 8, constraints=constraints)
         schedule.validate(preemption_soc, constraints)
         assert schedule.preemptions_of("short_1") <= 1
         for core in ("long_a", "long_b", "short_2", "short_3"):
@@ -56,7 +57,7 @@ class TestPreemptionLimits:
     def test_preempted_core_keeps_its_width(self, preemption_soc):
         """The paper fixes a rectangle's width once packed; resumed pieces reuse it."""
         constraints = ConstraintSet.for_soc(preemption_soc, default_preemptions=3)
-        schedule = schedule_soc(preemption_soc, 8, constraints=constraints)
+        schedule = run_paper_scheduler(preemption_soc, 8, constraints=constraints)
         for core in preemption_soc.core_names:
             widths = {seg.width for seg in schedule.segments_for(core)}
             assert len(widths) == 1
@@ -67,7 +68,7 @@ class TestPreemptionBehaviour:
         """A core preempted k times runs k*(si+so) cycles longer in total."""
         sets = build_rectangle_sets(preemption_soc)
         constraints = ConstraintSet.for_soc(preemption_soc, default_preemptions=3)
-        schedule = schedule_soc(preemption_soc, 8, constraints=constraints)
+        schedule = run_paper_scheduler(preemption_soc, 8, constraints=constraints)
         for core in preemption_soc.core_names:
             summary = schedule.core_summary(core)
             width = summary.widths[0]
@@ -76,18 +77,18 @@ class TestPreemptionBehaviour:
             assert summary.total_time == base + summary.preemptions * overhead
 
     def test_preemptive_never_catastrophically_worse(self, preemption_soc):
-        non_preemptive = best_schedule(
+        non_preemptive = run_grid_sweep(
             preemption_soc, 8, percents=(1, 10, 25), deltas=(0, 2), slacks=(0, 3)
-        )
+        ).schedule
         constraints = ConstraintSet.for_soc(preemption_soc, default_preemptions=2)
-        preemptive = best_schedule(
+        preemptive = run_grid_sweep(
             preemption_soc,
             8,
             constraints=constraints,
             percents=(1, 10, 25),
             deltas=(0, 2),
             slacks=(0, 3),
-        )
+        ).schedule
         # The paper observes preemption usually helps and occasionally costs a
         # little (the si+so resume penalty); 5 % is a generous envelope.
         assert preemptive.makespan <= 1.05 * non_preemptive.makespan
@@ -97,7 +98,7 @@ class TestPreemptionBehaviour:
         constraints = ConstraintSet.for_soc(d695_soc, default_preemptions=2)
         preempted = 0
         for width in (16, 24, 32, 48):
-            schedule = schedule_soc(
+            schedule = run_paper_scheduler(
                 d695_soc, width, constraints=constraints, config=SchedulerConfig(percent=10)
             )
             schedule.validate(d695_soc, constraints)
@@ -106,14 +107,14 @@ class TestPreemptionBehaviour:
 
     def test_zero_limit_equals_plain_schedule(self, preemption_soc):
         constraints = ConstraintSet.for_soc(preemption_soc, default_preemptions=0)
-        with_constraints = schedule_soc(preemption_soc, 8, constraints=constraints)
-        plain = schedule_soc(preemption_soc, 8)
+        with_constraints = run_paper_scheduler(preemption_soc, 8, constraints=constraints)
+        plain = run_paper_scheduler(preemption_soc, 8)
         assert with_constraints.makespan == plain.makespan
 
     def test_strict_priority_resume_still_valid(self, preemption_soc):
         constraints = ConstraintSet.for_soc(preemption_soc, default_preemptions=2)
         config = SchedulerConfig(strict_priority_resume=True)
-        schedule = schedule_soc(preemption_soc, 8, constraints=constraints, config=config)
+        schedule = run_paper_scheduler(preemption_soc, 8, constraints=constraints, config=config)
         schedule.validate(preemption_soc, constraints)
 
 
@@ -123,7 +124,7 @@ class TestPreemptionWithOtherConstraints:
         constraints = ConstraintSet.for_soc(
             preemption_soc, default_preemptions=2, power_max=power_max
         )
-        schedule = schedule_soc(preemption_soc, 12, constraints=constraints)
+        schedule = run_paper_scheduler(preemption_soc, 12, constraints=constraints)
         schedule.validate(preemption_soc, constraints)
 
     def test_preemption_with_precedence(self, preemption_soc):
@@ -132,7 +133,7 @@ class TestPreemptionWithOtherConstraints:
             default_preemptions=2,
             precedence=[("short_0", "long_a")],
         )
-        schedule = schedule_soc(preemption_soc, 8, constraints=constraints)
+        schedule = run_paper_scheduler(preemption_soc, 8, constraints=constraints)
         schedule.validate(preemption_soc, constraints)
         assert (
             schedule.core_summary("long_a").first_begin

@@ -1,21 +1,19 @@
 """Tests for the unified solver registry (repro.solvers).
 
-Covers the ISSUE's acceptance criteria: every registered solver runs
-through ``Session.solve(ScheduleRequest(...))`` with makespans identical to
-the legacy free functions, the legacy functions survive as deprecated
-shims, every solver output validates structurally, and the session's
-Pareto rectangle cache is shared across solvers and widths.
+Every registered solver runs through ``Session.solve(ScheduleRequest(...))``
+with results identical to its direct ``run_*`` entry point, every solver
+output validates structurally, and the session's Pareto rectangle cache is
+shared across solvers and widths.
 """
-
-import warnings
 
 import pytest
 
-from repro.baselines.exact import exhaustive_schedule
-from repro.baselines.fixed_width import fixed_width_schedule
-from repro.baselines.shelf import shelf_schedule
+from repro.baselines.exact import run_exhaustive
+from repro.baselines.fixed_width import run_fixed_width
+from repro.baselines.shelf import run_shelf
+from repro.core.grid_sweep import run_grid_sweep
 from repro.core.lower_bounds import lower_bound
-from repro.core.scheduler import best_schedule, schedule_soc
+from repro.core.scheduler import run_paper_scheduler
 from repro.engine.jobs import EngineContext, ScheduleJob
 from repro.engine.runner import run_jobs
 from repro.schedule.schedule import ScheduleError, ScheduleSegment, TestSchedule
@@ -47,13 +45,6 @@ def session():
 @pytest.fixture(scope="module")
 def p93791_soc_module():
     return p93791()
-
-
-def _legacy(func, *args, **kwargs):
-    """Call a deprecated shim with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return func(*args, **kwargs)
 
 
 class TestRegistry:
@@ -125,35 +116,35 @@ class TestRegistry:
 
 
 class TestSolverEquivalence:
-    """Registry results must be identical to the legacy entry points."""
+    """Registry results must be identical to the direct entry points."""
 
     @pytest.mark.parametrize("width", (16, 32, 64))
-    def test_paper_matches_schedule_soc_on_d695(self, session, d695_soc, width):
+    def test_paper_matches_direct_call_on_d695(self, session, d695_soc, width):
         result = session.solve(ScheduleRequest(soc=d695_soc, total_width=width))
-        legacy = _legacy(schedule_soc, d695_soc, width)
-        assert result.schedule == legacy
-        assert result.makespan == legacy.makespan
+        direct = run_paper_scheduler(d695_soc, width)
+        assert result.schedule == direct
+        assert result.makespan == direct.makespan
 
     @pytest.mark.parametrize("width", (16, 32, 64))
-    def test_paper_matches_schedule_soc_on_p93791(
+    def test_paper_matches_direct_call_on_p93791(
         self, session, p93791_soc_module, width
     ):
         result = session.solve(
             ScheduleRequest(soc=p93791_soc_module, total_width=width)
         )
-        legacy = _legacy(schedule_soc, p93791_soc_module, width)
-        assert result.schedule == legacy
+        direct = run_paper_scheduler(p93791_soc_module, width)
+        assert result.schedule == direct
 
     @pytest.mark.parametrize("width", (16, 32, 64))
     def test_fixed_width_matches_legacy(self, session, d695_soc, width):
         result = session.solve(
             ScheduleRequest(soc=d695_soc, total_width=width, solver="fixed-width")
         )
-        legacy = _legacy(fixed_width_schedule, d695_soc, width)
-        assert result.makespan == legacy.makespan
-        assert result.schedule == legacy.schedule
-        assert tuple(result.metadata["bus_widths"]) == legacy.bus_widths
-        assert result.metadata["assignment"] == legacy.assignment
+        direct = run_fixed_width(d695_soc, width)
+        assert result.makespan == direct.makespan
+        assert result.schedule == direct.schedule
+        assert tuple(result.metadata["bus_widths"]) == direct.bus_widths
+        assert result.metadata["assignment"] == direct.assignment
 
     @pytest.mark.parametrize("width", (16, 32, 64))
     def test_fixed_width_matches_legacy_on_p93791(
@@ -164,34 +155,34 @@ class TestSolverEquivalence:
                 soc=p93791_soc_module, total_width=width, solver="fixed-width"
             )
         )
-        legacy = _legacy(fixed_width_schedule, p93791_soc_module, width)
-        assert result.makespan == legacy.makespan
-        assert result.schedule == legacy.schedule
+        direct = run_fixed_width(p93791_soc_module, width)
+        assert result.makespan == direct.makespan
+        assert result.schedule == direct.schedule
 
     @pytest.mark.parametrize("width", (16, 32, 64))
     def test_shelf_matches_legacy(self, session, d695_soc, width):
         result = session.solve(
             ScheduleRequest(soc=d695_soc, total_width=width, solver="shelf")
         )
-        assert result.schedule == _legacy(shelf_schedule, d695_soc, width)
+        assert result.schedule == run_shelf(d695_soc, width)
 
     @pytest.mark.parametrize("width", (16, 32, 64))
     def test_shelf_matches_legacy_on_p93791(self, session, p93791_soc_module, width):
         result = session.solve(
             ScheduleRequest(soc=p93791_soc_module, total_width=width, solver="shelf")
         )
-        assert result.schedule == _legacy(shelf_schedule, p93791_soc_module, width)
+        assert result.schedule == run_shelf(p93791_soc_module, width)
 
     def test_exhaustive_matches_legacy(self, session, small_soc):
         result = session.solve(
             ScheduleRequest(soc=small_soc, total_width=8, solver="exhaustive")
         )
-        assert result.schedule == _legacy(exhaustive_schedule, small_soc, 8)
+        assert result.schedule == run_exhaustive(small_soc, 8)
 
     def test_exhaustive_refuses_large_socs_like_legacy(self, session, d695_soc):
         request = ScheduleRequest(soc=d695_soc, total_width=16, solver="exhaustive")
         # The refusal surfaces as SolverError (which is still a ValueError,
-        # like the legacy function raised), so callers handle one type.
+        # like run_exhaustive raises), so callers handle one type.
         with pytest.raises(SolverError, match="limited to"):
             session.solve(request)
 
@@ -209,7 +200,6 @@ class TestSolverEquivalence:
 
     def test_mismatched_rectangle_sets_rejected(self, small_soc):
         from repro.core.rectangles import build_rectangle_sets
-        from repro.core.scheduler import run_paper_scheduler
 
         wrong = build_rectangle_sets(small_soc, max_width=16)
         with pytest.raises(ValueError, match="max_width"):
@@ -221,8 +211,8 @@ class TestSolverEquivalence:
                 soc=d695_soc, total_width=32, solver="best", options=SMALL_GRID
             )
         )
-        legacy = _legacy(best_schedule, d695_soc, 32, **SMALL_GRID)
-        assert result.schedule == legacy
+        direct = run_grid_sweep(d695_soc, 32, **SMALL_GRID).schedule
+        assert result.schedule == direct
         assert result.metadata["grid_points"] == 4
 
     def test_lower_bound_matches_legacy(self, session, d695_soc):
@@ -250,8 +240,8 @@ class TestSolverEquivalence:
         result = session.solve(
             ScheduleRequest(soc=small_soc, total_width=8, constraints=constraints)
         )
-        legacy = _legacy(schedule_soc, small_soc, 8, constraints=constraints)
-        assert result.schedule == legacy
+        direct = run_paper_scheduler(small_soc, 8, constraints=constraints)
+        assert result.schedule == direct
 
 
 class TestSolverOutputsValidate:
@@ -310,55 +300,38 @@ class TestSolverOutputsValidate:
             schedule.validate()
 
 
-class TestDeprecatedShims:
-    """Satellite: legacy functions warn and agree with the registry on d695."""
+class TestDirectEntryPoints:
+    """Each solver's ``Session.solve`` result equals its direct ``run_*`` call."""
 
-    def test_schedule_soc_warns_and_matches_registry(self, d695_soc):
-        session = Session()
-        registry_result = session.solve(
-            ScheduleRequest(soc=d695_soc, total_width=32)
-        )
-        with pytest.warns(DeprecationWarning, match="schedule_soc"):
-            shim = schedule_soc(d695_soc, 32)
-        assert shim == registry_result.schedule
+    def test_paper_matches_run_paper_scheduler(self, d695_soc):
+        result = Session().solve(ScheduleRequest(soc=d695_soc, total_width=32))
+        assert result.schedule == run_paper_scheduler(d695_soc, 32)
 
-    def test_best_schedule_warns_and_matches_registry(self, d695_soc):
-        session = Session()
-        registry_result = session.solve(
+    def test_best_matches_run_grid_sweep(self, d695_soc):
+        result = Session().solve(
             ScheduleRequest(
                 soc=d695_soc, total_width=16, solver="best", options=SMALL_GRID
             )
         )
-        with pytest.warns(DeprecationWarning, match="best_schedule"):
-            shim = best_schedule(d695_soc, 16, **SMALL_GRID)
-        assert shim == registry_result.schedule
+        assert result.schedule == run_grid_sweep(d695_soc, 16, **SMALL_GRID).schedule
 
-    def test_fixed_width_schedule_warns_and_matches_registry(self, d695_soc):
-        session = Session()
-        registry_result = session.solve(
+    def test_fixed_width_matches_run_fixed_width(self, d695_soc):
+        result = Session().solve(
             ScheduleRequest(soc=d695_soc, total_width=32, solver="fixed-width")
         )
-        with pytest.warns(DeprecationWarning, match="fixed_width_schedule"):
-            shim = fixed_width_schedule(d695_soc, 32)
-        assert shim.schedule == registry_result.schedule
+        assert result.schedule == run_fixed_width(d695_soc, 32).schedule
 
-    def test_shelf_schedule_warns_and_matches_registry(self, d695_soc):
-        session = Session()
-        registry_result = session.solve(
+    def test_shelf_matches_run_shelf(self, d695_soc):
+        result = Session().solve(
             ScheduleRequest(soc=d695_soc, total_width=32, solver="shelf")
         )
-        with pytest.warns(DeprecationWarning, match="shelf_schedule"):
-            shim = shelf_schedule(d695_soc, 32)
-        assert shim == registry_result.schedule
+        assert result.schedule == run_shelf(d695_soc, 32)
 
-    def test_exhaustive_schedule_warns_and_matches_registry(self, small_soc):
-        session = Session()
-        registry_result = session.solve(
+    def test_exhaustive_matches_run_exhaustive(self, small_soc):
+        result = Session().solve(
             ScheduleRequest(soc=small_soc, total_width=8, solver="exhaustive")
         )
-        with pytest.warns(DeprecationWarning, match="exhaustive_schedule"):
-            shim = exhaustive_schedule(small_soc, 8)
-        assert shim == registry_result.schedule
+        assert result.schedule == run_exhaustive(small_soc, 8)
 
 
 class TestSessionCache:
@@ -406,8 +379,8 @@ class TestEngineIntegration:
             ScheduleJob(index=1, soc=small_soc.name, width=8),
         ]
         results = run_jobs(jobs, context, workers=0)
-        assert results[0].schedule == _legacy(shelf_schedule, small_soc, 8)
-        assert results[1].schedule == _legacy(schedule_soc, small_soc, 8)
+        assert results[0].schedule == run_shelf(small_soc, 8)
+        assert results[1].schedule == run_paper_scheduler(small_soc, 8)
 
     def test_bound_only_solver_rejected_as_job(self, small_soc):
         from repro.engine.jobs import EngineError

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scheduler import schedule_soc
+from repro.core.scheduler import run_paper_scheduler
 from repro.soc.core import Core
 from repro.wrapper.design_wrapper import design_wrapper, testing_time
 from repro.wrapper.report import (
@@ -52,14 +52,14 @@ class TestCoreWrapperPlan:
 
 class TestSchedulePlans:
     def test_plans_cover_every_core(self, small_soc):
-        schedule = schedule_soc(small_soc, 8)
+        schedule = run_paper_scheduler(small_soc, 8)
         plans = wrapper_plans_for_schedule(small_soc, schedule)
         assert set(plans) == set(small_soc.core_names)
         for name, plan in plans.items():
             assert plan.tam_width == schedule.core_summary(name).widths[0]
 
     def test_plan_testing_time_matches_wrapper_model(self, small_soc):
-        schedule = schedule_soc(small_soc, 8)
+        schedule = run_paper_scheduler(small_soc, 8)
         plans = wrapper_plans_for_schedule(small_soc, schedule)
         for name, plan in plans.items():
             expected = testing_time(small_soc.core(name), plan.tam_width)
@@ -81,7 +81,7 @@ class TestFormatting:
         assert "(unused)" in text
 
     def test_format_soc_plans(self, small_soc):
-        schedule = schedule_soc(small_soc, 8)
+        schedule = run_paper_scheduler(small_soc, 8)
         text = format_soc_wrapper_plans(small_soc, schedule)
         for name in small_soc.core_names:
             assert name in text
