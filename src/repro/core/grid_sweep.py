@@ -24,7 +24,11 @@ tests in ``tests/test_grid_sweep.py``):
   makespan found so far (``makespan_limit``); the scheduler abandons the
   run as soon as its event clock moves *strictly* past the bound, which
   can never eliminate a winner (an abandoned run is strictly worse than
-  the incumbent, and ties lose to the earlier grid point anyway).
+  the incumbent, and ties lose to the earlier grid point anyway).  The
+  paper's area bound, applied to the rest of the run, usually proves that
+  within a few events of ``t = 0``: once ``W * t`` plus the wire-cycles
+  the unfinished tests still need exceeds ``W`` times the bound, the run
+  ends.
 * **Lower-bound early exit.**  Once a candidate meets the Table 1 lower
   bound (max of area and bottleneck bounds) no later grid point can beat
   it, so the sweep stops.

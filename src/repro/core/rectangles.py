@@ -157,10 +157,12 @@ class SocPlan:
     A best-over-grid solve runs the scheduler dozens of times on one SOC,
     and a session solves the same SOC again and again.  Everything those
     runs share is gathered here in ``soc.cores`` order: core names,
-    rectangle sets, test powers, BIST resources and each core's rank in
-    descending name order (the scheduler's heap tie-break).  Two maps fill
-    lazily: the preferred-width vector per ``(percent, delta, width cap)``
-    and the run-ordering estimate per ``(vector, total width)``.
+    rectangle sets, test powers, BIST resources, each core's rank in
+    descending name order (the scheduler's heap tie-break) and each core's
+    smallest area ``min_w w * T(w)`` with their total (the scheduler's area
+    floor).  Two maps fill lazily: the preferred-width vector per
+    ``(percent, delta, width cap)`` and the run-ordering estimate per
+    ``(vector, total width)``.
 
     Build one with :func:`soc_plan`, which stores it on the
     :class:`RectangleSets` it reads, so the plan lives exactly as long as
@@ -174,6 +176,8 @@ class SocPlan:
         "powers",
         "bist_resources",
         "desc_rank",
+        "min_areas",
+        "min_area_total",
         "any_bist",
         "_vectors",
         "_estimates",
@@ -192,6 +196,8 @@ class SocPlan:
         )
         rank = {name: index for index, name in enumerate(sorted(self.names, reverse=True))}
         self.desc_rank: Tuple[int, ...] = tuple(rank[name] for name in self.names)
+        self.min_areas: Tuple[int, ...] = tuple(rect.min_area for rect in self.rectangles)
+        self.min_area_total = sum(self.min_areas)
         self.any_bist = any(resource is not None for resource in self.bist_resources)
         self._vectors: Dict[Tuple[float, int, int], Tuple[int, ...]] = {}
         self._estimates: Dict[Tuple[Tuple[int, ...], int], int] = {}

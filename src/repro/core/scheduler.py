@@ -48,6 +48,9 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
+import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from typing import (
@@ -58,6 +61,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NoReturn,
     Optional,
     Sequence,
     Set,
@@ -85,6 +89,10 @@ class MakespanLimitExceeded(SchedulerError):
     found so far as ``makespan_limit``; once the event clock moves strictly
     past it, this run can no longer win (its makespan is at least the
     current time while tests remain incomplete) and is abandoned early.
+    The paper's area bound ends it sooner: after each assignment phase the
+    run knows ``W * t`` plus a lower bound on the wire-cycles its tests
+    still need, and once that exceeds ``W * makespan_limit`` the makespan
+    must too.
     """
 
 
@@ -150,7 +158,21 @@ class SchedulerConfig:
     use_candidate_heaps: bool = True
 
     def __post_init__(self) -> None:
-        if self.percent < 0:
+        # ``operator.index`` takes ints and int-likes and rejects floats and
+        # strings; a bool is refused too, or ``True`` would mean one wire.
+        for name in ("delta", "max_core_width", "insertion_slack"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        percent = self.percent
+        if (
+            isinstance(percent, bool)
+            or not isinstance(percent, numbers.Real)
+            or not math.isfinite(percent)
+        ):
+            raise ValueError(f"percent must be a finite number, got {percent!r}")
+        if percent < 0:
             raise ValueError("percent must be non-negative")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
@@ -192,6 +214,7 @@ class _CoreState:
         "power",
         "bist_resource",
         "rank",
+        "min_area",
         "remaining",
         "assigned_width",
         "begun",
@@ -213,6 +236,7 @@ class _CoreState:
         power: float,
         bist_resource: Optional[str],
         rank: int,
+        min_area: int,
     ) -> None:
         self.name = name
         self.rectangles = rectangles
@@ -221,6 +245,7 @@ class _CoreState:
         self.power = power
         self.bist_resource = bist_resource
         self.rank = rank
+        self.min_area = min_area
         self.remaining = 0
         self.assigned_width: Optional[int] = None
         self.begun = False
@@ -288,6 +313,16 @@ class _Scheduler:
     caller's vector in ``soc.cores`` order or the plan's cached vector for
     this config.  Nothing per core is sorted or recomputed per run.
 
+    Every run also keeps ``_area``, the paper's area bound applied to the
+    rest of the run: ``W * t`` plus the wire-cycles its started tests still
+    hold (width times remaining time, preemption overheads included) plus
+    each unstarted core's smallest area ``min_w w * T(w)``.  Only a width
+    increase can lower it, and only inside the assignment phase that
+    started the test; between phases it never falls, and at completion it
+    equals ``W * makespan``.  So once it passes ``W * makespan_limit`` after
+    a phase, a bounded run ends -- usually within a few events of ``t = 0``
+    when it cannot beat the incumbent.
+
     Candidate selection (``max``/``min`` with name tie-breaks) is invariant
     to pool iteration order, so schedules are bit-identical to the
     re-scanning implementation this replaces -- a property pinned by the
@@ -343,8 +378,8 @@ class _Scheduler:
             )
         limits = [constraints.preemption_limit(name) for name in plan.names]
         self.states: Dict[str, _CoreState] = {
-            name: _CoreState(name, rect, preferred, limit, power, bist, rank)
-            for name, rect, preferred, limit, power, bist, rank in zip(
+            name: _CoreState(name, rect, preferred, limit, power, bist, rank, area)
+            for name, rect, preferred, limit, power, bist, rank, area in zip(
                 plan.names,
                 plan.rectangles,
                 preferred_widths,
@@ -352,8 +387,12 @@ class _Scheduler:
                 plan.powers,
                 plan.bist_resources,
                 plan.desc_rank,
+                plan.min_areas,
             )
         }
+        # Lower bound on W * makespan (see the class docstring); kept in
+        # every run, checked only in bounded ones.
+        self._area = plan.min_area_total
         # Incremental pools and running totals (see class docstring).
         self._running: Dict[str, _CoreState] = {}
         self._paused: Dict[str, _CoreState] = {}
@@ -472,12 +511,15 @@ class _Scheduler:
                 # True preemption: resuming after a gap costs an extra
                 # scan-out + scan-in (Figure 6, line 5).
                 state.preemptions += 1
-                state.remaining += state.rectangles.preemption_overhead(width)
+                overhead = state.rectangles.preemption_overhead(width)
+                state.remaining += overhead
+                self._area += overhead * width
             del self._paused[state.name]
         else:
             width = state.rectangles.effective_width(width)
             state.assigned_width = width
             state.remaining = state.rectangles.time_at(width)
+            self._area += width * state.remaining - state.min_area
             state.begun = True
             state.first_begin = self.current_time
             del self._unstarted[state.name]
@@ -816,8 +858,10 @@ class _Scheduler:
             return False
         assert best.assigned_width is not None
         self._width_in_use += best_width - best.assigned_width
+        remaining = best.rectangles.time_at(best_width)
+        self._area += best_width * remaining - best.assigned_width * best.remaining
         best.assigned_width = best_width
-        best.remaining = best.rectangles.time_at(best_width)
+        best.remaining = remaining
         heapq.heappush(
             self._completion_heap,
             (self.current_time + best.remaining, best.name, best),
@@ -886,10 +930,11 @@ class _Scheduler:
             # is strictly worse than the incumbent: abandon the run.  The
             # strict comparison keeps a run that *ties* the limit alive,
             # which makes pruning safe in any evaluation order.
-            message = f"makespan exceeds {self.makespan_limit} at time {next_time}"
-            if self._board_limit:
-                raise IncumbentAbort(message)
-            raise MakespanLimitExceeded(message)
+            self._abort(f"makespan exceeds {self.makespan_limit} at time {next_time}")
+        # The wires left idle until the next event.
+        self._area += (self.total_width - self._width_in_use) * (
+            next_time - self.current_time
+        )
         self.current_time = next_time
         self._fresh_starts.clear()
         if self._no_preemption:
@@ -917,12 +962,17 @@ class _Scheduler:
                 self._pause(state)
             # else: non-preemptable (or exhausted) tests keep running.
 
+    def _abort(self, message: str) -> NoReturn:
+        """End a run that has proved it cannot meet ``makespan_limit``."""
+        if self._board_limit:
+            raise IncumbentAbort(message)
+        raise MakespanLimitExceeded(message)
+
     def run(self) -> TestSchedule:
         """Execute the scheduler and return the packed schedule."""
         total_cores = len(self.states)
         safety_limit = 10 * total_cores * (max(s.max_preemptions for s in self.states.values()) + 2)
         iterations = 0
-        check_floor = self._no_preemption and self.makespan_limit is not None
         while self._incomplete:
             iterations += 1
             if iterations > max(safety_limit, 1000):
@@ -930,22 +980,29 @@ class _Scheduler:
                     "scheduler failed to converge; this indicates an internal error"
                 )
             self._assignment_phase()
-            if check_floor:
-                # Without preemption a started test runs to completion at
-                # its now-final width, so each fresh start pins a floor on
-                # the makespan; a floor beyond the incumbent ends the run
-                # immediately (often at time 0, when a bad grid point gives
-                # the bottleneck core too narrow a preferred width).
-                limit = self.makespan_limit
-                for state in self._fresh_starts:
-                    if self.current_time + state.remaining > limit:
-                        message = (
-                            f"core {state.name!r} cannot finish before "
-                            f"{self.current_time + state.remaining} > {limit}"
-                        )
-                        if self._board_limit:
-                            raise IncumbentAbort(message)
-                        raise MakespanLimitExceeded(message)
+            limit = self.makespan_limit
+            if limit is not None:
+                # The area floor is checked only here, between phases: a
+                # width increase can still lower a fresh start's area
+                # mid-phase.
+                if self._area > limit * self.total_width:
+                    self._abort(
+                        f"area {self._area} exceeds {limit} x {self.total_width} "
+                        f"wire-cycles at time {self.current_time}"
+                    )
+                if self._no_preemption:
+                    # Without preemption a started test runs to completion
+                    # at its now-final width, so each fresh start pins a
+                    # floor on the makespan; a floor beyond the incumbent
+                    # ends the run immediately (often at time 0, when a bad
+                    # grid point gives the bottleneck core too narrow a
+                    # preferred width).
+                    for state in self._fresh_starts:
+                        if self.current_time + state.remaining > limit:
+                            self._abort(
+                                f"core {state.name!r} cannot finish before "
+                                f"{self.current_time + state.remaining} > {limit}"
+                            )
             if not self._incomplete:
                 break
             self._advance()
@@ -999,8 +1056,9 @@ def run_paper_scheduler(
         width cap), read once into a vector in ``soc.cores`` order.
         Without them the run takes the SOC plan's cached vector.
     makespan_limit:
-        Optional upper bound: once the event clock moves strictly past it
-        the run raises :class:`MakespanLimitExceeded` instead of finishing.
+        Optional upper bound: once the event clock, or the area floor
+        (see :class:`MakespanLimitExceeded`), moves strictly past it the
+        run raises :class:`MakespanLimitExceeded` instead of finishing.
         The grid sweep passes its incumbent best makespan here to prune
         runs that can no longer win.
     """

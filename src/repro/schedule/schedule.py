@@ -18,8 +18,9 @@ preempted) is a contiguous run of one core's test at a fixed TAM width.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.soc.constraints import ConstraintSet
 from repro.soc.soc import Soc
@@ -52,10 +53,12 @@ class ScheduleSegment:
         if self.width <= 0:
             raise ScheduleError(f"segment for {self.core!r} has non-positive width")
 
-    def __reduce__(self) -> Tuple[type, Tuple[str, int, int, int]]:
+    def __reduce__(
+        self,
+    ) -> Tuple[Callable[..., "ScheduleSegment"], Tuple[str, int, int, int]]:
         # Frozen slots cannot be restored by ``setattr``: rebuild through
         # the constructor (pickle, copy and deepcopy all come here).
-        return type(self), (self.core, self.start, self.end, self.width)
+        return _unpickle_segment, (self.core, self.start, self.end, self.width)
 
     @property
     def duration(self) -> int:
@@ -70,6 +73,16 @@ class ScheduleSegment:
     def overlaps(self, other: "ScheduleSegment") -> bool:
         """True if the two segments overlap in time (boundaries may touch)."""
         return self.start < other.end and other.start < self.end
+
+
+def _unpickle_segment(core: str, start: int, end: int, width: int) -> ScheduleSegment:
+    """Rebuild a pickled segment with its core name interned.
+
+    Every schedule a pool worker sends back would otherwise bring a fresh
+    copy of each core name; interning lets all unpickled schedules of one
+    SOC share a single string per core.
+    """
+    return ScheduleSegment(sys.intern(core), start, end, width)
 
 
 #: A schedule's segments grouped by core (:meth:`TestSchedule.segments_by_core`).

@@ -13,6 +13,10 @@ Two bit-identity contracts are pinned here on randomized SOCs and configs:
   schedule *and winning grid point* of the straightforward serial triple
   loop (:func:`repro.core.grid_sweep.run_best_schedule_reference`), for
   every worker count.
+
+The scheduler's area floor, which ends bounded runs early, is pinned too:
+it equals ``W * makespan`` when a run completes, a limit equal to the
+makespan never prunes, and a limit one cycle below it always does.
 """
 
 import functools
@@ -25,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.perf import schedule_fingerprint
-from repro.core import grid_sweep
+from repro.core import grid_sweep, scheduler
 from repro.core.grid_sweep import (
     GridPoint,
     GridSweepState,
@@ -240,6 +244,73 @@ class TestGridSweep:
         schedule = run_paper_scheduler(soc, 32)
         bounded = run_paper_scheduler(soc, 32, makespan_limit=schedule.makespan)
         assert schedule_fingerprint(bounded) == schedule_fingerprint(schedule)
+
+
+def random_case(seed: int, profile: GeneratorProfile, use_heaps: bool):
+    """A random SOC with random constraints and config, and its sets."""
+    rng = random.Random(seed)
+    soc = generate_soc(seed, name=f"area-{seed}", profile=profile)
+    constraints = random_constraints(soc, rng)
+    config = random_config(rng, use_candidate_heaps=use_heaps)
+    sets = build_rectangle_sets(soc, config.max_core_width)
+    return soc, constraints, config, sets
+
+
+class TestAreaFloor:
+    """The scheduler's area floor is exact at completion and never prunes
+    a run that meets its limit."""
+
+    @pytest.mark.parametrize("use_heaps", [True, False], ids=["heaps", "scan"])
+    @pytest.mark.parametrize(
+        "seed,profile",
+        [pytest.param(seed, PROFILE, id=str(seed)) for seed in range(12)]
+        + [
+            pytest.param(seed, CROWDED_PROFILE, id=f"crowded-{seed}")
+            for seed in range(100, 104)
+        ],
+    )
+    def test_area_equals_width_times_makespan(self, seed, profile, use_heaps):
+        soc, constraints, config, sets = random_case(seed, profile, use_heaps)
+        for width in (1, 7, 13, 32, 64):
+            run = scheduler._Scheduler(soc, width, constraints, config, sets)
+            schedule = run.run()
+            # Idle wire-cycles plus every segment's area fill the bin.
+            assert run._area == width * schedule.makespan
+
+    @given(
+        seed=st.integers(0, 10_000),
+        crowded=st.booleans(),
+        use_heaps=st.booleans(),
+        width=st.sampled_from((1, 7, 13, 32, 64)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_limit_at_makespan_completes_and_below_it_prunes(
+        self, seed, crowded, use_heaps, width
+    ):
+        profile = CROWDED_PROFILE if crowded else PROFILE
+        soc, constraints, config, sets = random_case(seed, profile, use_heaps)
+        schedule = run_paper_scheduler(
+            soc, width, constraints=constraints, config=config, rectangle_sets=sets
+        )
+        makespan = schedule.makespan
+        bounded = run_paper_scheduler(
+            soc,
+            width,
+            constraints=constraints,
+            config=config,
+            rectangle_sets=sets,
+            makespan_limit=makespan,
+        )
+        assert schedule_fingerprint(bounded) == schedule_fingerprint(schedule)
+        with pytest.raises(MakespanLimitExceeded):
+            run_paper_scheduler(
+                soc,
+                width,
+                constraints=constraints,
+                config=config,
+                rectangle_sets=sets,
+                makespan_limit=makespan - 1,
+            )
 
 
 # (SOC, width) cases of the GridSweepState properties, over SMALL_GRID.

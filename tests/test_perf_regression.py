@@ -150,6 +150,30 @@ class TestSchedulerWork:
         # on every selection cost about 147 operations per core.
         assert sum(calls.values()) <= 8 * len(soc.cores)
 
+    def test_pruned_runs_stop_early_on_the_full_grid(self, monkeypatch):
+        soc = perf.scale_soc("s1000")
+        sets = build_rectangle_sets(soc, scheduler.SchedulerConfig().max_core_width)
+        calls = {"_advance": 0, "_start": 0}
+
+        def counted(name):
+            method = getattr(scheduler._Scheduler, name)
+
+            def call(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(scheduler._Scheduler, name, counted(name))
+        outcome = run_grid_sweep(soc, 64, rectangle_sets=sets)
+        assert outcome.makespan == 9163954
+        # 55 of the 57 runs are pruned.  Stopping them only when the event
+        # clock passed the incumbent cost 41,575 events and 42,438 starts;
+        # the area floor stops most of them within a few events of t = 0.
+        assert calls["_advance"] <= 5000
+        assert calls["_start"] <= 7000
+
 
 class TestGridSweepWork:
     """Repeat sweeps over the same rectangle sets reuse the SOC plan."""

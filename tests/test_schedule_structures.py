@@ -73,6 +73,19 @@ class TestScheduleSegment:
         back = clone(seg)
         assert back == seg and back is not seg and hash(back) == hash(seg)
 
+    def test_unpickled_schedules_share_core_names(self):
+        # Each schedule a pool worker returns is unpickled on its own; the
+        # copies must share one string per core, not bring fresh ones.
+        schedule = run_paper_scheduler(get_benchmark("d695"), 32)
+        first, second = (
+            pickle.loads(pickle.dumps(schedule)) for _ in range(2)
+        )
+        assert first == second == schedule
+        assert schedule_fingerprint(first) == schedule_fingerprint(second)
+        assert schedule_fingerprint(first) == schedule_fingerprint(schedule)
+        for one, other in zip(first.segments, second.segments):
+            assert one.core is other.core
+
     def test_frozen(self):
         seg = ScheduleSegment(core="a", start=0, end=10, width=2)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -726,6 +726,23 @@ class TestServeStream:
         assert "integer" in rejected[0]["error"]
         assert served == 1
 
+    def test_non_integer_config_delta_answers_bad_request(self):
+        # A served ``config.delta`` of 2.5 used to be solved as a real
+        # request, with a makespan no integer delta gives.
+        payload = paper_request(32).to_dict()
+        bad = {**payload, "config": {**payload["config"], "delta": 2.5}}
+        lines = [
+            protocol.encode_message({"op": "solve", "id": "fraction", "request": bad}),
+            '{"op": "shutdown"}',
+        ]
+        served, messages, _ = self.run_client([line + "\n" for line in lines])
+        rejected = [m for m in messages if m["event"] == protocol.EVENT_REJECTED]
+        assert [(m["id"], m["reason"]) for m in rejected] == [
+            ("fraction", protocol.REJECT_BAD_REQUEST)
+        ]
+        assert "delta" in rejected[0]["error"]
+        assert served == 0
+
     def test_broken_output_pipe_disconnects_the_client(self):
         class BrokenAfter:
             """A sink that dies after ``allow`` successful writes."""

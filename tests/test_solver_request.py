@@ -108,6 +108,38 @@ class TestScheduleRequestRoundTrip:
         with pytest.raises(SolverError, match="integer"):
             ScheduleRequest.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("delta", 2.5),
+            ("delta", 2.0),
+            ("delta", "2"),
+            ("delta", True),
+            ("max_core_width", 32.5),
+            ("max_core_width", True),
+            ("insertion_slack", True),
+            ("insertion_slack", 3.0),
+            ("insertion_slack", None),
+            ("percent", float("nan")),
+            ("percent", float("inf")),
+            ("percent", True),
+            ("percent", "5"),
+        ],
+    )
+    def test_bad_config_field_rejected(self, small_soc, field, value):
+        # Each of these used to be accepted (2.5 and NaN solved, True read
+        # as one wire) or to fail late with a TypeError.
+        with pytest.raises(ValueError, match=field):
+            SchedulerConfig(**{field: value})
+        data = ScheduleRequest(soc=small_soc, total_width=8).to_dict()
+        data["config"][field] = value
+        with pytest.raises(ValueError, match=field):
+            ScheduleRequest.from_dict(data)
+
+    @pytest.mark.parametrize("percent", [0, 5, 7.5])
+    def test_finite_percent_accepted(self, percent):
+        assert SchedulerConfig(percent=percent).percent == percent
+
     def test_with_solver_and_with_options(self, small_soc):
         request = ScheduleRequest(soc=small_soc, total_width=8)
         shelf = request.with_solver("shelf")
