@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.data_volume import TamSweep
+from repro.core.grid_sweep import DEFAULT_DELTAS, DEFAULT_PERCENTS, DEFAULT_SLACKS
 from repro.core.lower_bounds import lower_bound
 from repro.core.scheduler import SchedulerConfig
 from repro.engine.api import (
@@ -127,9 +128,9 @@ class Table2Row:
 def run_table1(
     soc: Soc,
     widths: Optional[Sequence[int]] = None,
-    percents: Sequence[float] = (1, 5, 10, 25, 40, 60, 75),
-    deltas: Sequence[int] = (0, 2, 4),
-    slacks: Sequence[int] = (0, 3, 6),
+    percents: Sequence[float] = DEFAULT_PERCENTS,
+    deltas: Sequence[int] = DEFAULT_DELTAS,
+    slacks: Sequence[int] = DEFAULT_SLACKS,
     preemption_limit: int = PREEMPTION_LIMIT,
     power_factor: float = POWER_BUDGET_FACTOR,
     max_core_width: int = DEFAULT_MAX_WIDTH,
@@ -139,8 +140,12 @@ def run_table1(
 
     For each TAM width the lower bound and three schedules are produced:
     non-preemptive, preemptive, and preemptive + power-constrained, each the
-    best over the (``percent``, ``delta``, ``slack``) grid, exactly as the
-    paper tabulates the best result over its parameter sweep.
+    best over the (``percent``, ``delta``, ``slack``) grid, as the paper
+    tabulates the best result over its parameter sweep.  The default grid
+    (``DEFAULT_PERCENTS``/``DEFAULT_DELTAS``/``DEFAULT_SLACKS`` of
+    :mod:`repro.core.grid_sweep`) is wider than the paper's, which is
+    integer ``q`` 1..10 and ``delta`` 0..4 with the slack fixed at 3; pass
+    those ranges to run the paper's own grid.
 
     Each (width, mode) cell is one ``best``-solver job, i.e. one
     deduplicated grid sweep with incumbent pruning and the Table 1

@@ -86,8 +86,11 @@ from repro.schedule.schedule import TestSchedule
 from repro.soc.constraints import ConstraintSet
 from repro.soc.soc import Soc
 
-#: The default heuristic grid of the paper's experimental protocol (kept in
-#: one place; the ``best`` solver re-exports these).
+#: The default heuristic grid (kept in one place; the ``best`` solver
+#: re-exports these).  It is wider than the paper's, which tabulates the
+#: best over integer ``q`` 1..10 and ``delta`` 0..4 with the slack fixed at
+#: 3: its ``q`` reaches 75 and its slack takes 0, 3 and 6, and its ``delta``
+#: skips the odd values.
 DEFAULT_PERCENTS: Tuple[float, ...] = (1, 5, 10, 25, 40, 60, 75)
 DEFAULT_DELTAS: Tuple[int, ...] = (0, 2, 4)
 DEFAULT_SLACKS: Tuple[int, ...] = (0, 3, 6)
@@ -463,9 +466,9 @@ def run_grid_sweep(
     paper tabulates the best result over all integer ``1 <= q <= 10`` and
     ``0 <= delta <= 4`` (with the idle-insertion slack fixed at 3); this
     sweep reproduces that protocol over a configurable (``percents``,
-    ``deltas``, ``slacks``) grid.  The default grid is slightly wider than
-    the paper's because the synthetic Philips stand-ins reward smaller
-    preferred widths at narrow TAMs.
+    ``deltas``, ``slacks``) grid.  The default grid is wider than the
+    paper's: ``q`` reaches 75 and the slack also takes 0 and 6 (see
+    ``DEFAULT_PERCENTS``), which finds shorter schedules at narrow TAMs.
 
     ``workers > 1`` fans the deduplicated runs out as individual tasks on
     the process-wide flat executor (:mod:`repro.engine.executor`), sharing

@@ -10,8 +10,9 @@ bin of height ``W`` (the total SOC TAM width) minimizing the filled width
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.soc.core import Core
 from repro.soc.soc import Soc
@@ -156,13 +157,17 @@ class SocPlan:
 
     A best-over-grid solve runs the scheduler dozens of times on one SOC,
     and a session solves the same SOC again and again.  Everything those
-    runs share is gathered here in ``soc.cores`` order: core names,
-    rectangle sets, test powers, BIST resources, each core's rank in
-    descending name order (the scheduler's heap tie-break) and each core's
-    smallest area ``min_w w * T(w)`` with their total (the scheduler's area
-    floor).  Two maps fill lazily: the preferred-width vector per
-    ``(percent, delta, width cap)`` and the run-ordering estimate per
-    ``(vector, total width)``.
+    runs share is gathered here in ``soc.cores`` order: core names (and
+    ``index``, their positions), rectangle sets, test powers, BIST
+    resources, each core's rank in descending name order (the scheduler's
+    heap tie-break, with ``by_rank`` mapping a rank back to its core) and
+    each core's smallest area ``min_w w * T(w)`` with their total (the
+    scheduler's area floor).  ``max_width`` is the ``max_width`` all the
+    sets were built with (``None`` if they disagree), checked once here
+    instead of once per run.  Two maps fill lazily: the preferred-width
+    vector per ``(percent, delta, width cap)`` and the run-ordering
+    estimate per ``(vector, total width)``.  A run's unstarted-core heaps
+    are built per run by :meth:`unstarted_buckets` and never cached.
 
     Build one with :func:`soc_plan`, which stores it on the
     :class:`RectangleSets` it reads, so the plan lives exactly as long as
@@ -172,13 +177,17 @@ class SocPlan:
     __slots__ = (
         "soc",
         "names",
+        "index",
         "rectangles",
         "powers",
         "bist_resources",
         "desc_rank",
+        "by_rank",
         "min_areas",
         "min_area_total",
         "any_bist",
+        "max_width",
+        "_times",
         "_vectors",
         "_estimates",
         "__weakref__",
@@ -187,6 +196,7 @@ class SocPlan:
     def __init__(self, soc: Soc, rectangle_sets: Mapping[str, RectangleSet]) -> None:
         self.soc = soc
         self.names: Tuple[str, ...] = soc.core_names
+        self.index: Dict[str, int] = {name: index for index, name in enumerate(self.names)}
         self.rectangles: Tuple[RectangleSet, ...] = tuple(
             rectangle_sets[name] for name in self.names
         )
@@ -194,11 +204,18 @@ class SocPlan:
         self.bist_resources: Tuple[Optional[str], ...] = tuple(
             core.bist_resource for core in soc.cores
         )
-        rank = {name: index for index, name in enumerate(sorted(self.names, reverse=True))}
+        descending = sorted(self.names, reverse=True)
+        rank = {name: position for position, name in enumerate(descending)}
         self.desc_rank: Tuple[int, ...] = tuple(rank[name] for name in self.names)
+        self.by_rank: Tuple[int, ...] = tuple(self.index[name] for name in descending)
         self.min_areas: Tuple[int, ...] = tuple(rect.min_area for rect in self.rectangles)
         self.min_area_total = sum(self.min_areas)
         self.any_bist = any(resource is not None for resource in self.bist_resources)
+        widths = {rect.max_width for rect in self.rectangles}
+        self.max_width: Optional[int] = widths.pop() if len(widths) == 1 else None
+        # Each set's time staircase T(1..max_width), read directly by
+        # unstarted_buckets.
+        self._times = tuple(rect.curve.times for rect in self.rectangles)
         self._vectors: Dict[Tuple[float, int, int], Tuple[int, ...]] = {}
         self._estimates: Dict[Tuple[Tuple[int, ...], int], int] = {}
 
@@ -235,6 +252,37 @@ class SocPlan:
             value = max(-(-area // total_width), bottleneck)
             self._estimates[key] = value
         return value
+
+    def unstarted_buckets(
+        self, vector: Sequence[int], total_width: int
+    ) -> Dict[int, List[int]]:
+        """A run's unstarted cores as one heap per requested width.
+
+        Core ``i`` goes to the bucket of width ``min(vector[i],
+        total_width)`` as the int key ``rank - T(vector[i]) * n``, where
+        ``n`` is the core count and ``rank`` the core's ``desc_rank``.
+        Since ``0 <= rank < n`` the keys order exactly like ``(-T, rank)``:
+        ``key // n`` is ``-T`` and ``by_rank[key % n]`` the core.  One pass
+        over the cores, then one ``heapify`` per bucket.
+        """
+        n = len(self.names)
+        max_width = self.max_width
+        buckets: Dict[int, List[int]] = {width: [] for width in set(vector)}
+        if max_width is not None and (not n or 1 <= min(vector) <= max(vector) <= max_width):
+            for staircase, width, rank in zip(self._times, vector, self.desc_rank):
+                buckets[width].append(rank - staircase[width - 1] * n)
+        else:
+            # Not a vector this plan made: time_at validates and clamps.
+            for rect, width, rank in zip(self.rectangles, vector, self.desc_rank):
+                buckets[width].append(rank - rect.time_at(width) * n)
+        wide = [width for width in buckets if width > total_width]
+        if wide:
+            capped = buckets.setdefault(total_width, [])
+            for width in wide:
+                capped.extend(buckets.pop(width))
+        for bucket in buckets.values():
+            heapq.heapify(bucket)
+        return buckets
 
 
 class RectangleSets(Dict[str, RectangleSet]):

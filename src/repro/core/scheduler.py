@@ -71,7 +71,12 @@ from typing import (
 if TYPE_CHECKING:  # import cycle: core/ must not pull in engine/ at runtime
     from repro.engine.faults import CancelToken
 
-from repro.core.rectangles import RectangleSet, resolve_rectangle_sets, soc_plan
+from repro.core.rectangles import (
+    RectangleSet,
+    RectangleSets,
+    resolve_rectangle_sets,
+    soc_plan,
+)
 from repro.schedule.schedule import ScheduleSegment, TestSchedule
 from repro.soc.constraints import ConstraintSet
 from repro.soc.soc import Soc
@@ -119,11 +124,14 @@ class SchedulerConfig:
     percent:
         The ``q`` parameter: a core's preferred width is the smallest width
         whose testing time is within ``percent`` % of its testing time at the
-        maximum allowable width.  The paper sweeps 1..10.
+        maximum allowable width.  The paper reports the best over integer
+        ``q`` in 1..10; the default grid of :func:`repro.core.grid_sweep.run_grid_sweep`
+        is wider (``DEFAULT_PERCENTS`` reaches 75).
     delta:
         Bump the preferred width to the core's highest Pareto-optimal width if
         the difference is at most ``delta`` wires (the bottleneck-core
-        heuristic).  The paper sweeps 0..4.
+        heuristic).  The paper sweeps 0..4; the default grid samples 0, 2
+        and 4 (``DEFAULT_DELTAS``).
     max_core_width:
         Maximum TAM width ever assigned to a single core (``W_max``, 64 in the
         paper).
@@ -201,9 +209,10 @@ class SchedulerConfig:
 class _CoreState:
     """Mutable bookkeeping for one core (the data structure of Figure 3).
 
-    A plain ``__slots__`` class (not a dataclass): tens of instances are
-    created per scheduler run and their attributes dominate the hot paths,
-    so construction and access speed matter.
+    A plain ``__slots__`` class (not a dataclass): its attributes dominate
+    the hot paths, so construction and access speed matter.  A run builds
+    one only for a core it starts or must check for conflicts (see
+    :class:`_Scheduler`); a core left in a bucket heap has none.
     """
 
     __slots__ = (
@@ -285,10 +294,11 @@ class _Scheduler:
     """One scheduling run; see :func:`run_paper_scheduler` for the public entry point.
 
     The event loop keeps its hot-path state *incremental* instead of
-    re-deriving it from ``states.values()`` on every query:
+    re-deriving it from the per-core states on every query:
 
-    * the running / paused / unstarted pools are maintained (insertion-
-      ordered) dicts, updated in :meth:`_start` and :meth:`_pause`;
+    * the running / paused pools (and, for the scan reference, the
+      unstarted pool) are maintained (insertion-ordered) dicts, updated in
+      :meth:`_start` and :meth:`_pause`;
     * the TAM wires in use, the total running power and the per-BIST-engine
       occupancy counts are running totals, so :meth:`_conflicts` and
       :meth:`_width_available` are O(1) (plus a pairwise walk only when
@@ -307,11 +317,18 @@ class _Scheduler:
       with more remaining time.  Paused cores keep one heap per priority.
 
     Set-up reads the SOC's :class:`~repro.core.rectangles.SocPlan`, built
-    once per rectangle-set collection: the states are zipped from its
-    per-core arrays (names, rectangle sets, test powers, BIST resources,
-    descending-name ranks), and the preferred widths are either the
-    caller's vector in ``soc.cores`` order or the plan's cached vector for
-    this config.  Nothing per core is sorted or recomputed per run.
+    once per rectangle-set collection, and builds only what every run
+    needs: the preemption limits, and the bucket heaps from
+    :meth:`~repro.core.rectangles.SocPlan.unstarted_buckets`, whose entries
+    are plain int keys (``key // n`` is ``-T(preferred)``, ``key % n`` the
+    core's rank).  The preferred widths are either the caller's vector in
+    ``soc.cores`` order or the plan's cached vector for this config.  A
+    core's :class:`_CoreState` lives in ``_states`` (core order) and is
+    built from the plan's arrays only when the core is started or checked
+    for conflicts at the top of a bucket -- so a run that the area floor
+    stops after a few dozen starts builds a few dozen states, not one per
+    core.  The scan reference (``use_candidate_heaps=False``) builds every
+    state up front.
 
     Every run also keeps ``_area``, the paper's area bound applied to the
     rest of the run: ``W * t`` plus the wire-cycles its started tests still
@@ -369,35 +386,35 @@ class _Scheduler:
         self._cancel_token: Optional["CancelToken"] = (
             faults.active_cancel_token() if faults is not None else None
         )
-        plan = soc_plan(
-            soc, resolve_rectangle_sets(soc, config.max_core_width, rectangle_sets)
-        )
+        plan = soc_plan(soc, rectangle_sets) if isinstance(rectangle_sets, RectangleSets) else None
+        if plan is None or plan.max_width != config.max_core_width:
+            # The plan records its sets' common max_width, so only plain
+            # dicts and sets built for another width (which raise here)
+            # pay for the per-set check.
+            plan = soc_plan(
+                soc, resolve_rectangle_sets(soc, config.max_core_width, rectangle_sets)
+            )
+        self._plan = plan
         if preferred_widths is None:
             preferred_widths = plan.preferred_vector(
                 config.percent, config.delta, min(config.max_core_width, total_width)
             )
-        limits = [constraints.preemption_limit(name) for name in plan.names]
-        self.states: Dict[str, _CoreState] = {
-            name: _CoreState(name, rect, preferred, limit, power, bist, rank, area)
-            for name, rect, preferred, limit, power, bist, rank, area in zip(
-                plan.names,
-                plan.rectangles,
-                preferred_widths,
-                limits,
-                plan.powers,
-                plan.bist_resources,
-                plan.desc_rank,
-                plan.min_areas,
-            )
-        }
+        self._preferred = preferred_widths
+        n = len(plan.names)
+        limits = [int(constraints.default_preemptions)] * n
+        for name, limit in constraints.max_preemptions.items():
+            index = plan.index.get(name)
+            if index is not None:
+                limits[index] = int(limit)
+        self._limits = limits
+        self._states: List[Optional[_CoreState]] = [None] * n
         # Lower bound on W * makespan (see the class docstring); kept in
         # every run, checked only in bounded ones.
         self._area = plan.min_area_total
         # Incremental pools and running totals (see class docstring).
         self._running: Dict[str, _CoreState] = {}
         self._paused: Dict[str, _CoreState] = {}
-        self._unstarted: Dict[str, _CoreState] = dict(self.states)
-        self._incomplete = len(self.states)
+        self._incomplete = n
         self._width_in_use = 0
         self._running_power = 0.0
         self._bist_in_use: Dict[str, int] = {}
@@ -406,18 +423,19 @@ class _Scheduler:
         self._pending_preds: Dict[str, Set[str]] = {}
         self._successors: Dict[str, List[str]] = {}
         for before, after in constraints.precedence:
-            if before in self.states and after in self.states:
+            if before in plan.index and after in plan.index:
                 self._pending_preds.setdefault(after, set()).add(before)
                 self._successors.setdefault(before, []).append(after)
-        # Candidate priority queues (see _select_candidate_heaps).  Entries
-        # are (-candidate_remaining, rank, state) where rank is the core's
+        # Candidate priority queues (see _select_candidate_heaps).  Paused
+        # entries are (-remaining, rank, state) where rank is the core's
         # position in *descending* name order, so the heap pops the largest
         # (remaining, name) first with pure-integer comparisons (ranks are
-        # unique, the state object is never compared).  Staleness is
-        # detected lazily by re-checking the core's pool membership and
-        # remaining time on pop.  Unstarted cores sit in one heap per
-        # requested width min(preferred, total), so a selection only looks
-        # at the widths that can fit instead of popping past wide cores.
+        # unique, the state object is never compared); unstarted entries
+        # are the equivalent int keys of SocPlan.unstarted_buckets.
+        # Staleness is detected lazily on pop.  Unstarted cores sit in one
+        # heap per requested width min(preferred, total), so a selection
+        # only looks at the widths that can fit instead of popping past
+        # wide cores.
         self._use_heaps = config.use_candidate_heaps
         self._fresh_starts: List[_CoreState] = []
         self._no_preemption = not any(limits)
@@ -429,19 +447,19 @@ class _Scheduler:
             and constraints.power_max is None
             and not plan.any_bist
         )
+        self._check_feasibility()
         if self._use_heaps:
-            self._buckets: Dict[int, List[Tuple[int, int, _CoreState]]] = {}
-            for state in self.states.values():
-                self._buckets.setdefault(
-                    min(state.preferred_width, total_width), []
-                ).append((-state.candidate_remaining(), state.rank, state))
-            for bucket in self._buckets.values():
-                heapq.heapify(bucket)
-            # Non-empty bucket widths, ascending; emptied ones are dropped
-            # by the next walk that finds them.
+            self._buckets = plan.unstarted_buckets(preferred_widths, total_width)
+            # Non-empty bucket widths, ascending; an emptied one is dropped
+            # by the start that empties it (no constraints) or by the next
+            # walk that finds it.
             self._bucket_widths = sorted(self._buckets)
             self._paused_heap: List[Tuple[int, int, _CoreState]] = []
             self._exhausted_heap: List[Tuple[int, int, _CoreState]] = []
+        else:
+            self._unstarted: Dict[str, _CoreState] = {
+                name: self._state(index) for index, name in enumerate(plan.names)
+            }
         # The plain function, not a bound method: a bound method stored on
         # the instance is a reference cycle that keeps every finished run
         # (its states, rectangle sets and curves) alive until a full GC.
@@ -450,7 +468,23 @@ class _Scheduler:
             if self._use_heaps
             else _Scheduler._select_candidate_scan
         )
-        self._check_feasibility()
+
+    def _state(self, index: int) -> _CoreState:
+        """The state of core ``index`` (in core order), built on first use."""
+        state = self._states[index]
+        if state is None:
+            plan = self._plan
+            state = self._states[index] = _CoreState(
+                plan.names[index],
+                plan.rectangles[index],
+                self._preferred[index],
+                self._limits[index],
+                plan.powers[index],
+                plan.bist_resources[index],
+                plan.desc_rank[index],
+                plan.min_areas[index],
+            )
+        return state
 
     # ------------------------------------------------------------------
     # Feasibility
@@ -459,10 +493,11 @@ class _Scheduler:
         power_max = self.constraints.power_max
         if power_max is None:
             return
-        for state in self.states.values():
-            if state.power > power_max:
+        plan = self._plan
+        for name, power in zip(plan.names, plan.powers):
+            if power > power_max:
                 raise SchedulerError(
-                    f"core {state.name!r} dissipates {state.power} during test, "
+                    f"core {name!r} dissipates {power} during test, "
                     f"which exceeds the SOC power budget {power_max}"
                 )
 
@@ -522,7 +557,17 @@ class _Scheduler:
             self._area += width * state.remaining - state.min_area
             state.begun = True
             state.first_begin = self.current_time
-            del self._unstarted[state.name]
+            if not self._use_heaps:
+                del self._unstarted[state.name]
+            elif self._no_conflicts:
+                # Without constraints the core picked is its bucket's top
+                # (see _best_unstarted): drop its key now.
+                bucket_width = min(state.preferred_width, self.total_width)
+                bucket = self._buckets[bucket_width]
+                key = heapq.heappop(bucket)
+                assert key % len(self._states) == state.rank
+                if not bucket:
+                    self._bucket_widths.remove(bucket_width)
             self._fresh_starts.append(state)
         state.running = True
         state.run_start = self.current_time
@@ -616,40 +661,51 @@ class _Scheduler:
         return self._select(self, width_available)
 
     # -- heap implementation -------------------------------------------
-    def _best_unstarted(
-        self, width_limit: int
-    ) -> Optional[Tuple[int, int, _CoreState]]:
-        """Smallest-key unstarted entry that requests at most ``width_limit``
+    def _best_unstarted(self, width_limit: int) -> Optional[int]:
+        """Smallest unstarted key that requests at most ``width_limit``
         wires and conflicts with nothing running, or ``None``.
 
         Walks the non-empty width buckets in ascending order.  Without
-        constraints a bucket's live top is its candidate; with constraints
-        its entries are popped until the first non-conflicting one, or until
-        one that can no longer beat the best found so far, and pushed back.
-        Begun entries are dropped for good.
+        constraints :meth:`_start` pops each started core's key, so every
+        top is live and the best is the smallest top.  With constraints a
+        bucket's entries are popped until the first non-conflicting one, or
+        until one that can no longer beat the best found so far, and pushed
+        back; begun entries are dropped for good.
         """
         buckets = self._buckets
-        no_conflicts = self._no_conflicts
-        best: Optional[Tuple[int, int, _CoreState]] = None
+        best: Optional[int] = None
+        if self._no_conflicts:
+            for width in self._bucket_widths:
+                if width > width_limit:
+                    break
+                key = buckets[width][0]
+                if best is None or key < best:
+                    best = key
+            return best
+        states = self._states
+        by_rank = self._plan.by_rank
+        n = len(states)
         emptied = False
         for width in self._bucket_widths:
             if width > width_limit:
                 break
             heap = buckets[width]
-            skipped: List[Tuple[int, int, _CoreState]] = []
+            skipped: List[int] = []
             while heap:
-                entry = heap[0]
-                if entry[2].begun:
+                key = heap[0]
+                index = by_rank[key % n]
+                state = states[index]
+                if state is not None and state.begun:
                     heapq.heappop(heap)
-                elif best is not None and entry > best:
+                elif best is not None and key > best:
                     break  # every later entry of this bucket is worse still
-                elif no_conflicts or not self._conflicts(entry[2]):
-                    best = entry
+                elif not self._conflicts(self._state(index)):
+                    best = key
                     break
                 else:
                     skipped.append(heapq.heappop(heap))
-            for entry in skipped:
-                heapq.heappush(heap, entry)
+            for key in skipped:
+                heapq.heappush(heap, key)
             if not heap:
                 emptied = True
         if emptied:
@@ -695,10 +751,10 @@ class _Scheduler:
         def first_eligible(
             heap: List[Tuple[int, int, _CoreState]],
             valid: Callable[[Tuple[int, int, _CoreState]], bool],
-            bound: Optional[Tuple[int, int, _CoreState]] = None,
+            bound: Optional[int] = None,
         ) -> Optional[_CoreState]:
             """Pop ``heap`` to its first eligible paused core; stop early at
-            an entry whose remaining time is below ``bound``'s."""
+            an entry whose remaining time is below ``-bound``."""
             skipped: List[Tuple[int, int, _CoreState]] = []
             found: Optional[_CoreState] = None
             while heap:
@@ -706,7 +762,7 @@ class _Scheduler:
                 if not valid(entry):
                     heapq.heappop(heap)
                     continue
-                if bound is not None and entry[0] > bound[0]:
+                if bound is not None and entry[0] > bound:
                     break
                 skipped.append(heapq.heappop(heap))
                 state = entry[2]
@@ -743,12 +799,16 @@ class _Scheduler:
             # once its remaining time drops below the unstarted winner's.
             best = self._best_unstarted(width_limit)
             if self._paused:
-                state = first_eligible(self._paused_heap, valid_paused, best)
+                state = first_eligible(
+                    self._paused_heap,
+                    valid_paused,
+                    None if best is None else best // len(self._states),
+                )
                 if state is not None:
                     return state, state.assigned_width or 1
         if best is None:
             return None
-        state = best[2]
+        state = self._state(self._plan.by_rank[best % len(self._states)])
         return state, min(state.preferred_width, self.total_width, width_available)
 
     # -- reference (re-scanning) implementation ------------------------
@@ -887,7 +947,11 @@ class _Scheduler:
     # ------------------------------------------------------------------
     def _advance(self) -> None:
         if not self._running:
-            blocked = [s.name for s in self.states.values() if not s.complete]
+            blocked = [
+                name
+                for name, state in zip(self._plan.names, self._states)
+                if state is None or not state.complete
+            ]
             raise SchedulerError(
                 "no test can be scheduled and none is running; the constraints are "
                 f"unsatisfiable for cores {blocked}"
@@ -970,8 +1034,7 @@ class _Scheduler:
 
     def run(self) -> TestSchedule:
         """Execute the scheduler and return the packed schedule."""
-        total_cores = len(self.states)
-        safety_limit = 10 * total_cores * (max(s.max_preemptions for s in self.states.values()) + 2)
+        safety_limit = 10 * len(self._states) * (max(self._limits, default=0) + 2)
         iterations = 0
         while self._incomplete:
             iterations += 1
@@ -1007,8 +1070,9 @@ class _Scheduler:
                 break
             self._advance()
         segments: List[ScheduleSegment] = []
-        for state in self.states.values():
-            segments.extend(state.segments)
+        for state in self._states:
+            if state is not None:
+                segments.extend(state.segments)
         return TestSchedule(
             soc_name=self.soc.name,
             total_width=self.total_width,

@@ -85,6 +85,25 @@ def _unpickle_segment(core: str, start: int, end: int, width: int) -> ScheduleSe
     return ScheduleSegment(sys.intern(core), start, end, width)
 
 
+def _unpickle_schedule(
+    soc_name: str, total_width: int, rows: Tuple[Tuple[str, int, int, int], ...]
+) -> "TestSchedule":
+    """Rebuild a pickled schedule, sharing its time values.
+
+    One segment's end is usually another's start, and unpickling makes a
+    fresh int object for each; a per-schedule memo keeps one object per
+    distinct time, and core names are interned as in
+    :func:`_unpickle_segment`.
+    """
+    memo: Dict[int, int] = {}
+    share = memo.setdefault
+    segments = tuple(
+        ScheduleSegment(sys.intern(core), share(start, start), share(end, end), width)
+        for core, start, end, width in rows
+    )
+    return TestSchedule(soc_name, total_width, segments)
+
+
 #: A schedule's segments grouped by core (:meth:`TestSchedule.segments_by_core`).
 _SegmentsByCore = Dict[str, List[ScheduleSegment]]
 
@@ -120,6 +139,20 @@ class TestSchedule:
         )
         if self.total_width <= 0:
             raise ScheduleError("total TAM width must be positive")
+
+    def __reduce__(
+        self,
+    ) -> Tuple[
+        Callable[..., "TestSchedule"],
+        Tuple[str, int, Tuple[Tuple[str, int, int, int], ...]],
+    ]:
+        # Ship plain (core, start, end, width) rows; the rebuild goes back
+        # through both constructors, so every check runs again.
+        rows = tuple(
+            (segment.core, segment.start, segment.end, segment.width)
+            for segment in self.segments
+        )
+        return _unpickle_schedule, (self.soc_name, self.total_width, rows)
 
     # ------------------------------------------------------------------
     # Aggregate quantities

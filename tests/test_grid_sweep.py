@@ -22,6 +22,7 @@ makespan never prunes, and a limit one cycle below it always does.
 import functools
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -41,6 +42,7 @@ from repro.core.rectangles import build_rectangle_sets, soc_plan
 from repro.core.scheduler import (
     MakespanLimitExceeded,
     SchedulerConfig,
+    SchedulerError,
     run_paper_scheduler,
 )
 from repro.engine.executor import _prime_soc_pairs
@@ -142,6 +144,23 @@ class TestHeapSelectCandidate:
             assert schedule_fingerprint(heap_schedule) == schedule_fingerprint(
                 scan_schedule
             )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unconstrained_socs(self, seed):
+        # No conflicts of any kind: the bucket walk only reads each top.
+        rng = random.Random(seed)
+        profile = replace(CROWDED_PROFILE, bist_fraction=0.0)
+        soc = generate_soc(seed, name=f"free-{seed}", profile=profile)
+        limits = {name: rng.randint(0, 2) for name in rng.sample(soc.core_names, 10)}
+        constraints = ConstraintSet.for_soc(soc, max_preemptions=limits)
+        config = random_config(rng)
+        for width in (1, 7, 13, 32, 64):
+            run = scheduler._Scheduler(soc, width, constraints, config)
+            assert run._no_conflicts
+            scan = scheduler._Scheduler(
+                soc, width, constraints, replace(config, use_candidate_heaps=False)
+            )
+            assert schedule_fingerprint(run.run()) == schedule_fingerprint(scan.run())
 
     @pytest.mark.parametrize("soc_name", ["d695", "p93791"])
     def test_benchmarks_preemptive(self, soc_name):
@@ -435,6 +454,68 @@ class TestGridSweepState:
         assert state.limit() == makespan
 
 
+class TestLazyStates:
+    """A run builds core states on demand; everything that used to read the
+    full set of states still sees every core."""
+
+    @pytest.mark.parametrize("use_heaps", [True, False], ids=["heaps", "scan"])
+    def test_core_over_the_power_budget_is_named(self, use_heaps):
+        soc = generate_soc(3100, name="lazy-power", profile=CROWDED_PROFILE)
+        hungry = max(soc.cores, key=lambda core: (core.test_power, core.name))
+        budget = max(
+            core.test_power for core in soc.cores if core.test_power < hungry.test_power
+        )
+        constraints = ConstraintSet.for_soc(soc, power_max=budget)
+        config = SchedulerConfig(use_candidate_heaps=use_heaps)
+        for width in (7, 64):
+            with pytest.raises(SchedulerError, match=re.escape(repr(hungry.name))):
+                run_paper_scheduler(soc, width, constraints=constraints, config=config)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("default", [0, 2])
+    def test_per_core_preemption_overrides_match_the_scan(self, seed, default):
+        rng = random.Random(3200 + seed)
+        soc = generate_soc(3200 + seed, name=f"lazy-pre-{seed}", profile=CROWDED_PROFILE)
+        names = list(soc.core_names)
+        overrides = {name: rng.choice((0, 1, 3)) for name in rng.sample(names, len(names) // 3)}
+        constraints = ConstraintSet.for_soc(
+            soc, max_preemptions=overrides, default_preemptions=default
+        )
+        config = random_config(rng)
+        for width in (5, 16, 48):
+            heap = run_paper_scheduler(soc, width, constraints=constraints, config=config)
+            scan = run_paper_scheduler(
+                soc,
+                width,
+                constraints=constraints,
+                config=replace(config, use_candidate_heaps=False),
+            )
+            assert schedule_fingerprint(heap) == schedule_fingerprint(scan)
+            heap.validate(soc, constraints)
+
+    @pytest.mark.parametrize("cache_first", [False, True], ids=["fresh", "cached-at-32"])
+    def test_sets_built_narrower_than_the_config_are_refused(self, cache_first):
+        soc = get_benchmark("d695")
+        sets = build_rectangle_sets(soc, 32)
+        narrow = SchedulerConfig(max_core_width=32)
+        if cache_first:
+            run_paper_scheduler(soc, 24, config=narrow, rectangle_sets=sets)
+            run_grid_sweep(soc, 24, config=narrow, rectangle_sets=sets, **SMALL_GRID)
+            assert sets.plan is not None and sets.plan.max_width == 32
+        with pytest.raises(ValueError, match="max_width"):
+            run_paper_scheduler(soc, 24, config=SchedulerConfig(), rectangle_sets=sets)
+        with pytest.raises(ValueError, match="max_width"):
+            run_grid_sweep(soc, 24, rectangle_sets=sets, **SMALL_GRID)
+
+    def test_mixed_widths_leave_the_plan_without_a_common_max_width(self):
+        soc = get_benchmark("d695")
+        sets = build_rectangle_sets(soc, 64)
+        sets.update(build_rectangle_sets(soc.with_cores(soc.cores[:1]), 32))
+        assert soc_plan(soc, sets).max_width is None
+        with pytest.raises(ValueError, match="max_width"):
+            run_paper_scheduler(soc, 24, rectangle_sets=sets)
+
+
 class TestSocPlan:
     """The per-(SOC, width) plan agrees with the per-core rules it caches."""
 
@@ -450,6 +531,9 @@ class TestSocPlan:
         assert plan.bist_resources == tuple(core.bist_resource for core in soc.cores)
         descending = sorted(soc.core_names, reverse=True)
         assert plan.desc_rank == tuple(descending.index(name) for name in soc.core_names)
+        assert plan.by_rank == tuple(soc.core_names.index(name) for name in descending)
+        assert plan.index == {name: i for i, name in enumerate(soc.core_names)}
+        assert plan.max_width == 64
         for _ in range(20):
             percent = rng.choice((0, 1, 5, 10, 25, 40, 60, 75, 150))
             delta = rng.choice((0, 2, 4, 9))
@@ -463,6 +547,35 @@ class TestSocPlan:
             area = sum(width * time for width, time in zip(vector, times))
             expected = max(math.ceil(area / total_width), max(times))
             assert plan.estimate(vector, total_width) == expected
+            n = len(soc.cores)
+            buckets = plan.unstarted_buckets(vector, total_width)
+            decoded = {}
+            for width, heap in buckets.items():
+                assert heap and heap[0] == min(heap)
+                for key in heap:
+                    index = plan.by_rank[key % n]
+                    decoded[index] = (width, -(key // n))
+            assert decoded == {
+                index: (min(width, total_width), time)
+                for index, (width, time) in enumerate(zip(vector, times))
+            }
+
+    def test_buckets_of_a_foreign_vector_look_times_up_like_time_at(self):
+        soc = generate_soc(2050, name="plan-foreign", profile=PROFILE)
+        sets = build_rectangle_sets(soc, 16)
+        plan = soc_plan(soc, sets)
+        n = len(soc.cores)
+        wide = tuple(range(14, 14 + n))  # reaches past max_width=16
+        buckets = plan.unstarted_buckets(wide, 20)
+        keys = sorted(key for heap in buckets.values() for key in heap)
+        expected = sorted(
+            plan.desc_rank[i] - sets[name].time_at(width) * n
+            for i, (name, width) in enumerate(zip(soc.core_names, wide))
+        )
+        assert keys == expected
+        assert set(buckets) == {min(width, 20) for width in wide}
+        with pytest.raises(ValueError, match="at least 1"):
+            plan.unstarted_buckets((0,) + wide[1:], 20)
 
     def test_reordered_soc_gets_its_own_plan(self):
         soc = generate_soc(2100, name="plan-order", profile=CROWDED_PROFILE)

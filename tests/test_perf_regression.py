@@ -175,6 +175,27 @@ class TestSchedulerWork:
         assert calls["_start"] <= 7000
 
 
+    def test_core_states_are_built_lazily(self, monkeypatch):
+        soc = perf.scale_soc("s1000")
+        sets = build_rectangle_sets(soc, scheduler.SchedulerConfig().max_core_width)
+        built = [0]
+
+        class CountedState(scheduler._CoreState):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built[0] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(scheduler, "_CoreState", CountedState)
+        outcome = run_grid_sweep(soc, 64, rectangle_sets=sets)
+        assert outcome.makespan == 9163954
+        # One state per core per run cost 57,000 constructions over the 57
+        # runs; a run now builds one only for a core it starts (5,541 in
+        # all, most of them in the two runs that complete).
+        assert built[0] <= 7000
+
+
 class TestGridSweepWork:
     """Repeat sweeps over the same rectangle sets reuse the SOC plan."""
 

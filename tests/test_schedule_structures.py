@@ -86,6 +86,47 @@ class TestScheduleSegment:
         for one, other in zip(first.segments, second.segments):
             assert one.core is other.core
 
+    def test_unpickled_schedule_shares_boundary_times(self):
+        schedule = run_paper_scheduler(
+            get_benchmark("p93791"), 32, constraints=ConstraintSet(default_preemptions=2)
+        )
+        back = pickle.loads(pickle.dumps(schedule))
+        assert back == schedule
+        assert schedule_fingerprint(back) == schedule_fingerprint(schedule)
+        starts = {segment.start: segment.start for segment in back.segments}
+        touching = [segment for segment in back.segments if segment.end in starts]
+        assert len(touching) > 10
+        for segment in touching:
+            # One int object per distinct time, not one per field.
+            assert segment.end is starts[segment.end]
+        assert len({id(segment.end) for segment in back.segments}) == len(
+            {segment.end for segment in back.segments}
+        )
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_schedule_round_trips_through_the_constructors(self, clone):
+        schedule = _schedule(
+            [
+                ScheduleSegment(core="b", start=300, end=700, width=3),
+                ScheduleSegment(core="a", start=0, end=300, width=2),
+            ]
+        )
+        back = clone(schedule)
+        assert back == schedule and back is not schedule
+        assert [s.core for s in back.segments] == ["a", "b"]
+        # The rows are rebuilt through the constructors, so a corrupted row
+        # is refused rather than restored as-is.
+        rebuild, (name, width, rows) = schedule.__reduce__()
+        assert rows == (("a", 0, 300, 2), ("b", 300, 700, 3))
+        with pytest.raises(ScheduleError, match="non-positive duration"):
+            rebuild(name, width, (("a", 5, 5, 2),))
+        with pytest.raises(ScheduleError, match="width must be positive"):
+            rebuild(name, 0, rows)
+
     def test_frozen(self):
         seg = ScheduleSegment(core="a", start=0, end=10, width=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
