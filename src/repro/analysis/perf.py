@@ -288,9 +288,9 @@ def _best_full_measurement(repeats: int) -> Dict[str, Any]:
     Both paths run on freshly reset caches with pre-built rectangle sets
     (so the number isolates grid-sweep work from curve construction, like
     the matrix's ``solve`` phase).  The reference is the straightforward
-    serial triple loop over the full grid with the pre-PR4 re-scanning
-    ``_select_candidate`` -- the PR 3 execution strategy -- and must
-    produce a bit-identical schedule.
+    serial triple loop over the full grid with the re-scanning candidate
+    selection (``use_candidate_heaps=False``), and must produce a
+    bit-identical schedule.
     """
     soc = get_benchmark(BEST_FULL_SOC)
     reference_config = SchedulerConfig(use_candidate_heaps=False)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
-from repro.core.rectangles import RectangleSet, resolve_rectangle_sets
+from repro.core.rectangles import RectangleSet, resolve_rectangle_sets, soc_plan
 from repro.soc.soc import Soc
 from repro.wrapper.pareto import DEFAULT_MAX_WIDTH
 
@@ -54,7 +54,10 @@ def bottleneck_lower_bound(
     if total_width <= 0:
         raise ValueError("total TAM width must be positive")
     sets = _rectangles(soc, max_core_width, rectangle_sets)
-    cap = min(total_width, max_core_width)
+    return _bottleneck(soc, sets, min(total_width, max_core_width))
+
+
+def _bottleneck(soc: Soc, sets: Dict[str, RectangleSet], cap: int) -> int:
     return max(sets[core.name].time_at(cap) for core in soc.cores)
 
 
@@ -64,9 +67,16 @@ def lower_bound(
     max_core_width: int = DEFAULT_MAX_WIDTH,
     rectangle_sets: Optional[Dict[str, RectangleSet]] = None,
 ) -> int:
-    """The paper's lower bound: max of the area and bottleneck bounds."""
+    """The paper's lower bound: max of the area and bottleneck bounds.
+
+    Resolves the sets once and takes the summed smallest areas from the
+    SOC's :class:`~repro.core.rectangles.SocPlan` (kept on a
+    :class:`~repro.core.rectangles.RectangleSets`, so repeat calls reuse
+    it) instead of recomputing every curve's ``min_area``; the result is
+    exactly ``max(area_lower_bound(...), bottleneck_lower_bound(...))``.
+    """
+    if total_width <= 0:
+        raise ValueError("total TAM width must be positive")
     sets = _rectangles(soc, max_core_width, rectangle_sets)
-    return max(
-        area_lower_bound(soc, total_width, max_core_width, sets),
-        bottleneck_lower_bound(soc, total_width, max_core_width, sets),
-    )
+    area = math.ceil(soc_plan(soc, sets).min_area_total / total_width)
+    return max(area, _bottleneck(soc, sets, min(total_width, max_core_width)))

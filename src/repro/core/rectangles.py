@@ -162,12 +162,16 @@ class SocPlan:
     resources, each core's rank in descending name order (the scheduler's
     heap tie-break, with ``by_rank`` mapping a rank back to its core) and
     each core's smallest area ``min_w w * T(w)`` with their total (the
-    scheduler's area floor).  ``max_width`` is the ``max_width`` all the
-    sets were built with (``None`` if they disagree), checked once here
-    instead of once per run.  Two maps fill lazily: the preferred-width
-    vector per ``(percent, delta, width cap)`` and the run-ordering
-    estimate per ``(vector, total width)``.  A run's unstarted-core heaps
-    are built per run by :meth:`unstarted_buckets` and never cached.
+    scheduler's area floor).  ``times`` holds each set's time staircase
+    ``T(1..max_width)`` and ``pareto_widths`` its ascending Pareto widths,
+    so a run snaps a width with one ``bisect`` over the tuple and reads its
+    time with one index, not through :class:`RectangleSet`'s methods.
+    ``max_width`` is the ``max_width`` all the sets were built with
+    (``None`` if they disagree), checked once here instead of once per
+    run.  Two maps fill lazily: the preferred-width vector per
+    ``(percent, delta, width cap)`` and the run-ordering estimate per
+    ``(vector, total width)``.  A run's unstarted-core heaps are built per
+    run by :meth:`unstarted_buckets` and never cached.
 
     Build one with :func:`soc_plan`, which stores it on the
     :class:`RectangleSets` it reads, so the plan lives exactly as long as
@@ -187,7 +191,8 @@ class SocPlan:
         "min_area_total",
         "any_bist",
         "max_width",
-        "_times",
+        "times",
+        "pareto_widths",
         "_vectors",
         "_estimates",
         "__weakref__",
@@ -213,9 +218,12 @@ class SocPlan:
         self.any_bist = any(resource is not None for resource in self.bist_resources)
         widths = {rect.max_width for rect in self.rectangles}
         self.max_width: Optional[int] = widths.pop() if len(widths) == 1 else None
-        # Each set's time staircase T(1..max_width), read directly by
-        # unstarted_buckets.
-        self._times = tuple(rect.curve.times for rect in self.rectangles)
+        self.times: Tuple[Tuple[int, ...], ...] = tuple(
+            rect.curve.times for rect in self.rectangles
+        )
+        self.pareto_widths: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(rect.curve.pareto_widths) for rect in self.rectangles
+        )
         self._vectors: Dict[Tuple[float, int, int], Tuple[int, ...]] = {}
         self._estimates: Dict[Tuple[Tuple[int, ...], int], int] = {}
 
@@ -269,7 +277,7 @@ class SocPlan:
         max_width = self.max_width
         buckets: Dict[int, List[int]] = {width: [] for width in set(vector)}
         if max_width is not None and (not n or 1 <= min(vector) <= max(vector) <= max_width):
-            for staircase, width, rank in zip(self._times, vector, self.desc_rank):
+            for staircase, width, rank in zip(self.times, vector, self.desc_rank):
                 buckets[width].append(rank - staircase[width - 1] * n)
         else:
             # Not a vector this plan made: time_at validates and clamps.

@@ -52,6 +52,7 @@ import math
 import numbers
 import operator
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -213,12 +214,27 @@ class _CoreState:
     the hot paths, so construction and access speed matter.  A run builds
     one only for a core it starts or must check for conflicts (see
     :class:`_Scheduler`); a core left in a bucket heap has none.
+
+    ``times`` and ``pareto`` are the core's time staircase and ascending
+    Pareto widths, shared with the :class:`~repro.core.rectangles.SocPlan`,
+    so snapping a width and reading its time are a ``bisect`` and an
+    index.  ``request`` is ``min(preferred_width, W)``, the width of the
+    bucket an unstarted core waits in.  ``segments`` is a flat
+    ``[start, end, start, end, ...]`` int list: all of a core's segments
+    share one width, its final ``assigned_width`` (a width is fixed once a
+    test is packed, and a width increase only touches a fresh start that
+    has no segment yet), so :meth:`_Scheduler.run` builds the validated
+    :class:`~repro.schedule.schedule.ScheduleSegment` objects only for a
+    run that completes.
     """
 
     __slots__ = (
         "name",
         "rectangles",
+        "times",
+        "pareto",
         "preferred_width",
+        "request",
         "max_preemptions",
         "power",
         "bist_resource",
@@ -240,7 +256,10 @@ class _CoreState:
         self,
         name: str,
         rectangles: RectangleSet,
+        times: Tuple[int, ...],
+        pareto: Tuple[int, ...],
         preferred_width: int,
+        request: int,
         max_preemptions: int,
         power: float,
         bist_resource: Optional[str],
@@ -249,7 +268,10 @@ class _CoreState:
     ) -> None:
         self.name = name
         self.rectangles = rectangles
+        self.times = times
+        self.pareto = pareto
         self.preferred_width = preferred_width
+        self.request = request
         self.max_preemptions = max_preemptions
         self.power = power
         self.bist_resource = bist_resource
@@ -264,24 +286,14 @@ class _CoreState:
         self.first_begin: Optional[int] = None
         self.end_time: Optional[int] = None
         self.run_start: Optional[int] = None
-        self.segments: List[ScheduleSegment] = []
+        self.segments: List[int] = []
 
-    @property
-    def paused(self) -> bool:
-        """True if the test has begun, is not running, and is not complete."""
-        return self.begun and not self.running and not self.complete
-
-    @property
-    def unstarted(self) -> bool:
-        """True if the test has not begun yet."""
-        return not self.begun and not self.complete
-
-    def candidate_width(self, total_width: int) -> int:
+    def candidate_width(self) -> int:
         """Width this core would occupy if scheduled next."""
         if self.begun:
             assert self.assigned_width is not None
             return self.assigned_width
-        return min(self.preferred_width, total_width)
+        return self.request
 
     def candidate_remaining(self) -> int:
         """Remaining testing time used to rank this core."""
@@ -300,9 +312,9 @@ class _Scheduler:
       unstarted pool) are maintained (insertion-ordered) dicts, updated in
       :meth:`_start` and :meth:`_pause`;
     * the TAM wires in use, the total running power and the per-BIST-engine
-      occupancy counts are running totals, so :meth:`_conflicts` and
-      :meth:`_width_available` are O(1) (plus a pairwise walk only when
-      explicit concurrency constraints exist);
+      occupancy counts are running totals, so :meth:`_conflicts` and the
+      free-wire count are O(1) (plus a pairwise walk only when explicit
+      concurrency constraints exist);
     * unsatisfied precedence is a per-core set of pending predecessors,
       emptied as predecessors complete;
     * :meth:`_advance` reads the next event time from a min-heap of
@@ -329,6 +341,13 @@ class _Scheduler:
     stops after a few dozen starts builds a few dozen states, not one per
     core.  The scan reference (``use_candidate_heaps=False``) builds every
     state up front.
+
+    Each event is kept cheap too.  A start snaps its width with one
+    ``bisect`` over the plan's Pareto-width tuple and reads its time from
+    the plan's staircase; a pause only extends the core's flat int segment
+    list.  :meth:`run` turns those bounds into validated
+    :class:`~repro.schedule.schedule.ScheduleSegment` objects once the run
+    completes, so a pruned run builds none.
 
     Every run also keeps ``_area``, the paper's area bound applied to the
     rest of the run: ``W * t`` plus the wire-cycles its started tests still
@@ -437,6 +456,13 @@ class _Scheduler:
         # only looks at the widths that can fit instead of popping past
         # wide cores.
         self._use_heaps = config.use_candidate_heaps
+        self._n = n
+        # Config reads of the hot paths, taken once.
+        self._insertion_slack = (
+            config.insertion_slack if config.enable_idle_insertion else 0
+        )
+        self._strict = config.strict_priority_resume
+        self._width_cap = min(config.max_core_width, total_width)
         self._fresh_starts: List[_CoreState] = []
         self._no_preemption = not any(limits)
         # With no constraints of any kind, _conflicts is identically False
@@ -460,6 +486,10 @@ class _Scheduler:
             self._unstarted: Dict[str, _CoreState] = {
                 name: self._state(index) for index, name in enumerate(plan.names)
             }
+        # Candidate selection: the maintained-heap path (the default) or
+        # the straightforward pool re-scan, bit-identical (pinned by the
+        # randomized tests in tests/test_grid_sweep.py).  Either returns
+        # the next core to schedule and its width, or None if nothing fits.
         # The plain function, not a bound method: a bound method stored on
         # the instance is a reference cycle that keeps every finished run
         # (its states, rectangle sets and curves) alive until a full GC.
@@ -477,7 +507,10 @@ class _Scheduler:
             state = self._states[index] = _CoreState(
                 plan.names[index],
                 plan.rectangles[index],
+                plan.times[index],
+                plan.pareto_widths[index],
                 self._preferred[index],
+                min(self._preferred[index], self.total_width),
                 self._limits[index],
                 plan.powers[index],
                 plan.bist_resources[index],
@@ -504,9 +537,6 @@ class _Scheduler:
     # ------------------------------------------------------------------
     # Conflict checks (paper Figure 7)
     # ------------------------------------------------------------------
-    def _width_available(self) -> int:
-        return self.total_width - self._width_in_use
-
     def _conflicts(self, state: _CoreState) -> bool:
         """True if scheduling ``state`` right now would violate a constraint."""
         # Precedence: every predecessor must be complete before the first
@@ -539,10 +569,11 @@ class _Scheduler:
     # ------------------------------------------------------------------
     def _start(self, state: _CoreState, width: int) -> None:
         """Start or resume a core test at the given width (paper ``Assign``)."""
+        now = self.current_time
         if state.begun:
             assert state.assigned_width is not None
             width = state.assigned_width  # widths are fixed once packed
-            if state.end_time is not None and state.end_time < self.current_time:
+            if state.end_time is not None and state.end_time < now:
                 # True preemption: resuming after a gap costs an extra
                 # scan-out + scan-in (Figure 6, line 5).
                 state.preemptions += 1
@@ -551,48 +582,50 @@ class _Scheduler:
                 self._area += overhead * width
             del self._paused[state.name]
         else:
-            width = state.rectangles.effective_width(width)
+            # Snap down to a Pareto width (width 1 always is one).
+            pareto = state.pareto
+            width = pareto[bisect_right(pareto, width) - 1]
+            remaining = state.times[width - 1]
             state.assigned_width = width
-            state.remaining = state.rectangles.time_at(width)
-            self._area += width * state.remaining - state.min_area
+            state.remaining = remaining
+            self._area += width * remaining - state.min_area
             state.begun = True
-            state.first_begin = self.current_time
+            state.first_begin = now
             if not self._use_heaps:
                 del self._unstarted[state.name]
             elif self._no_conflicts:
                 # Without constraints the core picked is its bucket's top
                 # (see _best_unstarted): drop its key now.
-                bucket_width = min(state.preferred_width, self.total_width)
-                bucket = self._buckets[bucket_width]
+                bucket = self._buckets[state.request]
                 key = heapq.heappop(bucket)
-                assert key % len(self._states) == state.rank
+                assert key % self._n == state.rank
                 if not bucket:
-                    self._bucket_widths.remove(bucket_width)
+                    self._bucket_widths.remove(state.request)
             self._fresh_starts.append(state)
         state.running = True
-        state.run_start = self.current_time
+        state.run_start = now
         self._running[state.name] = state
-        self._width_in_use += state.assigned_width
+        self._width_in_use += width
         self._running_power += state.power
         if state.bist_resource is not None:
             self._bist_in_use[state.bist_resource] = (
                 self._bist_in_use.get(state.bist_resource, 0) + 1
             )
         heapq.heappush(
-            self._completion_heap,
-            (self.current_time + state.remaining, state.name, state),
+            self._completion_heap, (now + state.remaining, state.name, state)
         )
 
     def _pause(self, state: _CoreState) -> None:
         """Stop a running test at the current time and record its segment."""
-        assert state.running and state.run_start is not None
-        elapsed = self.current_time - state.run_start
-        if elapsed > 0:
-            self._emit_segment(state, state.run_start, self.current_time)
-            state.remaining -= elapsed
+        run_start = state.run_start
+        assert state.running and run_start is not None
+        now = self.current_time
+        if now > run_start:
+            self._emit_segment(state, run_start, now)
+            state.remaining -= now - run_start
         state.running = False
         state.run_start = None
-        state.end_time = self.current_time
+        state.end_time = now
         del self._running[state.name]
         assert state.assigned_width is not None
         self._width_in_use -= state.assigned_width
@@ -627,20 +660,15 @@ class _Scheduler:
                 else:
                     heapq.heappush(self._paused_heap, entry)
 
-    def _emit_segment(self, state: _CoreState, start: int, end: int) -> None:
-        assert state.assigned_width is not None
-        if state.segments:
-            last = state.segments[-1]
-            if last.end == start and last.width == state.assigned_width:
-                state.segments[-1] = ScheduleSegment(
-                    core=state.name, start=last.start, end=end, width=last.width
-                )
-                return
-        state.segments.append(
-            ScheduleSegment(
-                core=state.name, start=start, end=end, width=state.assigned_width
-            )
-        )
+    @staticmethod
+    def _emit_segment(state: _CoreState, start: int, end: int) -> None:
+        """Append ``start..end`` to the core's flat segment list, extending
+        the last segment when this piece resumes where it ended."""
+        segments = state.segments
+        if segments and segments[-1] == start:
+            segments[-1] = end
+        else:
+            segments += (start, end)
 
     def _exhausted_paused(self) -> List[_CoreState]:
         return [
@@ -648,17 +676,6 @@ class _Scheduler:
             for state in self._paused.values()
             if state.preemptions >= state.max_preemptions
         ]
-
-    def _select_candidate(self, width_available: int) -> Optional[Tuple[_CoreState, int]]:
-        """Pick the next core to schedule, or ``None`` if nothing fits.
-
-        Delegates to the implementation bound at construction time: the
-        maintained-heap path (the default) or the straightforward pool
-        re-scan (``use_candidate_heaps=False``); the two are bit-identical,
-        a property pinned by the randomized tests in
-        ``tests/test_grid_sweep.py``.
-        """
-        return self._select(self, width_available)
 
     # -- heap implementation -------------------------------------------
     def _best_unstarted(self, width_limit: int) -> Optional[int]:
@@ -712,6 +729,49 @@ class _Scheduler:
             self._bucket_widths = [w for w in self._bucket_widths if buckets[w]]
         return best
 
+    def _first_eligible(
+        self,
+        heap: List[Tuple[int, int, _CoreState]],
+        exhausted: bool,
+        width_available: int,
+        bound: Optional[int],
+    ) -> Optional[_CoreState]:
+        """Pop a paused heap to its first eligible core, or ``None``.
+
+        An entry is live while its core is still paused with the remaining
+        time it was pushed with, and still in the heap's category
+        (``exhausted``: preemption budget spent); dead entries are dropped
+        for good.  Live entries are skipped (and pushed back) unless the
+        core's fixed width fits ``width_available`` and it conflicts with
+        nothing running.  The walk stops early at an entry whose remaining
+        time is below ``-bound``.
+        """
+        skipped: List[Tuple[int, int, _CoreState]] = []
+        found: Optional[_CoreState] = None
+        while heap:
+            entry = heap[0]
+            state = entry[2]
+            if (
+                not state.begun
+                or state.running
+                or state.complete
+                or state.remaining != -entry[0]
+                or (state.preemptions >= state.max_preemptions) != exhausted
+            ):
+                heapq.heappop(heap)
+                continue
+            if bound is not None and entry[0] > bound:
+                break
+            skipped.append(heapq.heappop(heap))
+            if (state.assigned_width or 0) <= width_available and (
+                self._no_conflicts or not self._conflicts(state)
+            ):
+                found = state
+                break
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+        return found
+
     def _select_candidate_heaps(
         self, width_available: int
     ) -> Optional[Tuple[_CoreState, int]]:
@@ -728,67 +788,22 @@ class _Scheduler:
         already considered by the bucket walk.
         """
 
-        def valid_exhausted(entry: Tuple[int, int, _CoreState]) -> bool:
-            state = entry[2]
-            return (
-                state.begun
-                and not state.running
-                and not state.complete
-                and state.remaining == -entry[0]
-                and state.preemptions >= state.max_preemptions
-            )
-
-        def valid_paused(entry: Tuple[int, int, _CoreState]) -> bool:
-            state = entry[2]
-            return (
-                state.begun
-                and not state.running
-                and not state.complete
-                and state.remaining == -entry[0]
-                and state.preemptions < state.max_preemptions
-            )
-
-        def first_eligible(
-            heap: List[Tuple[int, int, _CoreState]],
-            valid: Callable[[Tuple[int, int, _CoreState]], bool],
-            bound: Optional[int] = None,
-        ) -> Optional[_CoreState]:
-            """Pop ``heap`` to its first eligible paused core; stop early at
-            an entry whose remaining time is below ``-bound``."""
-            skipped: List[Tuple[int, int, _CoreState]] = []
-            found: Optional[_CoreState] = None
-            while heap:
-                entry = heap[0]
-                if not valid(entry):
-                    heapq.heappop(heap)
-                    continue
-                if bound is not None and entry[0] > bound:
-                    break
-                skipped.append(heapq.heappop(heap))
-                state = entry[2]
-                if (state.assigned_width or 0) <= width_available and (
-                    self._no_conflicts or not self._conflicts(state)
-                ):
-                    found = state
-                    break
-            for entry in skipped:
-                heapq.heappush(heap, entry)
-            return found
-
         # Priority 1: paused tests that may not be preempted again; max by
         # (remaining, name), eligible iff their fixed width fits.
         if self._paused:
-            state = first_eligible(self._exhausted_heap, valid_exhausted)
+            state = self._first_eligible(
+                self._exhausted_heap, True, width_available, None
+            )
             if state is not None:
                 return state, state.assigned_width or 1
 
-        width_limit = width_available
-        if self.config.enable_idle_insertion:
-            width_limit += self.config.insertion_slack
-        if self.config.strict_priority_resume:
+        width_limit = width_available + self._insertion_slack
+        if self._strict:
             # Literal pseudocode ordering: all paused before any unstarted.
             if self._paused:
-                state = first_eligible(self._paused_heap, valid_paused)
+                state = self._first_eligible(
+                    self._paused_heap, False, width_available, None
+                )
                 if state is not None:
                     return state, state.assigned_width or 1
             best = self._best_unstarted(width_limit)
@@ -799,17 +814,19 @@ class _Scheduler:
             # once its remaining time drops below the unstarted winner's.
             best = self._best_unstarted(width_limit)
             if self._paused:
-                state = first_eligible(
+                state = self._first_eligible(
                     self._paused_heap,
-                    valid_paused,
-                    None if best is None else best // len(self._states),
+                    False,
+                    width_available,
+                    None if best is None else best // self._n,
                 )
                 if state is not None:
                     return state, state.assigned_width or 1
         if best is None:
             return None
-        state = self._state(self._plan.by_rank[best % len(self._states)])
-        return state, min(state.preferred_width, self.total_width, width_available)
+        state = self._state(self._plan.by_rank[best % self._n])
+        request = state.request
+        return state, request if request < width_available else width_available
 
     # -- reference (re-scanning) implementation ------------------------
     def _select_candidate_scan(
@@ -833,7 +850,7 @@ class _Scheduler:
         def eligible(pool: Iterable[_CoreState]) -> List[Tuple[_CoreState, int]]:
             found = []
             for state in pool:
-                width = state.candidate_width(self.total_width)
+                width = state.candidate_width()
                 if width > width_available:
                     # An unstarted core whose preferred width slightly exceeds
                     # the free wires may still be squeezed in (paper Figure 4
@@ -897,28 +914,24 @@ class _Scheduler:
         for state in self._fresh_starts:
             if state.first_begin != self.current_time or state.run_start != self.current_time:
                 continue
-            if state.preemptions or len(state.segments) > 0:
+            if state.preemptions or state.segments:
                 continue  # only brand-new tests may still change width
             assert state.assigned_width is not None
-            new_width = state.rectangles.effective_width(
-                min(
-                    state.assigned_width + width_available,
-                    self.config.max_core_width,
-                    self.total_width,
-                )
-            )
+            pareto = state.pareto
+            widest = min(state.assigned_width + width_available, self._width_cap)
+            new_width = pareto[bisect_right(pareto, widest) - 1]
             if new_width <= state.assigned_width:
                 continue
             # A test that began this instant has run for zero cycles, so
             # its remaining time *is* its testing time at the current width.
-            gain = state.remaining - state.rectangles.time_at(new_width)
+            gain = state.remaining - state.times[new_width - 1]
             if gain > best_gain:
                 best, best_gain, best_width = state, gain, new_width
         if best is None:
             return False
         assert best.assigned_width is not None
         self._width_in_use += best_width - best.assigned_width
-        remaining = best.rectangles.time_at(best_width)
+        remaining = best.times[best_width - 1]
         self._area += best_width * remaining - best.assigned_width * best.remaining
         best.assigned_width = best_width
         best.remaining = remaining
@@ -929,18 +942,19 @@ class _Scheduler:
         return True
 
     def _assignment_phase(self) -> None:
+        select = self._select
+        total_width = self.total_width
         while True:
-            width_available = self._width_available()
+            width_available = total_width - self._width_in_use
             if width_available <= 0:
                 return
-            candidate = self._select(self, width_available)
+            candidate = select(self, width_available)
             if candidate is None:
                 # Nothing fits; hand leftover wires to a test that just began.
-                while self._try_width_increase(self._width_available()):
+                while self._try_width_increase(total_width - self._width_in_use):
                     pass
                 return
-            state, width = candidate
-            self._start(state, width)
+            self._start(*candidate)
 
     # ------------------------------------------------------------------
     # Event loop
@@ -1034,11 +1048,11 @@ class _Scheduler:
 
     def run(self) -> TestSchedule:
         """Execute the scheduler and return the packed schedule."""
-        safety_limit = 10 * len(self._states) * (max(self._limits, default=0) + 2)
+        safety_limit = max(10 * self._n * (max(self._limits, default=0) + 2), 1000)
         iterations = 0
         while self._incomplete:
             iterations += 1
-            if iterations > max(safety_limit, 1000):
+            if iterations > safety_limit:
                 raise SchedulerError(
                     "scheduler failed to converge; this indicates an internal error"
                 )
@@ -1072,7 +1086,17 @@ class _Scheduler:
         segments: List[ScheduleSegment] = []
         for state in self._states:
             if state is not None:
-                segments.extend(state.segments)
+                name, width, bounds = state.name, state.assigned_width, state.segments
+                assert width is not None
+                for position in range(0, len(bounds), 2):
+                    segments.append(
+                        ScheduleSegment(
+                            core=name,
+                            start=bounds[position],
+                            end=bounds[position + 1],
+                            width=width,
+                        )
+                    )
         return TestSchedule(
             soc_name=self.soc.name,
             total_width=self.total_width,

@@ -2,7 +2,7 @@
 
 Two bit-identity contracts are pinned here on randomized SOCs and configs:
 
-* the heap-based ``_select_candidate`` (the default) produces exactly the
+* the heap-based candidate selection (the default) produces exactly the
   schedules of the straightforward pool re-scan it replaced (reachable via
   ``SchedulerConfig(use_candidate_heaps=False)``), across non-preemptive,
   preemptive, power- and concurrency-constrained scheduling, with idle

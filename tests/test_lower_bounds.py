@@ -8,6 +8,7 @@ from repro.core.lower_bounds import area_lower_bound, bottleneck_lower_bound, lo
 from repro.core.rectangles import build_rectangle_sets
 from repro.core.scheduler import run_paper_scheduler
 from repro.soc.core import Core
+from repro.soc.generator import generate_soc
 from repro.soc.soc import Soc
 
 
@@ -76,3 +77,29 @@ class TestBehaviour:
         narrow = area_lower_bound(d695_soc, 16)
         wide = area_lower_bound(d695_soc, 32)
         assert narrow == pytest.approx(2 * wide, rel=1e-3)
+
+
+class TestPlanBackedBound:
+    """``lower_bound`` takes its area term from the SOC plan."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_plan_backed_equals_plain_dict(self, seed):
+        soc = generate_soc(seed, name=f"lb-{seed}")
+        sets = build_rectangle_sets(soc)
+        plain = dict(sets)
+        for width in (1, 5, 16, 33, 64, 80):
+            expected = max(
+                area_lower_bound(soc, width, rectangle_sets=plain),
+                bottleneck_lower_bound(soc, width, rectangle_sets=plain),
+            )
+            assert lower_bound(soc, width, rectangle_sets=plain) == expected
+            assert lower_bound(soc, width, rectangle_sets=sets) == expected
+        assert sets.plan is not None  # the plan-backed call kept its plan
+
+    def test_sets_built_at_another_max_width_raise(self):
+        soc = generate_soc(0, name="lb-wrong-width")
+        sets = build_rectangle_sets(soc, max_width=32)
+        with pytest.raises(ValueError, match="max_width=32"):
+            lower_bound(soc, 16, rectangle_sets=sets)
+        with pytest.raises(ValueError, match="max_width=32"):
+            lower_bound(soc, 16, rectangle_sets=dict(sets))

@@ -22,9 +22,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.analysis import perf
+from repro.analysis.experiments import TABLE2_WIDTHS
 from repro.core import scheduler
 from repro.core.grid_sweep import run_grid_sweep
 from repro.core.rectangles import RectangleSet, build_rectangle_sets
+from repro.engine import parallel_tam_sweep
+from repro.schedule.schedule import ScheduleSegment
 from repro.soc.benchmarks import get_benchmark, list_benchmarks
 from repro.soc.constraints import ConstraintSet
 from repro.soc.core import Core
@@ -194,6 +197,24 @@ class TestSchedulerWork:
         # runs; a run now builds one only for a core it starts (5,541 in
         # all, most of them in the two runs that complete).
         assert built[0] <= 7000
+
+    def test_pruned_runs_build_no_segments(self, monkeypatch):
+        built = [0]
+        validate = ScheduleSegment.__post_init__
+
+        def counted(segment):
+            built[0] += 1
+            validate(segment)
+
+        monkeypatch.setattr(ScheduleSegment, "__post_init__", counted)
+        sweep = parallel_tam_sweep(
+            get_benchmark("d695"), TABLE2_WIDTHS, workers=0, solver="best"
+        )
+        assert sum(sweep.testing_times) == 788437
+        # Building a validated segment at every pause cost 7,705
+        # constructions, most of them in runs the sweep later pruned; a run
+        # now keeps int bounds and builds segments only once it completes.
+        assert built[0] <= 2500
 
 
 class TestGridSweepWork:

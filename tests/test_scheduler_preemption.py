@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.grid_sweep import run_grid_sweep
 from repro.core.rectangles import build_rectangle_sets
+from repro.core import scheduler
 from repro.core.scheduler import SchedulerConfig, run_paper_scheduler
 from repro.soc.constraints import ConstraintSet
 from repro.soc.core import Core
@@ -139,3 +140,94 @@ class TestPreemptionWithOtherConstraints:
             schedule.core_summary("long_a").first_begin
             >= schedule.core_summary("short_0").last_end
         )
+
+
+def _long_core(name):
+    # Pareto widths 1..5; T(2) = 4025, T(3) = 3720, T(5) = 1890.
+    return Core(name, inputs=10, outputs=10, patterns=60, scan_chains=(30, 30, 30, 30))
+
+
+def _short_core(name):
+    # Pareto widths 1..3; T(2) = 464.
+    return Core(name, inputs=4, outputs=4, patterns=30, scan_chains=(12, 12))
+
+
+@pytest.mark.parametrize("use_heaps", [True, False], ids=["heaps", "scan"])
+class TestSegmentShape:
+    """A run keeps each core's segments as int bounds and builds the
+    :class:`ScheduleSegment` objects once it completes; every segment of a
+    core carries the core's final width."""
+
+    def _run(self, soc, width, preferred, limits, use_heaps, **config):
+        config = SchedulerConfig(use_candidate_heaps=use_heaps, **config)
+        constraints = ConstraintSet.for_soc(soc, max_preemptions=limits)
+        run = scheduler._Scheduler(
+            soc,
+            width,
+            constraints,
+            config,
+            preferred_widths=tuple(preferred[name] for name in soc.core_names),
+        )
+        schedule = run.run()
+        schedule.validate(soc, constraints)
+        # The area floor is exact at completion.
+        assert run._area == width * schedule.makespan
+        return schedule
+
+    def test_seamless_pause_and_resume_merges_into_one_segment(
+        self, use_heaps, monkeypatch
+    ):
+        soc = Soc("seamless", (_long_core("x"), _short_core("y")))
+        emitted = []
+        emit = scheduler._Scheduler._emit_segment
+
+        def record(state, start, end):
+            emitted.append((state.name, start, end))
+            emit(state, start, end)
+
+        monkeypatch.setattr(scheduler._Scheduler, "_emit_segment", staticmethod(record))
+        schedule = self._run(
+            soc, 4, {"x": 2, "y": 2}, {"x": 1}, use_heaps, enable_width_increase=False
+        )
+        # x is paused when y completes at 464 and resumes at once: two
+        # pieces, one segment, no preemption.
+        assert [piece for piece in emitted if piece[0] == "x"] == [
+            ("x", 0, 464),
+            ("x", 464, 4025),
+        ]
+        (segment,) = schedule.segments_for("x")
+        assert (segment.start, segment.end, segment.width) == (0, 4025, 2)
+        assert schedule.preemptions_of("x") == 0
+
+    def test_true_preemption_keeps_separate_segments_at_one_width(self, use_heaps):
+        soc = Soc("preempted", (_long_core("x"), _short_core("y"), _long_core("z")))
+        sets = build_rectangle_sets(soc)
+        schedule = self._run(
+            soc,
+            4,
+            {"x": 2, "y": 2, "z": 3},
+            {"x": 1},
+            use_heaps,
+            enable_width_increase=False,
+            enable_idle_insertion=False,
+        )
+        # z (3 wires, 3,720 cycles) fits only once y completes at 464 and
+        # outranks x's remaining 3,561 cycles, so x waits for z to finish.
+        first, second = schedule.segments_for("x")
+        overhead = sets["x"].preemption_overhead(2)
+        assert (first.start, first.end, first.width) == (0, 464, 2)
+        assert (second.start, second.width) == (464 + 3720, 2)
+        assert second.duration == 4025 - 464 + overhead
+        assert schedule.preemptions_of("x") == 1
+
+    def test_widened_fresh_start_emits_at_the_widened_width(self, use_heaps):
+        soc = Soc("widened", (_long_core("x"), _short_core("y")))
+        sets = build_rectangle_sets(soc)
+        schedule = self._run(soc, 8, {"x": 2, "y": 2}, {"x": 1}, use_heaps)
+        # Both start at 2 wires; the 4 idle wires widen x to its Pareto
+        # width 5, and its later seamless pause keeps that width.
+        widened = sets["x"].effective_width(6)
+        assert widened == 5
+        (segment,) = schedule.segments_for("x")
+        assert (segment.start, segment.width) == (0, widened)
+        assert segment.duration == sets["x"].time_at(widened)
