@@ -17,9 +17,8 @@ submits one ``best`` job per (width, mode) cell, so every cell runs the
 ``best`` solver's deduplicated, incumbent-pruned, early-exiting grid
 sweep -- a fraction of the naive width x mode x (percent, delta, slack)
 expansion's scheduler work -- while producing byte-identical rows.  The
-flat executor picks the parallel granularity by shape (whole ``best``
-jobs when the cell count can fill the pool, per-cell grid-run tasks
-otherwise); results are guaranteed identical for every ``workers`` value.
+flat executor runs each cell as one pool task; results are guaranteed
+identical for every ``workers`` value.
 """
 
 from __future__ import annotations
@@ -125,6 +124,49 @@ class Table2Row:
     data_volume_at_effective: int
 
 
+def table1_jobs(
+    soc: Soc,
+    widths: Sequence[int],
+    percents: Sequence[float] = DEFAULT_PERCENTS,
+    deltas: Sequence[int] = DEFAULT_DELTAS,
+    slacks: Sequence[int] = DEFAULT_SLACKS,
+    preemption_limit: int = PREEMPTION_LIMIT,
+    power_factor: float = POWER_BUDGET_FACTOR,
+    max_core_width: int = DEFAULT_MAX_WIDTH,
+) -> Tuple[List[ScheduleJob], EngineContext]:
+    """The Table 1 engine jobs for ``widths`` and the context they run in.
+
+    One ``best`` job per (width, mode), modes in :data:`SCHEDULER_MODES`
+    order, indexed from 0; each job's ``group`` is ``(width, mode)``.
+    """
+    base_config = SchedulerConfig(max_core_width=max_core_width)
+    constraints = mode_constraint_sets(
+        soc, preemption_limit=preemption_limit, power_factor=power_factor
+    )
+    options = {
+        "percents": tuple(percents),
+        "deltas": tuple(deltas),
+        "slacks": tuple(slacks),
+    }
+    jobs = []
+    for width in widths:
+        for mode in SCHEDULER_MODES:
+            jobs.append(
+                ScheduleJob(
+                    index=len(jobs),
+                    soc=soc.name,
+                    width=width,
+                    config=base_config,
+                    constraints=None if mode == MODE_NON_PREEMPTIVE else mode,
+                    solver="best",
+                    options=options,
+                    group=(width, mode),
+                    tags=(("mode", mode),),
+                )
+            )
+    return jobs, EngineContext.for_soc(soc, constraints)
+
+
 def run_table1(
     soc: Soc,
     widths: Optional[Sequence[int]] = None,
@@ -147,44 +189,27 @@ def run_table1(
     integer ``q`` 1..10 and ``delta`` 0..4 with the slack fixed at 3; pass
     those ranges to run the paper's own grid.
 
-    Each (width, mode) cell is one ``best``-solver job, i.e. one
-    deduplicated grid sweep with incumbent pruning and the Table 1
-    lower-bound early exit, so the protocol runs a fraction of the naive
-    grid expansion's scheduler work, serially or in parallel (the flat
-    executor dispatches cells whole when there are enough of them to fill
-    the pool, and explodes them into grid-run tasks when there are not).
-    Rows are byte-identical for every ``workers`` value: the ``best``
-    sweep keeps the first grid point (percent outer, delta middle, slack
-    inner) achieving the minimum makespan.
+    Each (width, mode) cell is one ``best``-solver job (see
+    :func:`table1_jobs`), i.e. one deduplicated grid sweep with incumbent
+    pruning and the Table 1 lower-bound early exit, so the protocol runs
+    a fraction of the naive grid expansion's scheduler work, serially or
+    with the cells spread over ``workers`` processes.  Rows are
+    byte-identical for every ``workers`` value: the ``best`` sweep keeps
+    the first grid point (percent outer, delta middle, slack inner)
+    achieving the minimum makespan.
     """
     if widths is None:
         widths = TABLE1_WIDTHS.get(soc.name, (16, 32, 48, 64))
-    base_config = SchedulerConfig(max_core_width=max_core_width)
-    constraints = mode_constraint_sets(
-        soc, preemption_limit=preemption_limit, power_factor=power_factor
+    jobs, context = table1_jobs(
+        soc,
+        widths,
+        percents=percents,
+        deltas=deltas,
+        slacks=slacks,
+        preemption_limit=preemption_limit,
+        power_factor=power_factor,
+        max_core_width=max_core_width,
     )
-    context = EngineContext.for_soc(soc, constraints)
-    options = {
-        "percents": tuple(percents),
-        "deltas": tuple(deltas),
-        "slacks": tuple(slacks),
-    }
-    jobs = []
-    for width in widths:
-        for mode in SCHEDULER_MODES:
-            jobs.append(
-                ScheduleJob(
-                    index=len(jobs),
-                    soc=soc.name,
-                    width=width,
-                    config=base_config,
-                    constraints=None if mode == MODE_NON_PREEMPTIVE else mode,
-                    solver="best",
-                    options=options,
-                    group=(width, mode),
-                    tags=(("mode", mode),),
-                )
-            )
     best = {result.job.group: result for result in run_jobs(jobs, context, workers=workers)}
     rows = []
     for width in widths:

@@ -37,15 +37,11 @@ Suites
     ``workers=4`` with the results asserted identical across worker
     counts and recorded for the golden check.
 ``scale``
-    The committed worker-count scaling curve: one trimmed ``best`` sweep
-    per SOC -- the ITC'02 pair {d695, p93791} plus the deterministic
-    synthetic 100- and 1000-core generator SOCs (``s100``/``s1000``) --
-    measured cold at ``workers=0`` (the serial reference) and at every
-    count in ``--workers``.  Each parallel run's schedule fingerprint is
-    asserted identical to the serial reference and the report records
-    speedup and mid-run board-abort counts.  ``cpus`` pins the host's
-    core count so a 1-CPU runner's (necessarily flat) speedups are never
-    mistaken for a multi-core measurement.
+    The committed size curve: one cold trimmed ``best`` sweep per SOC --
+    the ITC'02 pair {d695, p93791} plus the deterministic synthetic 100-
+    and 1000-core generator SOCs (``s100``/``s1000``) -- timed serially and
+    recorded for the golden check.  A ``best`` solve's grid always runs in
+    the calling process, so the suite has no worker axis.
 ``serve``
     The scheduling service under load: a burst of ``paper``-solver
     requests (with deliberate duplicates) driven through an in-process
@@ -64,7 +60,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import platform
 import time
 from typing import (
@@ -556,10 +551,6 @@ def run_sweep_suite(
     }
 
 
-#: Worker counts the scale suite sweeps by default (``0`` -- the serial
-#: reference -- is always measured in addition).
-SCALE_WORKERS: Tuple[int, ...] = (1, 2, 4)
-
 #: SOCs of the scale suite: the ITC'02 pair the paper evaluates plus two
 #: deterministic synthetic generator SOCs sized to stress dispatch (a
 #: 1000-core SOC pickles a 1000-entry preferred-width vector per task).
@@ -601,70 +592,38 @@ def scale_soc(name: str):
 
 def run_scale_suite(
     soc_names: Optional[Sequence[str]] = None,
-    workers: Sequence[int] = SCALE_WORKERS,
     repeats: int = 2,
 ) -> Dict[str, Any]:
-    """Worker-count scaling of trimmed ``best`` sweeps, byte-identity checked.
+    """Cold trimmed ``best`` sweeps from 10 to 1000 cores, golden-checked.
 
-    Every measured configuration is cold (empty caches, no pool); the
-    serial reference's makespan/fingerprint go into the golden sections
-    under ``{soc}/scale/{width}`` keys and every parallel configuration
-    must fingerprint identically.  Per-worker-count entries record wall
-    time, speedup over serial and, for pooled runs, the mid-run
-    ``board_aborts`` off :class:`~repro.engine.results.ExecutorStats`.
+    Every measurement is cold (empty caches); each SOC's makespan and
+    fingerprint go into the golden sections under ``{soc}/scale/{width}``
+    keys and its wall time into ``scale/{soc}/serial``.
     """
-    from repro.engine.executor import get_default_executor
     from repro.solvers.session import get_default_session
 
     names = tuple(soc_names or SCALE_SOCS)
-    counts = tuple(int(count) for count in workers)
-    if any(count < 1 for count in counts):
-        raise ValueError("scale-suite worker counts must be >= 1")
     phases: Dict[str, Dict[str, Any]] = {}
     makespans: Dict[str, int] = {}
     fingerprints: Dict[str, str] = {}
     for soc_name in names:
-        soc = scale_soc(soc_name)
-        width = SCALE_WIDTHS.get(soc_name, SCALE_DEFAULT_WIDTH)
-
-        def solve(count: int):
-            return get_default_session().solve(
-                ScheduleRequest(
-                    soc=soc,
-                    total_width=width,
-                    solver="best",
-                    options={**SCALE_OPTIONS, "workers": count},
-                )
-            )
-
-        serial_seconds, serial = _timed_cold(lambda: solve(0), repeats)
-        key = f"{soc_name}/scale/{width}"
-        makespans[key] = serial.makespan
-        fingerprints[key] = schedule_fingerprint(serial.schedule)
-        reference_print = fingerprints[key]
-        phases[f"scale/{soc_name}/serial"] = {"seconds": serial_seconds}
-        for count in counts:
-            seconds, result = _timed_cold(lambda: solve(count), repeats)
-            if schedule_fingerprint(result.schedule) != reference_print:
-                raise AssertionError(
-                    f"scale suite: {soc_name} workers={count} changed the "
-                    "schedule vs the serial reference"
-                )
-            entry: Dict[str, Any] = {
-                "seconds": seconds,
-                "speedup": serial_seconds / seconds if seconds else 0.0,
-                "workers": count,
-            }
-            stats = get_default_executor().last_stats if count >= 2 else None
-            if stats is not None and stats.workers:
-                entry["board_aborts"] = stats.board_aborts
-            phases[f"scale/{soc_name}/w{count}"] = entry
+        request = ScheduleRequest(
+            soc=scale_soc(soc_name),
+            total_width=SCALE_WIDTHS.get(soc_name, SCALE_DEFAULT_WIDTH),
+            solver="best",
+            options=SCALE_OPTIONS,
+        )
+        seconds, result = _timed_cold(
+            lambda: get_default_session().solve(request), repeats
+        )
+        key = f"{soc_name}/scale/{request.total_width}"
+        makespans[key] = result.makespan
+        fingerprints[key] = schedule_fingerprint(result.schedule)
+        phases[f"scale/{soc_name}/serial"] = {"seconds": seconds}
     return {
         **_meta("scale"),
         "socs": list(names),
-        "workers": list(counts),
         "repeats": repeats,
-        "cpus": os.cpu_count(),
         "grid": {name: list(value) for name, value in SCALE_OPTIONS.items()},
         "phases": phases,
         "cache": _cache_stats(),
@@ -710,7 +669,7 @@ def run_serve_suite(
     cold_reset()
     supervisor = Supervisor(
         config=ServiceConfig(
-            max_inflight=2, queue_limit=max(total_requests, 1), workers=0
+            max_inflight=2, queue_limit=max(total_requests, 1)
         )
     )
     lock = threading.Lock()

@@ -74,7 +74,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.experiments import figure1_staircase, run_table1, run_table2
+from repro.analysis.experiments import figure1_staircase, run_table1, run_table2, table1_jobs
 from repro.analysis.export import save_csv, sweep_to_csv, table1_to_csv, table2_to_csv
 from repro.analysis.reporting import (
     ascii_plot,
@@ -203,35 +203,14 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
-def _execution_metadata() -> Dict[str, Any]:
-    """Board-abort count of the default executor's most recent run.
-
-    Result *objects* never carry it: the count depends on scheduling
-    races, and a *serial* engine run whose jobs carry a ``workers`` option
-    still fans its inner grids out through the pool, so counter-bearing
-    metadata would break serial/parallel bit-identity.  The CLI reads it
-    off :class:`~repro.engine.results.ExecutorStats` after the solve and
-    reports it alongside, ``recovery_events``-style: only when nonzero.
-    """
-    from repro.engine.executor import get_default_executor
-
-    stats = get_default_executor().last_stats
-    if stats is None or not stats.board_aborts:
-        return {}
-    return {"board_aborts": stats.board_aborts}
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         result = get_default_session().solve(_solve_request(args))
     except SolverError as error:  # includes solver refusals, normalised by Session
         print(f"error: {error}", file=sys.stderr)
         return 2
-    execution = _execution_metadata()
     if args.json:
-        payload = result.to_dict()
-        payload["metadata"].update(execution)
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(result.to_dict(), indent=2))
         return 0
     print(f"solver      : {result.solver}")
     print(f"soc         : {result.soc_name} (TAM width {result.total_width})")
@@ -240,7 +219,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         print(f"makespan    : {result.makespan} cycles")
     print(f"data volume : {result.data_volume} bits")
-    for name, value in sorted({**dict(result.metadata), **execution}.items()):
+    for name, value in sorted(result.metadata.items()):
         print(f"{name:<12}: {value}")
     return 0
 
@@ -369,17 +348,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.repeats is not None:
         kwargs["repeats"] = args.repeats
-    if getattr(args, "workers", None):
-        if args.suite != "scale":
-            print("error: --workers applies to --suite scale only", file=sys.stderr)
-            return 2
-        try:
-            kwargs["workers"] = tuple(
-                int(part) for part in str(args.workers).split(",") if part.strip()
-            )
-        except ValueError:
-            print(f"error: bad --workers list {args.workers!r}", file=sys.stderr)
-            return 2
     report = perf.run_suite(args.suite, soc_names=args.soc or None, **kwargs)
     print(perf.summarize(report))
     json_path = args.json
@@ -473,7 +441,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             queue_limit=args.queue_limit,
             default_deadline=args.default_deadline,
-            workers=args.workers,
             journal_path=Path(args.journal) if args.journal else None,
             fsync=args.fsync,
         )
@@ -517,10 +484,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.serve:
         return _cmd_chaos_serve(args)
 
-    from repro.analysis.perf import SOLVE_OPTIONS, check_golden, load_report
+    from repro.analysis.perf import check_golden, load_report
     from repro.analysis.perf import schedule_fingerprint as fingerprint
-    from repro.engine.executor import FlatExecutor, use_executor
+    from repro.engine.executor import FlatExecutor
     from repro.engine.faults import FaultPlanError, journal_to_json, ladder_stage
+    from repro.engine.runner import run_jobs
 
     try:
         plan = _chaos_plan(args)
@@ -534,34 +502,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
+    # The SOC's Table 1 row at this width: one default-grid ``best`` job per
+    # scheduling mode, run serially for the reference, then on a pool armed
+    # with the fault plan.
     soc, constraints = _load(args)
-    options = dict(SOLVE_OPTIONS.get(args.solver, {}))
-    if args.full_grid:
-        options = {}
-    if getattr(args, "options", None):
-        try:
-            extra = json.loads(args.options)
-        except json.JSONDecodeError as error:
-            print(f"error: --options is not valid JSON: {error}", file=sys.stderr)
-            return 2
-        if not isinstance(extra, dict):
-            print("error: --options must be a JSON object", file=sys.stderr)
-            return 2
-        options.update(extra)
-    grid_trimmed = any(key in options for key in ("percents", "deltas", "slacks"))
-
-    def solve(workers: int):
-        request = ScheduleRequest(
-            soc=soc,
-            total_width=args.width,
-            solver=args.solver,
-            constraints=constraints,
-            options={**options, "workers": workers},
+    if constraints is not None and constraints != ConstraintSet():
+        print(
+            "error: chaos runs the Table 1 modes and cannot honour the "
+            "constraints in an SOC description file; remove them",
+            file=sys.stderr,
         )
-        return get_default_session().solve(request)
-
+        return 2
+    jobs, context = table1_jobs(soc, (args.width,))
     try:
-        reference = solve(workers=0)
+        reference = run_jobs(jobs, context, workers=0)
     except SolverError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -569,71 +523,72 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     chaos_executor = FlatExecutor(
         fault_plan=plan if plan else None, task_deadline=args.deadline
     )
-    with use_executor(chaos_executor):
+    try:
         with warnings.catch_warnings():
             # Recovery is the point here: the pool-degrade RuntimeWarning
             # is recorded in the journal instead of spamming stderr.
             warnings.simplefilter("ignore", RuntimeWarning)
-            try:
-                faulted = solve(workers=args.workers)
-            except SolverError as error:
-                print(f"error: faulted solve failed: {error}", file=sys.stderr)
-                return 2
-            except Exception as error:
-                # The ladder deliberately re-raises when a fault plan
-                # exceeds the retry budget; report the journal it left
-                # behind instead of a raw traceback.
-                failures = chaos_executor.last_failures
-                events = chaos_executor.last_recovery_events
-                print(
-                    "CHAOS UNRECOVERED: the faulted run did not survive the "
-                    f"fault plan: {error!r}",
-                    file=sys.stderr,
-                )
-                for event in events:
-                    print(f"  event  : {event.encode()}", file=sys.stderr)
-                for record in failures:
-                    print(f"  fault  : {record.render()}", file=sys.stderr)
-                if args.journal:
-                    payload = journal_to_json(
-                        failures,
-                        events,
-                        extra={
-                            "soc": soc.name,
-                            "width": args.width,
-                            "solver": args.solver,
-                            "workers": args.workers,
-                            "plan": plan.to_dict(),
-                            "unrecovered_error": repr(error),
-                        },
-                    )
-                    with open(args.journal, "w", encoding="utf-8") as handle:
-                        handle.write(payload)
-                        handle.write("\n")
-                    print(f"wrote {args.journal}", file=sys.stderr)
-                return 1
+            faulted = chaos_executor.run_jobs(jobs, context, workers=args.workers)
+    except SolverError as error:
+        print(f"error: faulted solve failed: {error}", file=sys.stderr)
+        return 2
+    except Exception as error:
+        # The ladder deliberately re-raises when a fault plan exceeds the
+        # retry budget; report the journal it left behind instead of a raw
+        # traceback.
         failures = chaos_executor.last_failures
         events = chaos_executor.last_recovery_events
+        print(
+            "CHAOS UNRECOVERED: the faulted run did not survive the "
+            f"fault plan: {error!r}",
+            file=sys.stderr,
+        )
+        for event in events:
+            print(f"  event  : {event.encode()}", file=sys.stderr)
+        for record in failures:
+            print(f"  fault  : {record.render()}", file=sys.stderr)
+        if args.journal:
+            _write_chaos_journal(
+                args.journal,
+                journal_to_json(
+                    failures,
+                    events,
+                    extra={
+                        "soc": soc.name,
+                        "width": args.width,
+                        "workers": args.workers,
+                        "plan": plan.to_dict(),
+                        "unrecovered_error": repr(error),
+                    },
+                ),
+                sys.stderr,
+            )
+        return 1
+    finally:
+        chaos_executor.close()
+    failures = chaos_executor.last_failures
+    events = chaos_executor.last_recovery_events
 
-    reference_print = fingerprint(reference.schedule)
-    faulted_print = fingerprint(faulted.schedule)
-    identical = (
-        reference.makespan == faulted.makespan and reference_print == faulted_print
-    )
-    stage = ladder_stage(events)
-
-    # Golden keys follow the perf suites: the full default grid of the
-    # ``best`` solver is the ``best-full`` measurement, anything else the
-    # solve-matrix cell.
-    label = args.solver
-    if args.solver == "best" and not grid_trimmed:
-        label = "best-full"
-    key = f"{soc.name}/{label}/{args.width}"
-
-    print(f"soc          : {soc.name} (TAM width {args.width}, solver {args.solver})")
+    makespans: Dict[str, int] = {}
+    fingerprints: Dict[str, str] = {}
+    drifted: List[str] = []
+    print(f"soc          : {soc.name} (TAM width {args.width}, Table 1 row)")
     print(f"fault plan   : {len(plan.actions)} action(s)")
-    print(f"reference    : makespan {reference.makespan} ({reference_print})")
-    print(f"faulted      : makespan {faulted.makespan} ({faulted_print})")
+    for want, have in zip(reference, faulted):
+        mode = have.job.tag("mode")
+        key = f"{soc.name}/table1/{args.width}/{mode}"
+        makespans[key] = have.makespan
+        fingerprints[key] = fingerprint(have.schedule)
+        if (want.makespan, fingerprint(want.schedule)) != (
+            have.makespan,
+            fingerprints[key],
+        ):
+            drifted.append(key)
+        print(
+            f"{mode:<18}: reference {want.makespan}, faulted {have.makespan} "
+            f"({fingerprints[key]})"
+        )
+    stage = ladder_stage(events)
     print(f"recovery     : stage {stage}, {len(events)} event(s), "
           f"{len(failures)} failure record(s)")
     for event in events:
@@ -642,40 +597,48 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"  fault  : {record.render()}")
 
     if args.journal:
-        payload = journal_to_json(
-            failures,
-            events,
-            extra={
-                "soc": soc.name,
-                "width": args.width,
-                "solver": args.solver,
-                "workers": args.workers,
-                "plan": plan.to_dict(),
-                "makespans": {key: faulted.makespan},
-                "fingerprints": {key: faulted_print},
-                "reference_makespan": reference.makespan,
-                "identical": identical,
-                "stage": stage,
-            },
+        _write_chaos_journal(
+            args.journal,
+            journal_to_json(
+                failures,
+                events,
+                extra={
+                    "soc": soc.name,
+                    "width": args.width,
+                    "workers": args.workers,
+                    "plan": plan.to_dict(),
+                    "makespans": makespans,
+                    "fingerprints": fingerprints,
+                    "reference_makespans": {
+                        key: result.makespan
+                        for key, result in zip(makespans, reference)
+                    },
+                    "identical": not drifted,
+                    "stage": stage,
+                },
+            ),
+            sys.stdout,
         )
-        with open(args.journal, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.write("\n")
-        print(f"wrote {args.journal}")
 
     status = 0
-    if not identical:
+    if drifted:
         print(
             "CHAOS DRIFT: faulted run diverged from the fault-free serial "
-            "reference",
+            f"reference at {', '.join(drifted)}",
+            file=sys.stderr,
+        )
+        status = 1
+    if plan and not failures:
+        # A plan whose fingerprints match no task injects nothing, and a
+        # fault-free run trivially matches its reference.
+        print(
+            "CHAOS VACUOUS: the fault plan is not empty but no fault fired "
+            "(no failure record); check its task fingerprints",
             file=sys.stderr,
         )
         status = 1
     if args.check_golden:
-        report = {
-            "makespans": {key: faulted.makespan},
-            "fingerprints": {key: faulted_print},
-        }
+        report = {"makespans": makespans, "fingerprints": fingerprints}
         drifts = check_golden(report, load_report(args.check_golden))
         if drifts:
             for drift in drifts:
@@ -686,6 +649,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if status == 0:
         print("chaos check: OK (faulted run byte-identical to reference)")
     return status
+
+
+def _write_chaos_journal(path: str, payload: str, log: Any) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(payload)
+        handle.write("\n")
+    print(f"wrote {path}", file=log)
 
 
 def _lint_defaults() -> Tuple[Optional[Path], List[Path], Tuple[Path, ...]]:
@@ -905,16 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("curves", "solve", "sweep", "scale", "serve"),
         default="curves",
         help="what to measure: per-core curve construction (default), the "
-        "cold full-solver pass, the Figure 9 sweep, the worker-count "
-        "scaling curve of trimmed best sweeps, or the "
+        "cold full-solver pass, the Figure 9 sweep, trimmed best sweeps "
+        "from 10 to 1000 cores, or the "
         "scheduling service under a duplicate-heavy request burst",
-    )
-    p_bench.add_argument(
-        "--workers",
-        metavar="N[,N...]",
-        default=None,
-        help="comma-separated worker counts for --suite scale "
-        "(default 1,2,4; the serial reference is always measured)",
     )
     p_bench.add_argument(
         "--soc",
@@ -945,17 +908,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos",
-        help="prove fault tolerance: solve under an injected fault plan and "
-        "compare against the fault-free serial reference",
+        help="prove fault tolerance: run the SOC's Table 1 row at one width "
+        "(its three mode constraints; an SOC file may carry none) on a pool "
+        "under an injected fault plan and compare against the fault-free "
+        "serial reference",
     )
     _add_soc_argument(p_chaos)
     p_chaos.add_argument("width", type=int, help="total SOC TAM width")
-    p_chaos.add_argument(
-        "--solver",
-        default="best",
-        help="registry solver to harden (default: best, whose grid fan-out "
-        "exercises the parallel path)",
-    )
     p_chaos.add_argument(
         "--plan",
         help="fault plan: inline JSON (starts with '{') or a path to a plan "
@@ -975,17 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_TASK_DEADLINE or 300)",
     )
     p_chaos.add_argument(
-        "--options",
-        help="extra solver options as a JSON object (merged over the perf "
-        "suite's trimmed grid for 'best')",
-    )
-    p_chaos.add_argument(
-        "--full-grid",
-        action="store_true",
-        help="drop the trimmed grid and sweep the solver's full default "
-        "grid (golden key '<soc>/best-full/<width>' for 'best')",
-    )
-    p_chaos.add_argument(
         "--journal",
         metavar="FILE",
         help="write the structured fault journal (failures + recovery "
@@ -994,14 +942,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--check-golden",
         metavar="FILE",
-        help="also compare the faulted run's makespan/fingerprint against "
-        "this golden JSON and exit 1 on drift",
+        help="also compare the faulted run's makespans against this golden "
+        "JSON (keys '<soc>/table1/<width>/<mode>') and exit 1 on drift",
     )
     p_chaos.add_argument(
         "--serve",
         action="store_true",
-        help="run the service-level fault scenarios instead (worker kill, "
-        "client disconnect, server kill + journal replay, queue flood), "
+        help="run the service-level fault scenarios instead (client "
+        "disconnect, server kill + journal replay, queue flood), "
         "asserting byte-identity against batch Session.solve",
     )
     p_chaos.add_argument(
@@ -1038,13 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="bounded accept queue depth; further solves are rejected "
         "'overloaded' (default 8)",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=0,
-        help="process fan-out per solve (default 0: in-thread serial "
-        "solves, fully cancellable)",
     )
     p_serve.add_argument(
         "--default-deadline",

@@ -1,9 +1,9 @@
-"""Deduplicated, pruned, parallel best-over-grid sweep (the ``best`` solver core).
+"""Deduplicated, pruned best-over-grid sweep (the ``best`` solver core).
 
 The paper's headline numbers are "best over a (``percent``, ``delta``)
 grid" results, so the real unit of work is not one scheduler run but a
 whole grid of them.  :func:`run_grid_sweep` turns that grid into a batched
-subsystem with four cooperating optimisations, all bit-identical to the
+subsystem with three cooperating optimisations, all bit-identical to the
 straightforward triple loop (kept as
 :func:`run_best_schedule_reference` and pinned by randomized property
 tests in ``tests/test_grid_sweep.py``):
@@ -32,22 +32,15 @@ tests in ``tests/test_grid_sweep.py``):
 * **Lower-bound early exit.**  Once a candidate meets the Table 1 lower
   bound (max of area and bottleneck bounds) no later grid point can beat
   it, so the sweep stops.
-* **Parallel execution.**  Surviving runs fan out as individual tasks on
-  the *shared flat executor* (:mod:`repro.engine.executor`) -- the same
-  persistent pool the sweep engine dispatches to, so a ``best`` solve and
-  an engine sweep never nest pools.  Tasks stream through
-  ``imap_unordered`` carrying the incumbent makespan known at dispatch
-  time (monotone-tightening only).  Pool-less sandboxes degrade to the
-  serial path *observably* (a RuntimeWarning plus a ``degraded_to_serial``
-  marker in the outcome metadata); results are bit-identical for every
-  worker count.
+
+A sweep always runs in the calling process.  Parallelism lives one level
+up: the sweep engine (:mod:`repro.engine.executor`) dispatches whole
+``best`` jobs to its pool, one task per job.
 
 :class:`GridSweepState` is the one home of the winner rule: it does the
 set-up (dedup, lower bound, estimate order), holds the incumbent, picks
 the minimal ``(makespan, grid index)`` and decides which runs the lower
-bound makes skippable.  The serial sweep, every executor dispatch and
-every executor recovery rung (quarantine, serial drain) drive that same
-state, so the serial reference *is* the in-process rung.
+bound makes skippable.
 
 The sweep also reports *which* grid point won (:class:`GridSweepOutcome`),
 which the ``best`` solver surfaces in its result metadata.
@@ -55,28 +48,12 @@ which the ``best`` solver surfaces in its result metadata.
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
-
-if TYPE_CHECKING:  # circular at runtime: repro.engine imports this module
-    from repro.engine.faults import RecoveryEvent
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.lower_bounds import lower_bound
 from repro.core.rectangles import RectangleSet, resolve_rectangle_sets, soc_plan
 from repro.core.scheduler import (
-    IncumbentAbort,
     MakespanLimitExceeded,
     SchedulerConfig,
     _Scheduler,
@@ -124,14 +101,8 @@ class GridRun:
 class GridSweepOutcome:
     """The result of one best-over-grid sweep.
 
-    All comparable fields are deterministic functions of the inputs --
-    identical for every worker count -- so the outcome is safe to
-    fingerprint.  ``recovery_events`` records the recovery-ladder steps
-    (``resurrected``/``quarantined``/``serial``) the flat executor took to
-    finish the sweep (environment-dependent, so excluded from equality);
-    a clean run has none, keeping serial-reference comparisons exact.
-    ``degraded_to_serial`` is the derived compatibility flag: ``True``
-    whenever any rung of the ladder was the serial path.
+    Every field is a deterministic function of the inputs, so the
+    outcome is safe to fingerprint.
     """
 
     schedule: TestSchedule
@@ -141,18 +112,10 @@ class GridSweepOutcome:
     unique_runs: int
     lower_bound: int
     early_exit: bool
-    recovery_events: Tuple["RecoveryEvent", ...] = field(default=(), compare=False)
-
-    @property
-    def degraded_to_serial(self) -> bool:
-        """Derived compatibility flag: did any work run on the serial rung?"""
-        # Stage names are stable string constants (see repro.engine.faults,
-        # not importable here at runtime without a cycle).
-        return any(event.stage == "serial" for event in self.recovery_events)
 
     def metadata(self) -> Dict[str, Any]:
         """Flat, JSON/CSV-friendly form for ``ScheduleResult.metadata``."""
-        metadata = {
+        return {
             "grid_points": self.grid_points,
             "unique_runs": self.unique_runs,
             "winner_percent": self.winner.percent,
@@ -161,13 +124,6 @@ class GridSweepOutcome:
             "lower_bound": self.lower_bound,
             "early_exit": self.early_exit,
         }
-        if self.recovery_events:
-            metadata["recovery_events"] = ">".join(
-                event.encode() for event in self.recovery_events
-            )
-        if self.degraded_to_serial:
-            metadata["degraded_to_serial"] = True
-        return metadata
 
 
 def enumerate_grid_points(
@@ -221,16 +177,8 @@ def dedupe_grid(
 
 
 # ----------------------------------------------------------------------
-# Pool context and run ordering (shared with the flat executor)
+# Run ordering
 # ----------------------------------------------------------------------
-def preferred_pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork`` (cheap start-up, inherits warm caches) when available."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 def order_runs_by_estimate(
     soc: Soc,
     rectangle_sets: Dict[str, RectangleSet],
@@ -243,8 +191,7 @@ def order_runs_by_estimate(
     widths) is a pure function of the inputs, and the strict pruning rule
     makes the final winner independent of evaluation order, so evaluating
     promising runs first is purely a wall-clock lever: the incumbent bound
-    tightens early and prunes the rest harder.  Both the serial sweep and
-    the flat executor's task decomposition use this order.
+    tightens early and prunes the rest harder.
     """
     plan = soc_plan(soc, rectangle_sets)
     return sorted(
@@ -261,18 +208,13 @@ def _execute_run(
     point: GridPoint,
     vector: Sequence[int],
     limit: Optional[int],
-    limit_probe: Optional[Callable[[], int]] = None,
-    probe_interval: int = 0,
 ) -> Optional[TestSchedule]:
     """One bounded scheduler run; ``None`` when the incumbent prunes it.
 
     Drives the scheduler directly (the sweep already resolved the
     rectangle sets and validated the constraints once for the whole grid,
     so the per-run front-door work of :func:`run_paper_scheduler` would be
-    pure overhead repeated dozens of times).  ``limit_probe`` /
-    ``probe_interval`` arm the mid-run incumbent checkpoint; a resulting
-    :class:`IncumbentAbort` propagates (the executor counts those), while
-    a dispatch-time prune still returns ``None``.
+    pure overhead repeated dozens of times).
     """
     try:
         return _Scheduler(
@@ -288,11 +230,7 @@ def _execute_run(
             rectangle_sets,
             preferred_widths=vector,
             makespan_limit=limit,
-            limit_probe=limit_probe,
-            probe_interval=probe_interval,
         ).run()
-    except IncumbentAbort:
-        raise
     except MakespanLimitExceeded:
         return None
 
@@ -308,10 +246,7 @@ class GridSweepState:
     fed run replies in *any* order.  The winner is the minimal
     ``(makespan, run index)``, exactly the serial loop's "first strict
     improvement wins", so the outcome is independent of completion order.
-    The serial sweep drains :meth:`pending` through :meth:`execute`; the
-    flat executor streams the same runs to workers and :meth:`absorb`\\ s
-    their replies, and its quarantine and serial-drain rungs call
-    :meth:`execute` -- one rule for every execution path.
+    :func:`run_grid_sweep` drains :meth:`pending` through :meth:`execute`.
     """
 
     __slots__ = (
@@ -349,7 +284,7 @@ class GridSweepState:
             raise ValueError("the heuristic grid is empty; nothing to sweep")
         self.soc = soc
         self.width = width
-        self.constraints = constraints  # as given: travels in grid tasks
+        self.constraints = constraints
         self.config = config
         self.sets = sets
         self.bound = lower_bound(soc, width, config.max_core_width, rectangle_sets=sets)
@@ -422,8 +357,8 @@ class GridSweepState:
             limit,
         )
 
-    def outcome(self, events: Tuple["RecoveryEvent", ...] = ()) -> GridSweepOutcome:
-        """The sweep's result, with ``events`` as its recovery ladder.
+    def outcome(self) -> GridSweepOutcome:
+        """The sweep's result.
 
         The first run is limit-free and always completes, so there is a
         winner once every run is settled.  When the winner's schedule
@@ -445,7 +380,6 @@ class GridSweepState:
             unique_runs=len(self.runs),
             lower_bound=self.bound,
             early_exit=makespan <= self.bound,
-            recovery_events=events,
         )
 
 
@@ -458,7 +392,6 @@ def run_grid_sweep(
     slacks: Sequence[int] = DEFAULT_SLACKS,
     config: Optional[SchedulerConfig] = None,
     rectangle_sets: Optional[Dict[str, RectangleSet]] = None,
-    workers: int = 0,
 ) -> GridSweepOutcome:
     """Best paper-scheduler run over the heuristic grid, with provenance.
 
@@ -469,32 +402,14 @@ def run_grid_sweep(
     ``deltas``, ``slacks``) grid.  The default grid is wider than the
     paper's: ``q`` reaches 75 and the slack also takes 0 and 6 (see
     ``DEFAULT_PERCENTS``), which finds shorter schedules at narrow TAMs.
-
-    ``workers > 1`` fans the deduplicated runs out as individual tasks on
-    the process-wide flat executor (:mod:`repro.engine.executor`), sharing
-    its persistent worker pool with the sweep engine.  When no pool can be
-    created the sweep degrades -- with a :class:`RuntimeWarning` and a
-    ``degraded_to_serial`` outcome marker -- to the serial loop.  The
-    returned outcome -- schedule, winning grid point and sweep statistics
-    -- is bit-identical for every worker count.
+    The runs execute in the calling process.
     """
-    if workers < 0:
-        raise ValueError(f"workers must be non-negative, got {workers}")
     base = config or SchedulerConfig()
     sets = resolve_rectangle_sets(soc, base.max_core_width, rectangle_sets)
     state = GridSweepState(soc, total_width, constraints, base, sets, percents, deltas, slacks)
-    events: Tuple["RecoveryEvent", ...] = ()
-    if workers > 1:
-        # Lazy import: repro.engine imports this module at load time.
-        from repro.engine.executor import get_default_executor
-
-        # Pool failures are recovered inside the executor (resurrection,
-        # quarantine or serial drain), which leaves nothing pending; when it
-        # declines to parallelise (too few runs) every run drains below.
-        events = get_default_executor().run_grid_runs(state, workers)
     for run in state.pending():
         state.execute(run)
-    return state.outcome(events)
+    return state.outcome()
 
 
 def run_best_schedule_reference(

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -99,20 +98,6 @@ class MakespanLimitExceeded(SchedulerError):
     run knows ``W * t`` plus a lower bound on the wire-cycles its tests
     still need, and once that exceeds ``W * makespan_limit`` the makespan
     must too.
-    """
-
-
-class IncumbentAbort(MakespanLimitExceeded):
-    """Raised when a *mid-run* incumbent probe proves the run cannot win.
-
-    Identical pruning logic to :class:`MakespanLimitExceeded`, but the
-    limit that killed the run arrived *during* the event loop (re-read
-    from the executor's shared incumbent board via ``limit_probe``)
-    rather than at dispatch.  Kept distinct so the executor can count
-    board-driven aborts separately; because the board only ever holds
-    makespans that some run actually completed, and the comparison is
-    strict, an abort can only skip work that is strictly worse than the
-    final best -- results stay byte-identical to serial.
     """
 
 
@@ -375,8 +360,6 @@ class _Scheduler:
         rectangle_sets: Optional[Dict[str, RectangleSet]] = None,
         preferred_widths: Optional[Sequence[int]] = None,
         makespan_limit: Optional[int] = None,
-        limit_probe: Optional[Callable[[], int]] = None,
-        probe_interval: int = 0,
     ) -> None:
         if total_width <= 0:
             raise SchedulerError("total TAM width must be positive")
@@ -386,14 +369,6 @@ class _Scheduler:
         self.config = config
         self.current_time = 0
         self.makespan_limit = makespan_limit
-        # Mid-run incumbent checkpoint: every `probe_interval` completion
-        # events, re-read the freshest incumbent (0 means "none yet") and
-        # tighten the limit.  The probe must be monotone -- it only ever
-        # returns makespans some run has actually completed.
-        self._limit_probe = limit_probe
-        self._probe_interval = int(probe_interval) if limit_probe is not None else 0
-        self._events_until_probe = self._probe_interval
-        self._board_limit = False
         # Ambient cooperative cancellation (service layer): capture the
         # calling thread's cancel token once at construction.  sys.modules
         # is consulted instead of importing -- core/ must not pull in
@@ -992,17 +967,6 @@ class _Scheduler:
             # Cooperative cancellation checkpoint: one Event read (plus a
             # monotonic-clock read when a deadline is armed) per event.
             self._cancel_token.raise_if_cancelled()
-        if self._probe_interval > 0:
-            self._events_until_probe -= 1
-            if self._events_until_probe <= 0:
-                self._events_until_probe = self._probe_interval
-                assert self._limit_probe is not None
-                fresh = self._limit_probe()
-                if fresh > 0 and (
-                    self.makespan_limit is None or fresh < self.makespan_limit
-                ):
-                    self.makespan_limit = fresh
-                    self._board_limit = True
         if self.makespan_limit is not None and next_time > self.makespan_limit:
             # Tests remain incomplete past the limit, so the final makespan
             # is strictly worse than the incumbent: abandon the run.  The
@@ -1042,8 +1006,6 @@ class _Scheduler:
 
     def _abort(self, message: str) -> NoReturn:
         """End a run that has proved it cannot meet ``makespan_limit``."""
-        if self._board_limit:
-            raise IncumbentAbort(message)
         raise MakespanLimitExceeded(message)
 
     def run(self) -> TestSchedule:

@@ -31,7 +31,6 @@ from repro.engine.executor import (
     execute_job,
     get_default_executor,
     prime_context_caches,
-    use_executor,
 )
 from repro.engine.faults import (
     RECOVERY_LADDER,
@@ -63,7 +62,6 @@ __all__ = [
     "FlatExecutor",
     "get_default_executor",
     "close_default_executor",
-    "use_executor",
     "run_jobs",
     "execute_job",
     "prime_context_caches",

@@ -1,45 +1,25 @@
-"""Flattened shared-pool executor: one persistent work queue for every layer.
+"""Shared-pool executor: one persistent pool, one task per job.
 
-Before this module existed the repository had *two* pool layers that could
-not compose: the sweep engine pooled over whole :class:`ScheduleJob`\\ s, and
-the ``best`` solver's grid sweep pooled over its deduplicated scheduler
-runs.  A ``best`` job executing inside a sweep worker hit multiprocessing's
-daemonic-pool restriction and silently fell back to serial grid runs, so
-the paper's most expensive experiments (Tables 1/2, Figure 9 -- all sweeps
-of best-over-grid solves) never used more than one process per grid point.
+The sweep engine's jobs (one SOC at one TAM width through one registry
+solver) are independent, so :class:`FlatExecutor` runs each one whole as a
+single pool task.  A ``best`` job is one task too: its best-over-grid sweep
+(:func:`repro.core.grid_sweep.run_grid_sweep`) always drains in the
+process that runs the job, so workers never need a pool of their own and
+a single solve never starts one.
 
-:class:`FlatExecutor` replaces both layers with a single flat task queue:
-
-* **Decomposition.**  :meth:`FlatExecutor.run_jobs` breaks every job into
-  scheduler-run *tasks*.  A ``best`` job explodes into the deduplicated,
-  estimate-ordered grid runs of a
-  :class:`~repro.core.grid_sweep.GridSweepState`, any other solver stays
-  one task.  Parallelism granularity is the individual scheduler run, so
-  stragglers shrink and nested pools disappear -- workers never need a
-  pool of their own.
-* **Dispatch.**  Tasks flow through ``imap_unordered`` behind a sliding
-  backpressure window, and results are reassembled deterministically by
-  ``(job index, run key)``.  Cross-task incumbent makespans for the same
-  ``best`` job feed later tasks of that job two ways: injected into the
-  task at yield time, and (on fork pools) published on a shared lock-free
-  *incumbent board* that workers re-read when a task actually starts, so
-  pruning stays tight even for tasks dispatched early in large chunks.
-  Incumbents only ever tighten monotonically towards the final winner --
-  a stale (looser) limit can never abort the winner -- so the selected
-  schedule, winner grid point and statistics are bit-identical for every
-  worker count.
+* **Dispatch.**  Jobs flow through ``imap_unordered`` behind a sliding
+  backpressure window, in parent-side chunks, and the results are
+  reassembled in job order -- bit-identical for every worker count.
 * **Persistence.**  The pool outlives one call: it is created lazily,
   keyed on the *SOC universe* of the :class:`~repro.engine.jobs.EngineContext`
-  (constraint sets are small and travel inside tasks, so a Table 1 sweep,
-  a Table 2 sweep and a direct ``best`` solve over the same SOC all share
-  one pool) plus the worker count and warmed cache pairs, and reused by
-  subsequent ``run_jobs`` / ``Session.solve`` calls, keeping the workers'
-  warm wrapper-curve and rectangle caches.  A SOC-universe change
-  refreshes the pool (cheap under ``fork``: the parent's caches -- warmed
-  *before* the fork -- are inherited); :meth:`FlatExecutor.close` tears it
-  down explicitly and an ``atexit`` hook closes the process-wide default
-  executor.
-
+  (constraint sets are small and travel inside tasks, so a Table 1 sweep
+  and a Table 2 sweep over the same SOC share one pool) plus the worker
+  count and warmed cache pairs, and reused by subsequent ``run_jobs``
+  calls, keeping the workers' warm wrapper-curve and rectangle caches.  A
+  SOC-universe change refreshes the pool (cheap under ``fork``: the
+  parent's caches -- warmed *before* the fork -- are inherited);
+  :meth:`FlatExecutor.close` tears it down explicitly and an ``atexit``
+  hook closes the process-wide default executor.
 * **Supervision.**  Dispatch runs under a watchdog (see
   :mod:`repro.engine.faults`): every task failure becomes a structured
   :class:`~repro.engine.faults.FailureRecord`, worker exceptions get a
@@ -55,12 +35,11 @@ of best-over-grid solves) never used more than one process per grid point.
   ``parallel -> resurrected -> quarantined -> serial``
   (:class:`~repro.engine.faults.RecoveryEvent`), surfaced through
   :class:`~repro.engine.results.ExecutorStats`, result metadata and the
-  ``repro chaos`` harness; ``degraded_to_serial`` survives as a derived
-  compatibility property.  Because retry, re-dispatch and quarantine all
-  re-execute *pure* tasks and reassembly stays keyed on
-  ``(job index, run key)``, recovered runs remain bit-identical to the
-  fault-free serial reference -- the property the chaos tests pin under
-  injected worker kills, exceptions, hangs and pool-creation failures
+  ``repro chaos`` harness.  Because retry, re-dispatch and quarantine all
+  re-execute *pure* jobs and reassembly is keyed on the job index,
+  recovered runs remain bit-identical to the fault-free serial reference
+  -- the property the chaos tests pin under injected worker kills,
+  exceptions, hangs and pool-creation failures
   (:class:`~repro.engine.faults.FaultPlan`, ``REPRO_FAULT_PLAN``).
 
 When no pool can be created at all (sandboxes without semaphores,
@@ -75,7 +54,6 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import ctypes
 import multiprocessing
 import os
 import pickle
@@ -83,20 +61,9 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.data_volume import tester_data_volume
-from repro.core.grid_sweep import (
-    DEFAULT_DELTAS,
-    DEFAULT_PERCENTS,
-    DEFAULT_SLACKS,
-    GridPoint,
-    GridSweepState,
-    _execute_run,
-    preferred_pool_context,
-)
 from repro.core.rectangles import soc_plan
-from repro.core.scheduler import IncumbentAbort, SchedulerConfig
 from repro.engine.faults import (
     STAGE_PARALLEL,
     STAGE_QUARANTINED,
@@ -116,13 +83,8 @@ from repro.engine.jobs import EngineContext, EngineError, JobResult, ScheduleJob
 from repro.engine.results import ExecutorStats, SweepResults
 from repro.soc.constraints import ConstraintSet
 from repro.soc.soc import Soc
-from repro.solvers.registry import normalize_solver_name
 from repro.solvers.request import ScheduleRequest
 from repro.solvers.session import get_default_session
-
-#: Option names the ``best`` solver understands; a best job carrying any
-#: other option is left whole so the solver raises its canonical error.
-_BEST_OPTION_NAMES = frozenset({"percents", "deltas", "slacks", "workers"})
 
 #: Exceptions that mean "no pool can be created here" (sandboxes without
 #: working semaphores, platforms without fork/spawn, daemonic workers).
@@ -144,18 +106,14 @@ except ImportError:  # pragma: no cover - ancient/stripped stdlib
 #: (task exceptions come back as :class:`_TaskFailure` payloads).
 _POOL_DEATH_ERRORS = (_BrokenProcessPool, OSError, EOFError)
 
-#: Slots on the shared incumbent board (one per concurrently-dispatched
-#: grid plan; plans beyond the board fall back to dispatch-time limits).
-_BOARD_SLOTS = 1024
-
 #: How many pool deaths a task must be in flight for before it is deemed
 #: poisoned and quarantined to the in-process serial path.
 _QUARANTINE_STRIKES = 2
 
 #: Watchdog default: a pooled run with no task reply for this long is
 #: declared stalled and resurrected.  Generous on purpose -- legitimate
-#: scheduler runs are sub-second, so a stall is pathological long before
-#: five minutes -- and overridable per executor or via the environment.
+#: jobs finish in seconds, so a stall is pathological long before five
+#: minutes -- and overridable per executor or via the environment.
 DEFAULT_TASK_DEADLINE = 300.0
 ENV_TASK_DEADLINE = "REPRO_TASK_DEADLINE"
 
@@ -164,13 +122,6 @@ ENV_TASK_DEADLINE = "REPRO_TASK_DEADLINE"
 #: :func:`repro.engine.faults.backoff_delay`) between rounds.
 DEFAULT_MAX_TASK_RETRIES = 2
 DEFAULT_RETRY_BACKOFF = 0.05
-
-#: Mid-run abort cadence: workers re-read their task's incumbent-board
-#: slot every this many scheduler completion events and raise
-#: :class:`~repro.core.scheduler.IncumbentAbort` when the running partial
-#: makespan can no longer beat the freshest incumbent.  ``0`` disables the
-#: checkpoint (dispatch-time and task-start limits still apply).
-_BOARD_POLL = 8
 
 #: Cap on the derived chunk size: a lost chunk re-dispatches every task in
 #: it after a pool death, so unbounded chunks would make resurrection
@@ -192,23 +143,9 @@ def execute_job(job: ScheduleJob, context: EngineContext) -> JobResult:
 
 
 def _solve_job(
-    job: ScheduleJob,
-    soc: Soc,
-    constraints: Optional[ConstraintSet],
-    suppress_fanout: bool = False,
+    job: ScheduleJob, soc: Soc, constraints: Optional[ConstraintSet]
 ) -> JobResult:
-    """``execute_job`` with the context references already resolved.
-
-    ``suppress_fanout`` is set when the job runs *inside* a pool worker:
-    the flat pool already is the parallelism, so a solver-level ``workers``
-    option is forced serial.  Without this, a ``best`` job dispatched
-    whole would attempt a nested pool in a daemonic worker and stamp its
-    (environment-dependent) ``degraded_to_serial`` marker into result
-    metadata, breaking bit-identity with the serial reference.
-    """
-    options = job.solver_options()
-    if suppress_fanout and options.get("workers"):
-        options["workers"] = 0
+    """``execute_job`` with the context references already resolved."""
     result = get_default_session().solve(
         ScheduleRequest(
             soc=soc,
@@ -216,7 +153,7 @@ def _solve_job(
             solver=job.solver,
             config=job.config,
             constraints=constraints,
-            options=options,
+            options=job.solver_options(),
         )
     )
     if result.schedule is None:
@@ -278,14 +215,6 @@ def _prime_soc_pairs(
 # vocabulary of a job list changes.
 _WORKER_SOCS: Optional[Dict[str, Soc]] = None
 
-# The shared incumbent board: a lock-free int64 array (fork pools only).
-# The parent writes each grid plan's tightening incumbent makespan into the
-# plan's slot; workers read it when a task starts, so pruning limits stay
-# tight even when tasks were dispatched (chunked) long before they run.
-# Writes are monotone decreasing towards the final winner, so a torn or
-# stale read can only yield a *looser* limit -- never an unsound one.
-_WORKER_BOARD: Optional[Any] = None  # repro: fork-local
-
 # The fault-injection plan, installed only in pool workers: the parent's
 # quarantine and serial-drain paths run injection-free by construction, so
 # every recovery ladder terminates (a persistently-hanging task can only
@@ -296,7 +225,6 @@ _WORKER_FAULTS: Optional[FaultPlan] = None  # repro: fork-local
 def _init_worker(
     socs: Dict[str, Soc],
     pairs: Sequence[Tuple[str, int]],
-    board: Optional[Any] = None,
     faults: Optional[FaultPlan] = None,
 ) -> None:
     """Pool initializer: install the SOC universe, warm the caches.
@@ -306,9 +234,8 @@ def _init_worker(
     inheritance; under ``spawn``/``forkserver`` it is pickled through
     ``initargs`` once per worker and the caches are built here.
     """
-    global _WORKER_SOCS, _WORKER_BOARD, _WORKER_FAULTS
+    global _WORKER_SOCS, _WORKER_FAULTS
     _WORKER_SOCS = dict(socs)
-    _WORKER_BOARD = board
     _WORKER_FAULTS = faults
     _prime_soc_pairs(_WORKER_SOCS, pairs)
 
@@ -329,63 +256,15 @@ class _JobTask:
     attempt: int = 1
 
 
-@dataclass(frozen=True)
-class _GridTask:
-    """One deduplicated scheduler run of a decomposed ``best`` job.
-
-    ``limit`` is the incumbent makespan of the owning job at dispatch time
-    (monotone-tightening only; ``None`` until the job's first result).
-    ``slot`` indexes the shared incumbent board for a fresher limit at run
-    time (``-1`` when no board is available).  ``attempt`` is the 1-based
-    dispatch count stamped by the supervisor.
-    """
-
-    job_index: int
-    run_index: int
-    soc: str
-    width: int
-    constraints: Optional[ConstraintSet]
-    config: SchedulerConfig
-    point: GridPoint
-    vector: Tuple[int, ...]
-    limit: Optional[int]
-    slot: int = -1
-    attempt: int = 1
-
-
-@dataclass(frozen=True)
-class _BoardAbort:
-    """Reply payload of a grid run killed mid-run by the incumbent board.
-
-    Equivalent to a pruned run for reassembly (the aborted run is strictly
-    worse than some completed makespan, so it can never win), but counted
-    separately as ``board_aborts``.
-    """
-
-
-_Task = Union[_JobTask, _GridTask]
-
-#: Supervisor-side task identity, stable across retries and resurrection
-#: rounds: ``(job index, run index)`` with ``-1`` for whole-job tasks.
-_TaskKey = Tuple[int, int]
-
-
-def _task_key(task: _Task) -> _TaskKey:
-    return (task.job_index, -1 if isinstance(task, _JobTask) else task.run_index)
-
-
-def task_fingerprint(task: _Task) -> str:
+def task_fingerprint(task: _JobTask) -> str:
     """The stable, human-greppable identity of one task.
 
     Fault plans match on substrings of this string and the retry backoff
     is keyed on it, so the format is part of the chaos-harness contract:
-    ``job:{soc}:w{width}:{solver}:i{job index}`` for whole jobs,
-    ``grid:{soc}:w{width}:j{job index}:r{run index}`` for grid runs.
+    ``job:{soc}:w{width}:{solver}:i{job index}``.
     """
-    if isinstance(task, _JobTask):
-        job = task.job
-        return f"job:{job.soc}:w{job.width}:{job.solver}:i{job.index}"
-    return f"grid:{task.soc}:w{task.width}:j{task.job_index}:r{task.run_index}"
+    job = task.job
+    return f"job:{job.soc}:w{job.width}:{job.solver}:i{job.index}"
 
 
 @dataclass(frozen=True)
@@ -423,29 +302,25 @@ def _portable_exception(
 
 
 #: What a worker sends back per task, keyed for deterministic reassembly:
-#: ``(job_index, run_index, payload, wall_seconds)``.  ``run_index`` is
-#: ``None`` for whole-job tasks (payload: the JobResult); for grid tasks
-#: the payload is ``None`` (pruned), a bare makespan (completed but not a
-#: strict improvement on the dispatch limit -- the schedule stays in the
-#: worker to save IPC), or a ``(makespan, schedule)`` pair.  A task that
-#: raised ships a :class:`_TaskFailure` payload instead.
-_TaskReply = Tuple[int, Optional[int], Any, float]
+#: ``(job_index, payload)``.  The payload is the :class:`JobResult`, or a
+#: :class:`_TaskFailure` when the task raised.
+_TaskReply = Tuple[int, Any]
 
 
-def _execute_task(task: _Task) -> _TaskReply:
+def _execute_task(task: _JobTask) -> _TaskReply:
     """Worker entry point: fault-injection hook, payload, failure capture."""
-    started = time.perf_counter()
     fingerprint = task_fingerprint(task)
     try:
         if _WORKER_FAULTS is not None:
             apply_task_fault(_WORKER_FAULTS, fingerprint, task.attempt)
-        return _execute_payload(task, started)
+        assert _WORKER_SOCS is not None, "worker used before initialization"
+        soc = _WORKER_SOCS[task.job.soc]
+        return (task.job_index, _solve_job(task.job, soc, task.constraints))
     except (KeyboardInterrupt, SystemExit):
         # Genuinely fatal: let it kill this worker; the parent's watchdog
         # supervises the resulting stall.
         raise
     except Exception as error:
-        run_index = None if isinstance(task, _JobTask) else task.run_index
         portable, note = _portable_exception(error)
         text = format_error(error)
         failure = _TaskFailure(
@@ -454,10 +329,10 @@ def _execute_task(task: _Task) -> _TaskReply:
             error=f"{text}; {note}" if note else text,
             exception=portable,
         )
-        return (task.job_index, run_index, failure, time.perf_counter() - started)
+        return (task.job_index, failure)
 
 
-def _execute_chunk(tasks: Tuple[_Task, ...]) -> Tuple[_TaskReply, ...]:
+def _execute_chunk(tasks: Tuple[_JobTask, ...]) -> Tuple[_TaskReply, ...]:
     """Worker entry point: run a parent-chunked batch of tasks.
 
     Chunking happens parent-side rather than through ``imap_unordered``'s
@@ -469,78 +344,11 @@ def _execute_chunk(tasks: Tuple[_Task, ...]) -> Tuple[_TaskReply, ...]:
     return tuple(_execute_task(task) for task in tasks)
 
 
-def _execute_payload(task: _Task, started: float) -> _TaskReply:
-    assert _WORKER_SOCS is not None, "worker used before initialization"
-    if isinstance(task, _JobTask):
-        soc = _WORKER_SOCS[task.job.soc]
-        result = _solve_job(task.job, soc, task.constraints, suppress_fanout=True)
-        return (task.job_index, None, result, time.perf_counter() - started)
-    soc = _WORKER_SOCS[task.soc]
-    constraints = task.constraints
-    limit = task.limit
-    probe = None
-    probe_interval = 0
-    if task.slot >= 0 and _WORKER_BOARD is not None:
-        shared = _WORKER_BOARD[task.slot]
-        if shared and (limit is None or shared < limit):
-            limit = int(shared)
-        if _BOARD_POLL > 0:
-            # Arm the mid-run checkpoint: re-read this plan's board slot
-            # every K completion events inside the scheduler event loop.
-            board, slot = _WORKER_BOARD, task.slot
-            probe_interval = _BOARD_POLL
-
-            def probe() -> int:
-                return int(board[slot])
-
-    sets = get_default_session().rectangle_sets(soc, task.config.max_core_width)
-    try:
-        schedule = _execute_run(
-            soc,
-            task.width,
-            constraints or ConstraintSet.unconstrained(),
-            task.config,
-            sets,
-            task.point,
-            task.vector,
-            limit,
-            limit_probe=probe,
-            probe_interval=probe_interval,
-        )
-    except IncumbentAbort:
-        # The board proved this run strictly worse than a completed
-        # sibling mid-run; ship the (tiny) abort marker instead of a
-        # result.  Reassembly treats it as pruned, the journal counts it.
-        wall = time.perf_counter() - started
-        return (task.job_index, task.run_index, _BoardAbort(), wall)
-    wall = time.perf_counter() - started
-    if schedule is None:  # pruned by the incumbent limit
-        return (task.job_index, task.run_index, None, wall)
-    makespan = schedule.makespan
-    if task.slot >= 0 and _WORKER_BOARD is not None:
-        # Publish the completed makespan so sibling tasks of the same job
-        # prune against it without waiting for the parent's round-trip.
-        # Any completed makespan bounds the job's final best from above,
-        # so the (unlocked) read-compare-write race is benign: a lost
-        # update can only leave a looser -- never an unsound -- limit.
-        current = _WORKER_BOARD[task.slot]
-        if current == 0 or makespan < current:
-            _WORKER_BOARD[task.slot] = makespan
-    if limit is not None and makespan >= limit:
-        # Completed but no strict improvement on the incumbent known at
-        # dispatch: the makespan alone decides the winner, so the (large)
-        # schedule stays out of the result pipe.  In the rare case this
-        # run still wins on the index tie-break, the parent deterministically
-        # recomputes its schedule once, limit-free.
-        return (task.job_index, task.run_index, makespan, wall)
-    return (task.job_index, task.run_index, (makespan, schedule), wall)
-
-
 # ----------------------------------------------------------------------
 # Parent-side plans (one per job)
 # ----------------------------------------------------------------------
 class _JobPlan:
-    """A job executed whole: exactly one task, result passed through."""
+    """One job's parent-side record: its result and the recovery steps it took."""
 
     __slots__ = ("job", "constraints", "result", "events")
 
@@ -553,24 +361,14 @@ class _JobPlan:
         self.events: List[RecoveryEvent] = []
 
     @property
-    def task_count(self) -> int:
-        return 1
-
-    @property
     def settled(self) -> bool:
         return self.result is not None
 
-    def pending_tasks(self, job_index: int) -> Iterator[_JobTask]:
-        if self.result is None:
-            yield _JobTask(job_index=job_index, job=self.job, constraints=self.constraints)
+    def task(self, job_index: int) -> _JobTask:
+        return _JobTask(job_index=job_index, job=self.job, constraints=self.constraints)
 
-    def absorb(self, run_index: Optional[int], payload: Any, wall: float) -> None:
-        self.result = payload
-
-    def run_in_process(self, task: _Task, socs: Dict[str, Soc]) -> None:
-        self.result = _solve_job(
-            self.job, socs[self.job.soc], self.constraints, suppress_fanout=True
-        )
+    def run_in_process(self, socs: Dict[str, Soc]) -> None:
+        self.result = _solve_job(self.job, socs[self.job.soc], self.constraints)
 
     def finish(self) -> JobResult:
         assert self.result is not None, "job task produced no result"
@@ -586,88 +384,6 @@ class _JobPlan:
         return result
 
 
-class _GridPlan:
-    """One decomposed ``best`` job: a :class:`GridSweepState` plus dispatch fields.
-
-    The state owns the incumbent and the winner rule; the plan only turns
-    its pending runs into pickled tasks and worker replies back into
-    :meth:`GridSweepState.absorb` calls.  ``job`` is ``None`` for a direct
-    :meth:`FlatExecutor.run_grid_runs` sweep, whose caller builds the outcome.
-    """
-
-    __slots__ = ("job", "state", "soc_key", "slot", "events", "wall")
-
-    def __init__(
-        self, job: Optional[ScheduleJob], state: GridSweepState, soc_key: str
-    ) -> None:
-        self.job = job
-        self.state = state
-        self.soc_key = soc_key
-        self.slot = -1  # shared incumbent-board slot, assigned at dispatch
-        self.events: List[RecoveryEvent] = []
-        self.wall = 0.0
-
-    @property
-    def task_count(self) -> int:
-        return len(self.state.runs)
-
-    @property
-    def settled(self) -> bool:
-        return self.state.settled
-
-    def pending_tasks(self, job_index: int) -> Iterator[_GridTask]:
-        state = self.state
-        for run in state.pending():
-            yield _GridTask(
-                job_index=job_index,
-                run_index=run.index,
-                soc=self.soc_key,
-                width=state.width,
-                constraints=state.constraints,
-                config=state.config,
-                point=run.point,
-                vector=run.preferred_widths,
-                limit=state.limit(),
-                slot=self.slot,
-            )
-
-    def absorb(self, run_index: Optional[int], payload: Any, wall: float) -> None:
-        assert run_index is not None
-        self.wall += wall
-        if isinstance(payload, tuple):  # (makespan, schedule)
-            self.state.absorb(run_index, *payload)
-        else:  # pruned (None) or a bare makespan
-            self.state.absorb(run_index, payload, None)
-
-    def run_in_process(self, task: _Task, socs: Dict[str, Soc]) -> None:
-        assert isinstance(task, _GridTask)
-        started = time.perf_counter()
-        self.state.execute(self.state.by_index[task.run_index])
-        self.wall += time.perf_counter() - started
-
-    def finish(self) -> JobResult:
-        """Assemble the JobResult exactly as the undecomposed path would."""
-        assert self.job is not None
-        state = self.state
-        outcome = state.outcome(tuple(self.events))
-        schedule = outcome.schedule
-        # Parity with Session.solve: the best solver supports constraints,
-        # so its schedules are validated against them.
-        schedule.validate(state.soc, constraints=state.constraints)
-        return JobResult(
-            job=self.job,
-            makespan=outcome.makespan,
-            data_volume=tester_data_volume(schedule),
-            schedule=schedule,
-            metadata=tuple(sorted(outcome.metadata().items())),
-            wall_time=self.wall,
-            worker="flat-pool",
-        )
-
-
-_Plan = Union[_JobPlan, _GridPlan]
-
-
 # ----------------------------------------------------------------------
 # Supervision bookkeeping
 # ----------------------------------------------------------------------
@@ -675,9 +391,11 @@ class _Journal:
     """Mutable per-run fault journal (parent-side only).
 
     Accumulates the structured :class:`FailureRecord`\\ s and recovery
-    ladder :class:`RecoveryEvent`\\ s that one ``run_jobs``/``run_grid_runs``
-    call produced, plus the matching counters; frozen into
+    ladder :class:`RecoveryEvent`\\ s that one ``run_jobs`` call produced,
+    plus the matching counters; frozen into
     :class:`~repro.engine.results.ExecutorStats` when the run finishes.
+    ``pool_rounds`` counts the dispatch rounds a pool ran, whether the
+    pool was created for this call or reused warm from an earlier one.
     """
 
     __slots__ = (
@@ -686,8 +404,7 @@ class _Journal:
         "retries",
         "resurrections",
         "quarantined",
-        "pools_created",
-        "board_aborts",
+        "pool_rounds",
     )
 
     def __init__(self) -> None:
@@ -696,8 +413,7 @@ class _Journal:
         self.retries = 0
         self.resurrections = 0
         self.quarantined = 0
-        self.pools_created = 0
-        self.board_aborts = 0
+        self.pool_rounds = 0
 
     def failure(
         self,
@@ -723,15 +439,16 @@ class _Journal:
 class _RoundFailure:
     """One dead/stalled dispatch round: what broke, and the suspects.
 
-    ``suspects`` holds every task that was dispatched but unacknowledged
-    when the pool died -- the only tasks whose work could have been lost,
-    and therefore the only ones re-dispatched after resurrection.
+    ``suspects`` maps the job index of every task that was dispatched but
+    unacknowledged when the pool died -- the only tasks whose work could
+    have been lost, and therefore the only ones re-dispatched after
+    resurrection.
     """
 
     kind: str  # "pool-stall" | "pool-death"
     reason: str  # recovery-event slug: "stalled" | "pool-death"
     error: str
-    suspects: Dict[_TaskKey, _Task]
+    suspects: Dict[int, _JobTask]
 
 
 def _resolve_task_deadline(value: Optional[float]) -> Optional[float]:
@@ -755,17 +472,23 @@ def _resolve_chunksize(total_tasks: int, processes: int) -> int:
 
     Targets roughly a dozen chunks per worker: deep enough that the
     backpressure window stays populated, shallow enough that stragglers
-    spread and late chunks are dispatched after the incumbent tightened.
-    Capped (see :data:`_MAX_CHUNKSIZE`) so a pool death never forfeits an
-    unbounded batch of replies.
+    spread.  Capped (see :data:`_MAX_CHUNKSIZE`) so a pool death never
+    forfeits an unbounded batch of replies.
     """
     waves = 12
     return max(1, min(total_tasks // (max(1, processes) * waves), _MAX_CHUNKSIZE))
 
 
-def _warn_pool_degrade(reason: str, detail: str) -> None:
+def preferred_pool_context() -> multiprocessing.context.BaseContext:
+    """Prefer ``fork`` (cheap start-up, inherits warm caches) when available."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
+def _warn_pool_degrade(detail: str) -> None:
     warnings.warn(
-        f"{reason}: no worker pool could be created ({detail}); degrading "
+        f"flat executor: no worker pool could be created ({detail}); degrading "
         "to the serial path (results are identical, wall time is not)",
         RuntimeWarning,
         stacklevel=4,
@@ -776,7 +499,7 @@ def _warn_pool_degrade(reason: str, detail: str) -> None:
 # The executor
 # ----------------------------------------------------------------------
 class FlatExecutor:
-    """A persistent process pool fed by one flat scheduler-run task queue.
+    """A persistent process pool fed by one flat queue of whole-job tasks.
 
     One executor owns (at most) one pool.  The pool is created lazily on
     the first parallel dispatch, keyed on the *SOC universe* (the context's
@@ -786,12 +509,6 @@ class FlatExecutor:
     reused verbatim while those match and refreshed (close + recreate)
     when they change.  ``close()`` tears the pool down; the process-wide
     default executor (:func:`get_default_executor`) is closed at exit.
-
-    The executor holds no winner rule of its own: every decomposed
-    ``best`` job (and every :meth:`run_grid_runs` sweep) absorbs its
-    replies into a :class:`~repro.core.grid_sweep.GridSweepState`, the
-    same state the serial sweep drives, and the quarantine and serial
-    drain rungs run their grid tasks through its ``execute``.
     """
 
     def __init__(
@@ -828,7 +545,6 @@ class FlatExecutor:
         self._fault_plan: Optional[FaultPlan] = plan if plan else None
         self._pool_faults_left = plan.pool_failure_budget() if plan else 0
         self._pool: Optional[Any] = None
-        self._board: Optional[Any] = None
         self._socs: Optional[Dict[str, Soc]] = None
         self._processes = 0
         self._pairs: Set[Tuple[str, int]] = set()
@@ -873,14 +589,13 @@ class FlatExecutor:
 
         Idempotent and shutdown-safe: the pool handle is detached before
         teardown begins, so a second ``close()`` (or ``Session.close()``
-        after ``use_executor`` already closed, or the atexit hook firing
-        after an explicit close) is a pure no-op, and teardown of a pool
-        whose workers are already dead or reaped cannot raise out of
-        ``close()`` -- ``terminate``/``join`` on a half-collected pool
-        during interpreter shutdown is best-effort by construction.
+        after an explicit close, or the atexit hook firing after one) is a
+        pure no-op, and teardown of a pool whose workers are already dead
+        or reaped cannot raise out of ``close()`` -- ``terminate``/``join``
+        on a half-collected pool during interpreter shutdown is
+        best-effort by construction.
         """
         pool, self._pool = self._pool, None
-        self._board = None
         self._socs = None
         self._processes = 0
         self._pairs = set()
@@ -901,7 +616,6 @@ class FlatExecutor:
         socs: Dict[str, Soc],
         pairs: Set[Tuple[str, int]],
         processes: int,
-        reason: str,
         journal: _Journal,
     ) -> Optional[Any]:
         """A pool matching (SOC universe, processes) with ``pairs`` warm.
@@ -929,118 +643,69 @@ class FlatExecutor:
             self._pool_faults_left -= 1
             error_text = "InjectedFault: injected pool-creation failure"
             journal.failure(kind="pool-creation", action="serial", error=error_text)
-            _warn_pool_degrade(reason, error_text)
+            _warn_pool_degrade(error_text)
             return None
-        pool_context = preferred_pool_context()
-        board = None
-        if pool_context.get_start_method() == "fork":
-            # The incumbent board rides on fork inheritance; spawn pools
-            # simply run with dispatch-time limits only.
-            try:
-                board = pool_context.RawArray(ctypes.c_int64, _BOARD_SLOTS)
-            except _POOL_CREATION_ERRORS as error:
-                journal.failure(
-                    kind="board-creation",
-                    action="continue",
-                    error=format_error(error),
-                )
-                board = None
         try:
-            pool = pool_context.Pool(
+            pool = preferred_pool_context().Pool(
                 processes=processes,
                 initializer=_init_worker,
-                initargs=(socs, tuple(sorted(pairs)), board, self._fault_plan),
+                initargs=(socs, tuple(sorted(pairs)), self._fault_plan),
             )
         except _POOL_CREATION_ERRORS as error:
             journal.failure(
                 kind="pool-creation", action="serial", error=format_error(error)
             )
-            _warn_pool_degrade(reason, format_error(error))
+            _warn_pool_degrade(format_error(error))
             return None
-        journal.pools_created += 1
         self._pool = pool
-        self._board = board
         self._socs = dict(socs)
         self._processes = processes
         self._pairs = set(pairs)
         return pool
 
-    # -- planning -------------------------------------------------------
-    def _plan(
-        self, job: ScheduleJob, context: EngineContext, session: Any
-    ) -> _Plan:
-        """Decompose one job into its flat-task plan.
-
-        Only ``best`` jobs with recognised options decompose; anything
-        else (including a best job carrying unknown options, which must
-        raise the solver's canonical error) stays whole.
-        """
-        soc, constraints = context.resolve(job)
-        try:
-            is_best = normalize_solver_name(job.solver) == "best"
-        except (AttributeError, TypeError):
-            # job.solver is a validated non-empty str (ScheduleJob raises at
-            # construction), so this only guards exotic str subclasses; any
-            # such job schedules whole, never silently best-decomposed.
-            is_best = False
-        if not is_best:
-            return _JobPlan(job, constraints)
-        options = job.solver_options()
-        if not set(options) <= _BEST_OPTION_NAMES:
-            return _JobPlan(job, constraints)
-        state = GridSweepState(
-            soc,
-            job.width,
-            constraints,
-            job.config,
-            session.rectangle_sets(soc, job.config.max_core_width),
-            tuple(options.get("percents") or DEFAULT_PERCENTS),
-            tuple(options.get("deltas") or DEFAULT_DELTAS),
-            tuple(options.get("slacks") or DEFAULT_SLACKS),
-        )
-        return _GridPlan(job, state, job.soc)
-
     # -- dispatch -------------------------------------------------------
     def _supervise(
         self,
-        plans: Sequence[_Plan],
+        plans: Sequence[_JobPlan],
         socs: Dict[str, Soc],
         pairs: Set[Tuple[str, int]],
         processes: int,
         chunksize: int,
         journal: _Journal,
-        reason: str,
     ) -> None:
         """Drive every plan to settlement, descending the recovery ladder.
 
         Work proceeds in *rounds*: each round dispatches every pending
-        (unacknowledged, unskippable) task through the pool.  A clean
-        round that leaves retryable failures is followed by another
-        round (bounded per-task attempts, deterministic backoff);
-        a stalled or broken pool is torn down, tasks implicated in
-        ``_QUARANTINE_STRIKES`` pool deaths are quarantined to an
-        in-process run, and the pool is resurrected for the survivors.
-        When no pool can be created the remaining tasks drain on the
-        serial path.  Every step is journalled; clean runs journal
-        nothing, which is what keeps their results and metadata
+        (unacknowledged) task through the pool.  A clean round that leaves
+        retryable failures is followed by another round (bounded per-task
+        attempts, deterministic backoff); a stalled or broken pool is torn
+        down, tasks implicated in ``_QUARANTINE_STRIKES`` pool deaths are
+        quarantined to an in-process run, and the pool is resurrected for
+        the survivors.  When no pool can be created the remaining tasks
+        drain on the serial path.  Every step is journalled; clean runs
+        journal nothing, which is what keeps their results and metadata
         bit-identical to the serial reference.
         """
-        attempts: Dict[_TaskKey, int] = {}
-        suspect_strikes: Dict[_TaskKey, int] = {}
+        attempts: Dict[int, int] = {}
+        suspect_strikes: Dict[int, int] = {}
         resurrect_reason: Optional[str] = None
         while not all(plan.settled for plan in plans):
-            pool = self._ensure_pool(socs, pairs, processes, reason, journal)
+            pool = self._ensure_pool(socs, pairs, processes, journal)
             if pool is None:
                 event = journal.event(STAGE_SERIAL, reason="pool-creation")
-                if journal.pools_created:
+                if journal.pool_rounds:
                     # Mid-run downgrade: jobs that still had pending work
-                    # record it.  An *entry* downgrade (no pool ever
-                    # existed) stays out of job metadata so results match
+                    # record it.  An *entry* downgrade (no pool ever ran a
+                    # round) stays out of job metadata so results match
                     # the serial reference exactly, as they always did.
                     for plan in plans:
                         if not plan.settled:
                             plan.events.append(event)
-                self._drain_serial(plans, socs)
+                for plan in plans:
+                    if not plan.settled:
+                        # Injection-free: the fault plan lives only in
+                        # pool workers.
+                        plan.run_in_process(socs)
                 return
             if resurrect_reason is not None:
                 journal.resurrections += 1
@@ -1049,6 +714,7 @@ class FlatExecutor:
                     if not plan.settled:
                         plan.events.append(event)
                 resurrect_reason = None
+            journal.pool_rounds += 1
             try:
                 failure, retry_delay = self._stream_round(
                     pool, plans, processes, chunksize, attempts, journal
@@ -1082,8 +748,7 @@ class FlatExecutor:
             for key in ordered_suspects:
                 if suspect_strikes[key] < _QUARANTINE_STRIKES:
                     continue
-                task = failure.suspects[key]
-                fingerprint = task_fingerprint(task)
+                fingerprint = task_fingerprint(failure.suspects[key])
                 journal.quarantined += 1
                 journal.failure(
                     kind=failure.kind,
@@ -1095,19 +760,19 @@ class FlatExecutor:
                 event = journal.event(
                     STAGE_QUARANTINED, reason=failure.reason, task=fingerprint
                 )
-                plans[key[0]].events.append(event)
-                # In-process, injection-free, bounded by the current
-                # incumbent: the ladder always terminates here.
-                plans[key[0]].run_in_process(task, socs)
+                plans[key].events.append(event)
+                # In-process and injection-free: the ladder always
+                # terminates here.
+                plans[key].run_in_process(socs)
             resurrect_reason = failure.reason
 
     def _stream_round(
         self,
         pool: Any,
-        plans: Sequence[_Plan],
+        plans: Sequence[_JobPlan],
         processes: int,
         chunksize: int,
-        attempts: Dict[_TaskKey, int],
+        attempts: Dict[int, int],
         journal: _Journal,
     ) -> Tuple[Optional[_RoundFailure], float]:
         """One dispatch round: stream pending tasks, absorb replies.
@@ -1115,11 +780,8 @@ class FlatExecutor:
         A sliding backpressure window (a plain semaphore between the
         result loop and the task generator, which runs in the pool's
         feeder thread) keeps enough tasks in flight to saturate the
-        workers while leaving later grid tasks undispatched long enough to
-        pick up tightened incumbent limits and skip decisions.  On fork
-        pools the shared incumbent board supplements this: tasks read
-        their plan's freshest incumbent when they *start*, so pruning
-        stays tight even for tasks dispatched early in large chunks.
+        workers while bounding how many are unacknowledged -- and so
+        implicated -- when a pool dies.
 
         Returns ``(None, retry_delay)`` when the round ran to completion
         (``retry_delay > 0`` means retryable task failures were journalled
@@ -1128,52 +790,28 @@ class FlatExecutor:
         unacknowledged suspects.  Retry-exhausted task errors re-raise the
         task's own exception.
         """
-        board = self._board
-        slot = 0
-        for plan in plans:
-            if isinstance(plan, _GridPlan):
-                if board is not None and slot < _BOARD_SLOTS:
-                    plan.slot = slot
-                    # Re-seed across rounds: a resurrected pool's fresh
-                    # board starts from the incumbents already absorbed.
-                    board[slot] = plan.state.limit() or 0
-                    slot += 1
-                else:
-                    plan.slot = -1
         window = max(processes * self._window_factor * chunksize, 2 * chunksize)
         permits = threading.Semaphore(window)
         abort = threading.Event()
         lock = threading.Lock()
-        inflight: Dict[_TaskKey, _Task] = {}
+        inflight: Dict[int, _JobTask] = {}
 
-        def stamp(task: _Task) -> _Task:
-            key = _task_key(task)
-            with lock:
-                attempt = attempts.get(key, 0) + 1
-                attempts[key] = attempt
-                stamped = replace(task, attempt=attempt)
-                inflight[key] = stamped
-            return stamped
-
-        def stream() -> Iterator[_Task]:
+        def stream() -> Iterator[_JobTask]:
             for job_index, plan in enumerate(plans):
-                tasks = plan.pending_tasks(job_index)
-                while True:
-                    # Take the permit *before* the next task is built: the
-                    # plan's pending iterator is lazy, so a task created
-                    # after blocking carries the freshest incumbent limit
-                    # and skip decision.
-                    permits.acquire()
-                    if abort.is_set():
-                        return
-                    task = next(tasks, None)
-                    if task is None:
-                        permits.release()
-                        break
-                    yield stamp(task)
+                if plan.settled:
+                    continue
+                permits.acquire()
+                if abort.is_set():
+                    return
+                with lock:
+                    attempt = attempts.get(job_index, 0) + 1
+                    attempts[job_index] = attempt
+                    task = replace(plan.task(job_index), attempt=attempt)
+                    inflight[job_index] = task
+                yield task
 
-        def chunked() -> Iterator[Tuple[_Task, ...]]:
-            batch: List[_Task] = []
+        def chunked() -> Iterator[Tuple[_JobTask, ...]]:
+            batch: List[_JobTask] = []
             for task in stream():
                 batch.append(task)
                 if len(batch) >= chunksize:
@@ -1188,10 +826,10 @@ class FlatExecutor:
             while True:
                 token = active_cancel_token()
                 if token is not None and token.cancelled():
-                    # Cooperative cancellation checkpoint (service layer):
-                    # journal the abandonment, then raise -- _supervise's
-                    # escalation path tears the pool down, dropping every
-                    # in-flight task with it.
+                    # Cooperative cancellation checkpoint: journal the
+                    # abandonment, then raise -- _supervise's escalation
+                    # path tears the pool down, dropping every in-flight
+                    # task with it.
                     reason = token.reason()
                     journal.failure(kind="cancelled", action="raise", error=reason)
                     raise CancelledSolve(reason)
@@ -1229,12 +867,10 @@ class FlatExecutor:
                         ),
                         0.0,
                     )
-                for reply in replies:
-                    job_index, run_index, payload, wall = reply
+                for job_index, payload in replies:
                     permits.release()
-                    key = (job_index, run_index if run_index is not None else -1)
                     with lock:
-                        inflight.pop(key, None)
+                        inflight.pop(job_index, None)
                     plan = plans[job_index]
                     if isinstance(payload, _TaskFailure):
                         if payload.attempt <= self._max_task_retries:
@@ -1276,37 +912,13 @@ class FlatExecutor:
                             f"task {payload.fingerprint} failed after "
                             f"{payload.attempt} attempt(s): {payload.error}"
                         )
-                    if isinstance(payload, _BoardAbort):
-                        # A mid-run board abort: the run provably could
-                        # not beat an already-completed incumbent, so it
-                        # is acknowledged exactly like a pruned run.
-                        journal.board_aborts += 1
-                        payload = None
-                    plan.absorb(run_index, payload, wall)
-                    if isinstance(plan, _GridPlan) and plan.slot >= 0 and board is not None:
-                        limit = plan.state.limit()
-                        if limit is not None:
-                            board[plan.slot] = limit
+                    plan.result = payload
         finally:
             # Unblock the feeder thread (it may be parked on the
             # semaphore) whatever way the round ended.
             abort.set()
             for _ in range(window + 1):
                 permits.release()
-
-    # -- in-process execution (serial drain) ----------------------------
-    @staticmethod
-    def _drain_serial(plans: Sequence[_Plan], socs: Dict[str, Soc]) -> None:
-        """Run every pending task in-process, in deterministic plan order.
-
-        Injection-free (the fault plan lives only in pool workers); a grid
-        run is bounded by its plan's *current* incumbent -- fresher than
-        any dispatch-time limit, and pruning is monotone, so the winner is
-        unaffected.
-        """
-        for job_index, plan in enumerate(plans):
-            for task in plan.pending_tasks(job_index):
-                plan.run_in_process(task, socs)
 
     # -- entry points ---------------------------------------------------
     def run_jobs(
@@ -1316,10 +928,9 @@ class FlatExecutor:
         workers: int = 0,
         chunksize: Optional[int] = None,
     ) -> SweepResults:
-        """Execute a job list on the flat queue; results in job order.
+        """Execute a job list, one task per job; results in job order.
 
-        Semantics (and results, bit for bit) match the historical
-        two-layer engine for every worker count; see
+        Results are bit-identical for every worker count; see
         :func:`repro.engine.runner.run_jobs` for the public contract.
         """
         ordered: List[ScheduleJob] = list(jobs)
@@ -1330,109 +941,48 @@ class FlatExecutor:
         indexes = [job.index for job in ordered]
         if len(set(indexes)) != len(indexes):
             raise EngineError("job indexes must be unique within one sweep")
-        for job in ordered:
-            context.resolve(job)  # fail fast on dangling references
+        plans = [_JobPlan(job, context.resolve(job)[1]) for job in ordered]
 
         pairs = {(job.soc, job.config.max_core_width) for job in ordered}
-        if int(workers) <= 1:
-            return self._run_serial(ordered, context, pairs)
-
-        session = get_default_session()
-        # Adaptive granularity: explode best jobs into grid-run tasks only
-        # when job-level parallelism cannot fill the pool on its own.
-        # With plenty of jobs, whole-job dispatch keeps the per-task IPC
-        # minimal and each job's internal pruning maximally tight; with
-        # few jobs (the Table 1 shape: a handful of best-over-grid cells),
-        # decomposition is what creates the parallelism and shrinks
-        # stragglers.  Either granularity yields bit-identical results.
-        decompose = len(ordered) < 2 * int(workers)
-        plans = [
-            self._plan(job, context, session)
-            if decompose
-            else _JobPlan(job, context.resolve(job)[1])
-            for job in ordered
-        ]
-        total_tasks = sum(plan.task_count for plan in plans)
-        processes = min(int(workers), total_tasks)
+        processes = min(int(workers), len(plans))
         if processes <= 1:
             return self._run_serial(ordered, context, pairs)
-        if chunksize is None:
-            # Grid-run tasks are small (often sub-millisecond on compact
-            # SOCs), so chunk them to amortise IPC -- the shared incumbent
-            # board keeps pruning tight despite the coarser dispatch --
-            # but cap the chunk so heterogeneous tails still spread.
-            chunksize = _resolve_chunksize(total_tasks, processes)
-        stats = self._dispatch(
-            plans, dict(context.socs), pairs, processes, chunksize, "flat executor"
-        )
-        return SweepResults(tuple(plan.finish() for plan in plans), stats=stats)
-
-    def run_grid_runs(
-        self, state: GridSweepState, workers: int
-    ) -> Tuple[RecoveryEvent, ...]:
-        """Fan one best-over-grid sweep out over the shared flat queue.
-
-        The direct entry point for :func:`repro.core.grid_sweep.run_grid_sweep`
-        (a ``Session.solve`` of the ``best`` solver with ``workers > 1``),
-        so standalone best solves and engine sweeps share one pool.  The
-        replies are absorbed into ``state``; the caller builds the outcome
-        from it.  Returns the run's recovery ladder.  Nothing runs (and no
-        events come back) when the executor declines to parallelise (too
-        few runs per worker); pool failures are recovered *internally* --
-        resurrection, quarantine or serial drain -- and leave ``state``
-        settled, with the path taken reported through the events.
-        """
-        processes = min(int(workers), len(state.runs))
-        if processes <= 1:
-            return ()
-        soc = state.soc
-        stats = self._dispatch(
-            [_GridPlan(None, state, soc.name)],
-            {soc.name: soc},
-            {(soc.name, state.config.max_core_width)},
-            processes,
-            _resolve_chunksize(len(state.runs), processes),
-            "grid sweep",
-        )
-        return stats.recovery_events
-
-    def _dispatch(
-        self,
-        plans: Sequence[_Plan],
-        socs: Dict[str, Soc],
-        pairs: Set[Tuple[str, int]],
-        processes: int,
-        chunksize: int,
-        reason: str,
-    ) -> ExecutorStats:
-        """Supervise ``plans`` on the pool and record the run's stats."""
         if self._fault_plan is not None:
             # Chaos runs pin chunksize to 1: a lost chunk implicates only
             # the task that actually broke the pool, keeping quarantine
             # attribution (and the tests asserting it) exact.
             chunksize = 1
+        elif chunksize is None:
+            chunksize = _resolve_chunksize(len(plans), processes)
         journal = _Journal()
         try:
             self._supervise(
-                plans, socs, pairs, processes, max(1, int(chunksize)), journal, reason
+                plans,
+                dict(context.socs),
+                pairs,
+                processes,
+                max(1, int(chunksize)),
+                journal,
             )
         finally:
             self._last_failures = tuple(journal.failures)
             self._last_events = tuple(journal.events)
         stats = ExecutorStats(
             jobs=len(plans),
-            decomposed_jobs=sum(isinstance(plan, _GridPlan) for plan in plans),
-            tasks=sum(plan.task_count for plan in plans),
-            workers=processes if journal.pools_created else 0,
+            tasks=len(plans),
+            workers=processes if journal.pool_rounds else 0,
             retries=journal.retries,
             resurrections=journal.resurrections,
             quarantined=journal.quarantined,
-            board_aborts=journal.board_aborts,
             recovery_events=tuple(journal.events),
             failures=tuple(journal.failures),
         )
         self._last_stats = stats
-        return stats
+        return SweepResults(tuple(plan.finish() for plan in plans), stats=stats)
+
+    def run_grid_runs(self, state: Any, workers: int) -> Tuple[RecoveryEvent, ...]:
+        """No-op returning ``()``, kept because ``perfbench --trace 1`` patches it by name."""
+        return ()
 
     # -- serial path ----------------------------------------------------
     def _run_serial(
@@ -1444,13 +994,9 @@ class FlatExecutor:
         """The requested-serial path (``workers <= 1``): no pool, no journal."""
         prime_context_caches(context, pairs)
         results = tuple(execute_job(job, context) for job in jobs)
-        stats = ExecutorStats(
-            jobs=len(jobs),
-            decomposed_jobs=0,
-            tasks=len(jobs),
-            workers=0,
+        return SweepResults(
+            results, stats=ExecutorStats(jobs=len(jobs), tasks=len(jobs), workers=0)
         )
-        return SweepResults(results, stats=stats)
 
 
 # ----------------------------------------------------------------------
@@ -1462,9 +1008,9 @@ _DEFAULT_EXECUTOR: Optional[FlatExecutor] = None
 def get_default_executor() -> FlatExecutor:
     """The process-wide executor (created on first use, closed at exit).
 
-    The sweep engine's :func:`~repro.engine.runner.run_jobs` and the
-    ``best`` solver's grid sweep both dispatch through this executor, so
-    one warm pool serves every layer of a session.
+    The sweep engine's :func:`~repro.engine.runner.run_jobs` dispatches
+    through this executor, so one warm pool serves every sweep of a
+    session.
     """
     global _DEFAULT_EXECUTOR
     if _DEFAULT_EXECUTOR is None:
@@ -1477,30 +1023,3 @@ def close_default_executor() -> None:
     """Tear down the process-wide executor's pool (idempotent)."""
     if _DEFAULT_EXECUTOR is not None:
         _DEFAULT_EXECUTOR.close()
-
-
-@contextlib.contextmanager
-def use_executor(executor: FlatExecutor) -> Iterator[FlatExecutor]:
-    """Temporarily install ``executor`` as the process-wide default.
-
-    The previous default (if any) keeps its pool and is restored on exit;
-    the installed executor's pool is closed.  This is how the chaos
-    harness (``repro chaos``, :mod:`repro.engine.faults`) routes a whole
-    solve -- grid fan-out included -- through an executor armed with a
-    :class:`~repro.engine.faults.FaultPlan` and a tight task deadline
-    without disturbing the session's warm default pool.
-
-    The restore runs in a ``finally`` *before* the close, so the previous
-    default comes back even when the body raises mid-dispatch and even if
-    the installed executor's teardown were to misbehave (``close()`` is
-    itself exception-safe); a failed solve can never leave the process
-    default pointing at the temporary executor.
-    """
-    global _DEFAULT_EXECUTOR
-    previous = _DEFAULT_EXECUTOR
-    _DEFAULT_EXECUTOR = executor
-    try:
-        yield executor
-    finally:
-        _DEFAULT_EXECUTOR = previous
-        executor.close()

@@ -27,8 +27,7 @@ This module defines the fault-tolerance contract of the flat executor
   (client disconnects, per-request deadlines) and installs it as the
   calling thread's ambient *cancel scope*; the scheduler's event loop and
   the executor's dispatch loop poll the ambient token and abandon the run
-  with :class:`CancelledSolve` -- the same checkpoint cadence as the
-  PR 9 incumbent-board abort path, so a cancelled grid fan-out drops its
+  with :class:`CancelledSolve`, so a cancelled engine run drops its
   in-flight worker tasks instead of finishing them.  Deadlines are
   measured with ``time.perf_counter`` (monotonic; REP002-clean).
 
@@ -96,7 +95,7 @@ class FailureRecord:
     """One observed failure and the recovery action taken.
 
     ``kind`` classifies what failed (``task-error``, ``pool-stall``,
-    ``pool-death``, ``pool-creation``, ``board-creation``, ``fatal``);
+    ``pool-death``, ``pool-creation``, ``fatal``);
     ``task`` is the fingerprint of the implicated task (empty for
     pool-level failures); ``attempt`` the 1-based attempt that failed
     (0 when not task-scoped); ``error`` the formatted exception; and

@@ -40,21 +40,14 @@ _BASE_FIELDS = (
     "worker",
 )
 
-# Run-level execution-stat columns appended (same value on every record)
-# when the run's :class:`ExecutorStats` carries a nonzero counter; absent
-# on stat-less and purely-serial runs so legacy CSV shapes are unchanged
-# (the ``recovery_events`` convention: execution detail appears only when
-# there is execution detail to report).
-_STATS_FIELDS = ("board_aborts",)
-
-
 @dataclass(frozen=True)
 class ExecutorStats:
     """How one engine run was executed (excluded from results equality).
 
-    ``tasks`` counts the flat scheduler-run tasks the executor dispatched
-    (a decomposed ``best`` job contributes one task per deduplicated grid
-    run, so ``tasks > jobs`` whenever decomposition happened).
+    ``tasks`` counts the pool tasks the executor dispatched: one per job,
+    since every job -- a ``best`` grid included -- runs whole.  ``workers``
+    is the pool's process count whenever a pool ran the round (0 for the
+    serial path).
 
     Fault tolerance is reported through the *recovery ladder*:
     ``recovery_events`` lists every downward step the run took
@@ -65,19 +58,17 @@ class ExecutorStats:
     a derived compatibility property (``True`` whenever any work ran on
     the serial rung -- the same condition that emits a
     :class:`RuntimeWarning` on pool-creation failure).
-
-    ``board_aborts`` counts the runs the incumbent board killed *mid-run*
-    inside workers.  Like the recovery counters it depends on scheduling
-    races, never on results.
     """
 
     jobs: int = 0
+    #: Always 0 (no job splits into grid-run tasks); ``perfbench`` reads it.
     decomposed_jobs: int = 0
     tasks: int = 0
     workers: int = 0
     retries: int = 0
     resurrections: int = 0
     quarantined: int = 0
+    #: Always 0 (there is no incumbent board); ``perfbench`` reads it.
     board_aborts: int = 0
     recovery_events: Tuple[RecoveryEvent, ...] = ()
     failures: Tuple[FailureRecord, ...] = ()
@@ -97,8 +88,8 @@ class ExecutorStats:
 class SweepResults:
     """The ordered results of one engine run.
 
-    ``stats`` describes *how* the run executed (task decomposition, worker
-    count, serial degrade) and is excluded from equality: a serial and a
+    ``stats`` describes *how* the run executed (task count, worker count,
+    serial degrade) and is excluded from equality: a serial and a
     parallel run of the same grid compare equal record-for-record.
     """
 
@@ -157,17 +148,10 @@ class SweepResults:
                     names.append(name)
         return names
 
-    def _stats_names(self) -> List[str]:
-        """Executor-stat columns: only counters the run actually touched."""
-        if self.stats is None:
-            return []
-        return [name for name in _STATS_FIELDS if getattr(self.stats, name)]
-
     def to_records(self) -> List[Dict[str, Any]]:
         """Flat dict records (one per job), ready for CSV/JSON export."""
         tag_names = self._tag_names()
         metadata_names = self._metadata_names()
-        stats_names = self._stats_names()
         records = []
         for result in self.results:
             job = result.job
@@ -193,15 +177,12 @@ class SweepResults:
                 metadata = dict(result.metadata)
                 for name in metadata_names:
                     record[name] = metadata.get(name, "")
-            for name in stats_names:
-                record[name] = getattr(self.stats, name)
             records.append(record)
         return records
 
     def to_csv(self) -> str:
         """Serialise the records to CSV text."""
         headers = list(_BASE_FIELDS) + self._tag_names() + self._metadata_names()
-        headers.extend(name for name in self._stats_names() if name not in headers)
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=headers, lineterminator="\n")
         writer.writeheader()

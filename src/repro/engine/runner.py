@@ -3,10 +3,9 @@
 Since the flattened executor landed (:mod:`repro.engine.executor`) this
 module is the thin public face of job execution: :func:`run_jobs` hands the
 job list to the process-wide :class:`~repro.engine.executor.FlatExecutor`,
-which decomposes every job into scheduler-run *tasks* (a ``best`` job
-explodes into its deduplicated grid runs, any other solver stays one task),
-streams them through one persistent worker pool and reassembles the results
-deterministically by ``(job index, run key)``.
+which runs every job -- a ``best`` grid sweep included -- as one task,
+streams the tasks through one persistent worker pool and reassembles the
+results deterministically by job index.
 
 The executor guarantees that for a fixed job list the *results are
 independent of the worker count*: jobs are pure functions of their inputs
@@ -59,14 +58,13 @@ def run_jobs(
         Shared SOCs and constraint sets the jobs reference.
     workers:
         ``0`` or ``1`` runs serially in-process; ``n > 1`` dispatches the
-        decomposed task list over the process-wide flat executor's
-        persistent pool (at most ``min(n, tasks)`` worker processes).
-        Results are bit-identical for every value.
+        jobs over the process-wide flat executor's persistent pool (at
+        most ``min(n, jobs)`` worker processes, so a single job always
+        runs in-process).  Results are bit-identical for every value.
     chunksize:
-        Tasks handed to a worker per dispatch.  Defaults to roughly a
-        dozen chunks per worker, capped at 64 tasks per chunk so a pool
-        death never forfeits an unbounded batch; on fork pools the shared
-        incumbent board keeps pruning tight despite the chunked dispatch.
+        Jobs handed to a worker per dispatch.  Defaults to roughly a
+        dozen chunks per worker, capped at 64 jobs per chunk so a pool
+        death never forfeits an unbounded batch.
     """
     return get_default_executor().run_jobs(
         jobs, context, workers=workers, chunksize=chunksize

@@ -1,16 +1,13 @@
 """Service-level chaos: prove the supervisor under process-shaped faults.
 
-The engine chaos harness (PR 8, ``repro chaos``) proves that one solve
+The engine chaos harness (``repro chaos``) proves that a sweep-engine run
 survives worker kills, injected exceptions, hangs and pool-creation
 failures byte-identically.  This module lifts the same discipline one
 layer up, to the *service*: each scenario drives a real
 :class:`~repro.service.supervisor.Supervisor` through a fault that only
-exists once there is a server --
+exists once there is a server (service solves run in worker threads, so
+no pool fault can reach them) --
 
-``worker-kill``
-    a pool worker is killed mid-request (engine fault plan on the grid
-    tasks); the recovery ladder restores the fan-out and the served
-    result must match the fault-free batch ``Session.solve``.
 ``disconnect``
     client A disconnects while its solve is in flight and an identical
     request from client B has coalesced onto it; A's run is abandoned
@@ -38,27 +35,23 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.executor import FlatExecutor
-from repro.engine.faults import FaultAction, FaultPlan
 from repro.service import protocol
 from repro.service.supervisor import ServiceConfig, Supervisor
 from repro.solvers import ScheduleRequest, Session
 from repro.soc.soc import Soc
 
 SERVE_FAULT_KINDS: Tuple[str, ...] = (
-    "worker-kill",
     "disconnect",
     "server-kill",
     "flood",
 )
 
-#: Trimmed ``best`` grid: enough grid fan-out to be worth killing workers
-#: over, small enough for smoke runs (mirrors the perf-suite trim).
+#: Trimmed ``best`` grid: a few scheduler runs per solve, small enough for
+#: smoke runs (mirrors the perf-suite trim).
 SERVE_SOLVE_OPTIONS: Dict[str, Any] = {
     "percents": (1, 25),
     "deltas": (0,),
@@ -155,7 +148,7 @@ def _base_request(soc: Soc, width: int) -> ScheduleRequest:
 
 def _batch_canonical(request: ScheduleRequest) -> Dict[str, Any]:
     """The fault-free batch reference, in canonical (wall-time-free) form."""
-    session = Session(workers=0)
+    session = Session()
     try:
         return protocol.canonical_result_dict(session.solve(request).to_dict())
     finally:
@@ -177,46 +170,12 @@ def _passed_outcome(kind: str, detail: str) -> ServeChaosOutcome:
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
-def _scenario_worker_kill(
-    soc: Soc, width: int, reference: Dict[str, Any]
-) -> ServeChaosOutcome:
-    """Kill a pool worker mid-request; the serve result must not drift."""
-    kind = "worker-kill"
-    plan = FaultPlan(actions=(FaultAction(kind="kill", match="grid:"),))
-    supervisor = Supervisor(
-        config=ServiceConfig(max_inflight=1, workers=2),
-        # A tight watchdog keeps the kill-detect-recover cycle smoke-fast.
-        executor=FlatExecutor(fault_plan=plan, task_deadline=5.0),
-    )
-    collector = _Collector()
-    try:
-        with warnings.catch_warnings():
-            # The pool-degrade RuntimeWarning is the recovery ladder
-            # doing its job; the journal records it.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            supervisor.start()
-            supervisor.submit("wk-1", _base_request(soc, width), collector)
-            if not supervisor.drain(timeout=_GATE_TIMEOUT):
-                return _failed_outcome(kind, "drain timed out")
-    finally:
-        supervisor.close()
-    results = collector.results()
-    if "wk-1" not in results:
-        failures = collector.messages(protocol.EVENT_FAILED)
-        return _failed_outcome(kind, f"no result delivered; failed events: {failures}")
-    if not _identical(results["wk-1"], reference):
-        return _failed_outcome(kind, "served result drifted from batch reference")
-    return _passed_outcome(
-        kind, "killed pool worker recovered; result byte-identical to batch solve"
-    )
-
-
 def _scenario_disconnect(
     soc: Soc, width: int, reference: Dict[str, Any]
 ) -> ServeChaosOutcome:
     """Client A vanishes mid-solve; coalesced client B must still be served."""
     kind = "disconnect"
-    supervisor = Supervisor(config=ServiceConfig(max_inflight=2, workers=0))
+    supervisor = Supervisor(config=ServiceConfig(max_inflight=2))
     collector = _Collector()
     gate = _Gate()
     supervisor.started_hook = gate
@@ -271,7 +230,7 @@ def _scenario_server_kill(
     reference_two = _batch_canonical(request_two)
 
     first = Supervisor(
-        config=ServiceConfig(max_inflight=1, workers=0, journal_path=journal_path)
+        config=ServiceConfig(max_inflight=1, journal_path=journal_path)
     )
     collector = _Collector()
 
@@ -296,7 +255,7 @@ def _scenario_server_kill(
 
     replay_collector = _Collector()
     second = Supervisor(
-        config=ServiceConfig(max_inflight=1, workers=0, journal_path=journal_path)
+        config=ServiceConfig(max_inflight=1, journal_path=journal_path)
     )
     try:
         second.start(replay_reply=replay_collector)
@@ -331,7 +290,7 @@ def _scenario_flood(
 ) -> ServeChaosOutcome:
     """Overfill the queue: exact admission accounting, no lost work."""
     kind = "flood"
-    config = ServiceConfig(max_inflight=1, queue_limit=2, workers=0)
+    config = ServiceConfig(max_inflight=1, queue_limit=2)
     supervisor = Supervisor(config=config)
     collector = _Collector()
     gate = _Gate()
@@ -406,9 +365,7 @@ def run_serve_chaos(
     reference = _batch_canonical(_base_request(soc, width))
     outcomes: List[ServeChaosOutcome] = []
     for kind in kinds:
-        if kind == "worker-kill":
-            outcomes.append(_scenario_worker_kill(soc, width, reference))
-        elif kind == "disconnect":
+        if kind == "disconnect":
             outcomes.append(_scenario_disconnect(soc, width, reference))
         elif kind == "server-kill":
             if journal_dir is None:

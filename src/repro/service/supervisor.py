@@ -1,10 +1,9 @@
 """The service supervisor: admission, backpressure, deadlines, recovery.
 
 A :class:`Supervisor` is the long-lived core behind ``repro serve``.  It
-owns one session-scoped solve path (a :class:`~repro.solvers.Session`,
-optionally backed by a dedicated
-:class:`~repro.engine.executor.FlatExecutor` for fault injection) and a
-small pool of worker *threads* that drain a bounded accept queue:
+owns one session-scoped solve path (a :class:`~repro.solvers.Session`) and
+a small pool of worker *threads* that drain a bounded accept queue; every
+solve runs in its worker thread, never in a process pool:
 
 * **admission control** -- at most ``queue_limit`` requests wait at any
   time; beyond that, ``solve`` ops are rejected ``overloaded`` instead
@@ -13,14 +12,13 @@ small pool of worker *threads* that drain a bounded accept queue:
 * **deadlines and cancellation** -- each request gets a
   :class:`~repro.engine.faults.CancelToken` (deadline-armed when the
   client asked for one).  The token is installed as the ambient cancel
-  scope around the solve, so the scheduler's event loop and the
-  executor's dispatch loop abandon the run mid-flight -- the PR 9
-  incumbent-board abort cadence -- instead of finishing doomed work.
+  scope around the solve, so the scheduler's event loop abandons the run
+  mid-flight instead of finishing doomed work.
   Client disconnects cancel all of that client's tickets the same way.
 * **dedup + coalescing** -- requests are keyed by
   :meth:`ScheduleRequest.fingerprint`; an identical request arriving
   while one is in flight attaches as a *follower* of the running
-  *primary* (one executor fan-out serves all of them), and settled
+  *primary* (one solve serves all of them), and settled
   results are served from a bounded LRU cache afterwards.
 * **write-ahead journal** -- every transition is journalled *before* it
   is acted on (:mod:`repro.service.journal`), which is what makes a
@@ -29,14 +27,11 @@ small pool of worker *threads* that drain a bounded accept queue:
 
 Threading model: ``submit``/``cancel``/``ack``/``disconnect`` may be
 called from any thread; all mutable state is guarded by one lock, and
-solves happen outside it.  Solves that fan out into the process pool are
-additionally serialised by a solve lock (the flat executor is not
-re-entrant); in-thread serial solves run concurrently under the GIL.
+solves happen outside it, concurrently under the GIL.
 """
 
 from __future__ import annotations
 
-import contextlib
 import queue
 import threading
 import time
@@ -45,7 +40,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set
 
-from repro.engine.executor import FlatExecutor, use_executor
 from repro.engine.faults import (
     CancelledSolve,
     CancelToken,
@@ -86,8 +80,8 @@ class ServiceConfig:
     once); ``queue_limit`` bounds the accept queue (admission control);
     ``default_deadline`` applies to requests that name none (``None`` =
     unbounded); ``dedup_cache_size`` bounds the fingerprint->result LRU;
-    ``workers`` is the per-solve process fan-out handed to the session
-    (0 = in-thread serial solves, fully cancellable); ``journal_path``
+    ``workers`` is validated as ``>= 0`` and has no effect (``perfbench``'s
+    ``serve-open`` workload still passes it); ``journal_path``
     enables the write-ahead journal (``None`` = in-memory only);
     ``fsync`` syncs every journal record to disk.
     """
@@ -160,16 +154,10 @@ class Supervisor:
         self,
         config: Optional[ServiceConfig] = None,
         session: Optional[Session] = None,
-        executor: Optional[FlatExecutor] = None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
-        self._session = (
-            session if session is not None else Session(workers=self.config.workers)
-        )
-        self._executor = executor
-        self._stack = contextlib.ExitStack()
+        self._session = session if session is not None else Session()
         self._lock = threading.RLock()
-        self._solve_lock = threading.Lock()  # the flat executor is not re-entrant
         self._queue: "queue.Queue[Optional[_Ticket]]" = queue.Queue()
         self._tickets: Dict[str, _Ticket] = {}
         self._primaries: Dict[str, _Ticket] = {}
@@ -224,8 +212,6 @@ class Supervisor:
             raise SupervisorError("supervisor already started")
         self._started = True
         self._accepting = True
-        if self._executor is not None:
-            self._stack.enter_context(use_executor(self._executor))
         sink = replay_reply if replay_reply is not None else _null_reply
         plan = self._replay_plan
         if plan is not None:
@@ -286,12 +272,11 @@ class Supervisor:
         return False
 
     def close(self) -> None:
-        """Drain-free teardown: stop workers, close journal, release pools.
+        """Drain-free teardown: stop the worker threads, close the journal.
 
-        Idempotent.  After close the process holds zero supervisor-owned
-        pool processes: the dedicated executor
-        (if any) is closed by unwinding its ``use_executor`` scope, and
-        ``Session.close`` tears down the process-default pool.
+        Idempotent.  Service solves start no process, so the process-wide
+        executor's pool, which other callers in the process may keep warm,
+        is left alone.
         """
         with self._lock:
             if self._closed:
@@ -303,8 +288,6 @@ class Supervisor:
         for thread in self._threads:
             thread.join(timeout=10.0)
         self._journal.close()
-        self._stack.close()
-        self._session.close()
 
     def crash_for_test(self) -> None:
         """Simulate a SIGKILL: stop journalling and delivering instantly.
@@ -523,16 +506,9 @@ class Supervisor:
 
     def _solve_ticket(self, ticket: _Ticket) -> None:
         """Solve a primary ticket under its ambient cancel scope."""
-        effective_workers = int(
-            ticket.request.options.get("workers", self.config.workers)
-        )
         try:
             with cancel_scope(ticket.token):
-                if effective_workers > 0:
-                    with self._solve_lock:
-                        result = self._session.solve(ticket.request)
-                else:
-                    result = self._session.solve(ticket.request)
+                result = self._session.solve(ticket.request)
         except CancelledSolve as error:
             self._settle_cancelled(ticket, error.reason)
             return

@@ -38,7 +38,7 @@ from repro.core.lower_bounds import (
 from repro.core.scheduler import run_paper_scheduler
 from repro.solvers.base import Solver, SolverCapabilities
 from repro.solvers.registry import register_solver
-from repro.solvers.request import ScheduleRequest, ScheduleResult
+from repro.solvers.request import ScheduleRequest, ScheduleResult, SolverError
 from repro.wrapper.pareto import DEFAULT_MAX_WIDTH
 
 # The default heuristic grid of the "best" solver (the paper's protocol).
@@ -90,20 +90,13 @@ class PaperSolver(Solver):
 class BestSolver(Solver):
     """Best paper-solver schedule over a heuristic-parameter grid.
 
-    Runs the deduplicated, pruned, optionally parallel grid sweep of
-    :mod:`repro.core.grid_sweep` and records the winning grid point, the
-    dedup statistics and the Table 1 lower bound in the result metadata.
-    With ``workers > 1`` the deduplicated runs dispatch as individual
-    tasks on the process-wide flat executor
-    (:mod:`repro.engine.executor`), sharing one persistent worker pool
-    with the sweep engine -- and when this solver runs *as* a sweep-engine
-    job, the engine decomposes the grid in the parent instead, so the
-    fan-out parallelises there too rather than nesting pools.
+    Runs the deduplicated, pruned grid sweep of :mod:`repro.core.grid_sweep`
+    in the calling process and records the winning grid point, the dedup
+    statistics and the Table 1 lower bound in the result metadata.
 
     Options: ``percents``, ``deltas``, ``slacks`` (sequences overriding the
-    default grid) and ``workers`` (process count for the internal fan-out;
-    ``None`` falls back to the owning session's default, results are
-    bit-identical for every value).
+    default grid) and ``workers``, a non-negative int with no effect that
+    ``perfbench``'s ``warm-s1000-w2`` workload still sends.
     """
 
     def solve(self, request: ScheduleRequest) -> ScheduleResult:
@@ -115,8 +108,8 @@ class BestSolver(Solver):
             workers=None,
         )
         workers = options["workers"]
-        if workers is None:
-            workers = self.session.workers
+        if workers is not None and int(workers) < 0:
+            raise SolverError(f"workers must be non-negative, got {workers}")
         sets = self.rectangle_sets(request.soc, request.config.max_core_width)
         outcome = run_grid_sweep(
             request.soc,
@@ -127,7 +120,6 @@ class BestSolver(Solver):
             slacks=tuple(options["slacks"]),
             config=request.config,
             rectangle_sets=sets,
-            workers=int(workers),
         )
         return self.schedule_result(request, outcome.schedule, metadata=outcome.metadata())
 

@@ -17,11 +17,10 @@ time.  The module-level :func:`solve` convenience uses a process-wide
 default session, which is also what the sweep engine's workers use so their
 caches stay warm across jobs.
 
-Solvers that parallelise one solve (the ``best`` solver's grid fan-out)
-dispatch through the process-wide *flat executor*
-(:mod:`repro.engine.executor`): one persistent worker pool shared with the
-sweep engine, kept warm across repeated ``solve`` calls.  ``Session.close``
-(or using the session as a context manager) tears that pool down.
+Every solve runs in the calling process.  Parallelism lives in the sweep
+engine's process-wide *flat executor* (:mod:`repro.engine.executor`), which
+runs whole solves as pool tasks; ``Session.close`` (or using the session as
+a context manager) tears that pool down.
 """
 
 from __future__ import annotations
@@ -63,24 +62,15 @@ class Session:
         Structurally validate every schedule a solver returns (cheap; on by
         default).  Constraint checks are additionally applied for solvers
         whose capabilities declare constraint support.
-    workers:
-        Default internal fan-out for solvers that can parallelise one solve
-        (currently the ``best`` solver's grid sweep).  ``0`` (the default)
-        keeps every solve serial; a request's ``workers`` option overrides
-        it per solve.  Results are bit-identical for every value.
     """
 
     def __init__(
         self,
         registry: Optional[SolverRegistry] = None,
         validate: bool = True,
-        workers: int = 0,
     ) -> None:
-        if workers < 0:
-            raise SolverError(f"workers must be non-negative, got {workers}")
         self._registry = registry if registry is not None else default_registry()
         self._validate = validate
-        self._workers = int(workers)
         self._solvers: Dict[str, BaseSolver] = {}
         self._rectangle_cache: Dict[Tuple[Soc, int], Dict[str, RectangleSet]] = {}
         self._hits = 0
@@ -90,11 +80,6 @@ class Session:
     def registry(self) -> SolverRegistry:
         """The registry this session resolves solver names against."""
         return self._registry
-
-    @property
-    def workers(self) -> int:
-        """Default internal fan-out for solvers that support one (0 = serial)."""
-        return self._workers
 
     # ------------------------------------------------------------------
     # Shared Pareto rectangle cache
@@ -131,14 +116,13 @@ class Session:
     def close(self) -> None:
         """Tear down the *process-wide* flat executor's worker pool.
 
-        Parallel solves (``workers > 1``) dispatch through one shared,
+        The sweep engine's parallel runs dispatch through one shared,
         process-wide executor whose pool persists across calls to keep
         caches warm; that pool is not owned by any single session, so
         closing it here also affects other components using it (their
         next parallel dispatch transparently recreates it).  The session
-        itself stays usable.  A session that never solved in parallel
-        closes nothing of its own -- this is a convenience hook for
-        "I am done with parallel work in this process".
+        itself stays usable -- this is a convenience hook for "I am done
+        with parallel work in this process".
         """
         from repro.engine.executor import close_default_executor
 

@@ -24,7 +24,7 @@ machinery the per-module rules cannot see:
 The table also records, per module, the names declared **fork-local** via
 a ``# repro: fork-local`` comment on their definition line: module globals
 (or memoised functions) that are sanctioned worker-side state -- each
-worker's private memo, or the lock-free shared incumbent board -- which
+worker's private memo, or its installed fault plan -- which
 the REP007/REP008 concurrency rules exempt.
 
 Everything here is purely syntactic (no imports are executed), mirroring

@@ -19,7 +19,7 @@ REP006     Registry hygiene: every ``@register_solver`` declares
            capabilities and a docstring.
 REP007     Worker-reachable mutation: functions reachable from executor
            task entry points must not write module-level state outside
-           the priming / incumbent-board protocol (interprocedural).
+           the priming protocol (interprocedural).
 REP008     Unprimed worker cache: ``lru_cache`` memos reachable in
            forked workers must be primed pre-fork or declared
            ``# repro: fork-local`` (interprocedural).

@@ -3,9 +3,8 @@
 The flat executor's correctness story (bit-identical schedules for
 workers ∈ {0, 1, 2, 4}) rests on worker processes being *functionally
 pure* after the fork: a task may read the pre-forked caches installed by
-``prime_context_caches`` / the pool initializer, and it may publish
-makespans through the sanctioned lock-free incumbent board, but any other
-write to module-level state diverges silently between workers and parent.
+``prime_context_caches`` / the pool initializer, but any write to
+module-level state diverges silently between workers and parent.
 
 This rule walks the project call graph from the executor's task entry
 points (pool-submitted payloads) and worker initializers, and reports
@@ -17,7 +16,7 @@ the write is sanctioned:
   ``_prime_soc_pairs``), which run exactly once per worker/parent;
 * the written global (or the writer function) is declared fork-local with
   a ``# repro: fork-local`` pragma on its definition line -- the explicit
-  opt-in for worker-private memos and the incumbent board.
+  opt-in for worker-private state (memos, the installed fault plan).
 
 Findings carry the witness call chain (entry point -> ... -> writer) so
 the path can be reviewed by hand.
@@ -47,7 +46,7 @@ class WorkerMutationRule(LintRule):
     name = "worker-mutation"
     description = (
         "functions reachable from executor task entry points must not write "
-        "module-level state outside the priming/incumbent-board protocol "
+        "module-level state outside the priming protocol "
         "(sanction deliberate worker-side state with '# repro: fork-local')"
     )
 

@@ -818,11 +818,11 @@ class TestShippedTreeInterprocedural:
         reachable = analysis.worker_reachable()
         assert "repro.engine.executor._execute_task" in reachable
 
-    def test_shipped_board_write_is_fork_local_sanctioned(self):
+    def test_shipped_worker_fault_plan_is_fork_local_sanctioned(self):
         analysis = analyze_paths(
             sorted((REPO_ROOT / "src" / "repro").rglob("*.py")),
             [REPO_ROOT / "src"],
             display_root=REPO_ROOT,
         )
         fork_local = analysis.table.fork_local_names("repro.engine.executor")
-        assert "_WORKER_BOARD" in fork_local
+        assert "_WORKER_FAULTS" in fork_local

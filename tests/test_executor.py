@@ -1,29 +1,29 @@
-"""Tests for the flattened shared-pool executor (repro.engine.executor).
+"""Tests for the shared-pool executor (repro.engine.executor).
 
 Five contracts are pinned here:
 
-* **Bit-identity.**  For any job list -- including ``best`` jobs, which the
-  executor decomposes into deduplicated grid-run tasks -- the results are
-  identical to the serial reference for every worker count (randomized
-  property tests over generated SOCs, mixed solvers and constraints).
-* **Flat fan-out.**  A ``best`` job running under the sweep engine is
-  decomposed in the parent and dispatched as multiple tasks (the old
-  two-layer engine silently serialised the grid inside one worker).
+* **Bit-identity.**  For any job list -- ``best`` jobs included -- the
+  results are identical to the serial reference for every worker count
+  (randomized property tests over generated SOCs, mixed solvers and
+  constraints).
+* **One task per job.**  Every job, a ``best`` grid sweep included, is
+  one pool task, and a single solve never starts a process.
 * **Observable degrade.**  When no pool can be created the run falls back
   to the serial path with a RuntimeWarning and ``degraded_to_serial`` set
-  in the executor stats / sweep metadata -- never silently.
-* **Grid-task dispatch.**  Decomposed grid sweeps -- at every worker
-  count, chunk size and board-poll cadence, under chaos fault plans and
-  on spawn pools -- match the serial reference record-for-record
-  (schedules by fingerprint).  Each grid run travels as one pickled
-  ``_GridTask`` against a worker universe of SOCs installed by the pool
-  initializer; run in-process, those tasks reproduce the serial winner.
-* **Clean stderr.**  Repeated pooled solves with pool teardown in
-  between print no tracebacks.
+  in the executor stats -- never silently.
+* **Job dispatch.**  Job lists -- at every worker count and chunk size,
+  under a hang and on spawn pools -- match the serial reference
+  record-for-record (schedules by fingerprint).  Each job travels as one
+  pickled ``_JobTask`` against a worker universe of SOCs installed by the
+  pool initializer; run in-process, those tasks reproduce the serial
+  result.
+* **Clean stderr.**  Repeated pooled runs with pool teardown in between
+  print no tracebacks.
 """
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import random
@@ -33,21 +33,22 @@ import sys
 import pytest
 
 import repro.engine.executor as executor_module
+from repro.analysis.experiments import table1_jobs
 from repro.analysis.perf import schedule_fingerprint
-from repro.core.grid_sweep import dedupe_grid, order_runs_by_estimate, run_grid_sweep
 from repro.core.scheduler import SchedulerConfig
 from repro.engine.executor import (
     FlatExecutor,
     _execute_chunk,
     _execute_task,
-    _GridTask,
     _init_worker,
+    _JobTask,
     _resolve_chunksize,
     _TaskFailure,
+    close_default_executor,
+    execute_job,
     get_default_executor,
     prime_context_caches,
     task_fingerprint,
-    use_executor,
 )
 from repro.engine.faults import FaultPlan
 from repro.engine.jobs import EngineContext, ScheduleJob
@@ -74,7 +75,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def random_jobs(soc, rng, constraints_keys=()):
-    """A mixed job list: paper, best (decomposable) and shelf jobs."""
+    """A mixed job list: paper, best and shelf jobs."""
     jobs = []
     for index in range(rng.randint(3, 6)):
         solver = rng.choice(("paper", "best", "best", "shelf"))
@@ -120,10 +121,9 @@ class TestFlatBitIdentity:
                 assert left.metadata == right.metadata
 
     def test_whole_dispatched_best_job_with_workers_option_stays_identical(self):
-        # Enough jobs to trigger whole-job dispatch; each best job carries
-        # a workers option.  Inside a daemonic pool worker that inner
-        # fan-out is forced serial instead of attempting a nested pool --
-        # metadata must NOT grow an environment-dependent degrade marker.
+        # Each best job carries a workers option, which has no effect: the
+        # grid runs inside the pool worker, which starts no nested pool,
+        # so metadata must NOT grow an environment-dependent degrade marker.
         soc = get_benchmark("d695")
         context = EngineContext.for_soc(soc)
         jobs = [
@@ -141,7 +141,7 @@ class TestFlatBitIdentity:
 
         with warnings_module.catch_warnings(record=True) as caught:
             warnings_module.simplefilter("always")
-            parallel = run_jobs(jobs, context, workers=2)  # 5 >= 2*2: whole jobs
+            parallel = run_jobs(jobs, context, workers=2)
         assert tuple(parallel) == tuple(serial)
         for result in parallel:
             assert "degraded_to_serial" not in dict(result.metadata)
@@ -150,8 +150,9 @@ class TestFlatBitIdentity:
         ]
 
     def test_best_job_results_match_undecomposed_solve(self):
-        # The flat path must reproduce the Session.solve('best') result
-        # exactly: same schedule, same winner metadata.
+        # A lone job runs in-process whatever the worker count, and must
+        # reproduce the serial result exactly: same schedule, same winner
+        # metadata.
         soc = get_benchmark("d695")
         context = EngineContext.for_soc(soc)
         job = ScheduleJob(
@@ -166,24 +167,54 @@ class TestFlatBitIdentity:
         )
 
 
-class TestFlatFanOut:
-    """Best jobs decompose into parallel grid-run tasks (no nested pools)."""
+class TestOneTaskPerJob:
+    """Every job is one task; a single solve starts no process."""
 
-    def test_best_job_under_engine_runs_grid_in_parallel(self):
+    def test_best_jobs_dispatch_whole(self):
         soc = get_benchmark("d695")
-        context = EngineContext.for_soc(soc)
-        job = ScheduleJob(
-            index=0, soc=soc.name, width=32, solver="best", options=SMALL_GRID
-        )
-        results = run_jobs([job], context, workers=2)
+        jobs, context = table1_jobs(soc, (32,), **SMALL_GRID)
+        with FlatExecutor() as executor:
+            results = executor.run_jobs(jobs, context, workers=2)
         stats = results.stats
         assert stats is not None
-        assert stats.decomposed_jobs == 1
-        # The grid fan-out is visible as task count: one job, many tasks
-        # (the old nested-pool fallback ran the grid as a single task).
-        assert stats.tasks > 1
+        assert stats.jobs == stats.tasks == len(jobs) == 3
+        assert stats.decomposed_jobs == 0 and stats.board_aborts == 0
         assert stats.workers == 2
         assert not results.degraded_to_serial
+
+    def test_single_best_solve_starts_no_process(self):
+        close_default_executor()
+        soc = get_benchmark("d695")
+        request = ScheduleRequest(
+            soc=soc, total_width=32, solver="best", options={"workers": 2}
+        )
+        children = {child.pid for child in multiprocessing.active_children()}
+        pooled = get_default_session().solve(request)
+        assert {child.pid for child in multiprocessing.active_children()} <= children
+        assert not get_default_executor().pool_alive
+        serial = get_default_session().solve(
+            dataclasses.replace(request, options={"workers": 0})
+        )
+        assert pooled.makespan == serial.makespan
+        assert schedule_fingerprint(pooled.schedule) == schedule_fingerprint(
+            serial.schedule
+        )
+
+    def test_run_grid_runs_is_an_inert_stub(self):
+        # Kept by name for perfbench's tracer only: it dispatches nothing,
+        # starts no pool and records no stats.
+        with FlatExecutor() as executor:
+            assert executor.run_grid_runs(object(), 2) == ()
+            assert not executor.pool_alive
+            assert executor.last_stats is None
+
+    def test_best_workers_option_is_still_validated(self):
+        request = ScheduleRequest(
+            soc=get_benchmark("d695"), total_width=16, solver="best",
+            options={"workers": -1},
+        )
+        with pytest.raises(SolverError, match="non-negative"):
+            get_default_session().solve(request)
 
     def test_serial_path_reports_one_task_per_job(self):
         soc = get_benchmark("d695")
@@ -198,18 +229,22 @@ class TestFlatFanOut:
         assert results.stats.decomposed_jobs == 0
 
     def test_best_job_with_unknown_option_raises_canonical_error(self):
-        # Undecomposable best jobs stay whole so the solver's own option
-        # validation fires, identically on the serial and parallel paths.
+        # The solver's own option validation fires, identically on the
+        # serial and pooled paths.
         soc = get_benchmark("d695")
         context = EngineContext.for_soc(soc)
-        job = ScheduleJob(
-            index=0, soc=soc.name, width=16, solver="best",
-            options={"bogus": 1},
-        )
+        jobs = [
+            ScheduleJob(
+                index=index, soc=soc.name, width=16, solver="best",
+                options={"bogus": 1},
+            )
+            for index in range(2)
+        ]
         with pytest.raises(SolverError, match="does not understand options"):
-            run_jobs([job], context, workers=0)
-        with pytest.raises(SolverError, match="does not understand options"):
-            run_jobs([job], context, workers=2)
+            run_jobs(jobs, context, workers=0)
+        with FlatExecutor(retry_backoff=0.0) as executor:
+            with pytest.raises(SolverError, match="does not understand options"):
+                executor.run_jobs(jobs, context, workers=2)
 
 
 class TestPoolLifecycle:
@@ -248,6 +283,16 @@ class TestPoolLifecycle:
         finally:
             executor.close()
 
+    def test_reused_pool_reports_its_worker_count(self):
+        soc = get_benchmark("d695")
+        context = EngineContext.for_soc(soc)
+        jobs = [ScheduleJob(index=i, soc=soc.name, width=w)
+                for i, w in enumerate((12, 16, 20))]
+        with FlatExecutor() as executor:
+            first = executor.run_jobs(jobs, context, workers=2)
+            second = executor.run_jobs(jobs, context, workers=2)  # warm pool
+        assert first.stats.workers == second.stats.workers == 2
+
     def test_default_executor_is_shared(self):
         assert get_default_executor() is get_default_executor()
 
@@ -258,12 +303,6 @@ class TestObservableDegrade:
     @pytest.fixture
     def broken_pools(self, monkeypatch):
         class BrokenContext:
-            def get_start_method(self):
-                return "fork"
-
-            def RawArray(self, *args, **kwargs):
-                raise OSError("no shared memory in this sandbox")
-
             def Pool(self, *args, **kwargs):
                 raise OSError("no semaphores in this sandbox")
 
@@ -284,19 +323,6 @@ class TestObservableDegrade:
         assert degraded.degraded_to_serial
         assert degraded.stats.workers == 0
         assert tuple(degraded) == tuple(serial)  # results stay identical
-
-    def test_grid_sweep_degrade_marks_metadata(self, broken_pools, monkeypatch):
-        # run_grid_sweep goes through the default executor; isolate it.
-        monkeypatch.setattr(executor_module, "_DEFAULT_EXECUTOR", None)
-        soc = get_benchmark("d695")
-        serial = run_grid_sweep(soc, 24, **SMALL_GRID)
-        with pytest.warns(RuntimeWarning, match="degrading to the serial"):
-            degraded = run_grid_sweep(soc, 24, workers=4, **SMALL_GRID)
-        assert degraded == serial  # flag excluded from equality
-        assert degraded.degraded_to_serial
-        assert degraded.metadata()["degraded_to_serial"] is True
-        assert "degraded_to_serial" not in serial.metadata()
-
 
 class TestPrecisePriming:
     """Only the (SOC, width) pairs the job list references are warmed."""
@@ -335,127 +361,78 @@ class TestPrecisePriming:
         assert entries == 1
 
 
-def sweep_identical(left, right):
-    return (
-        left == right
-        and left.makespan == right.makespan
-        and left.winner == right.winner
-        and schedule_fingerprint(left.schedule)
-        == schedule_fingerprint(right.schedule)
+def results_identical(left, right):
+    """Record-for-record equality, schedules compared by fingerprint."""
+    return tuple(left) == tuple(right) and all(
+        schedule_fingerprint(a.schedule) == schedule_fingerprint(b.schedule)
+        for a, b in zip(left, right)
     )
 
 
-class TestGridTaskDispatch:
-    """Pickled grid tasks reproduce the serial sweep under every knob."""
+def table1_row(soc_name, width, grid):
+    """The Table 1 jobs of one width: three ``best`` jobs, one per mode."""
+    return table1_jobs(get_benchmark(soc_name), (width,), **grid)
+
+
+class TestJobDispatch:
+    """Pooled job lists reproduce the serial reference under every knob."""
 
     @pytest.mark.parametrize(
         "soc_name,width,grid",
         [("d695", 32, SMALL_GRID), ("p93791", 64, TRIM_GRID)],
     )
     def test_worker_counts_match_serial_reference(self, soc_name, width, grid):
-        soc = get_benchmark(soc_name)
-        serial = run_grid_sweep(soc, width, **grid)
+        jobs, context = table1_row(soc_name, width, grid)
+        serial = run_jobs(jobs, context, workers=0)
         for workers in (1, 2, 4):
-            parallel = run_grid_sweep(soc, width, workers=workers, **grid)
-            assert sweep_identical(parallel, serial)
-
-    def test_aggressive_board_poll_stays_identical(self, monkeypatch):
-        soc = get_benchmark("d695")
-        serial = run_grid_sweep(soc, 32, **SMALL_GRID)
-        for poll in (1, 0):
-            # Patched before the fresh executor forks its pool.
-            monkeypatch.setattr(executor_module, "_BOARD_POLL", poll)
-            executor = FlatExecutor()
-            try:
-                with use_executor(executor):
-                    swept = run_grid_sweep(soc, 32, workers=2, **SMALL_GRID)
-                assert sweep_identical(swept, serial)
-                if poll == 0:
-                    stats = executor.last_stats
-                    assert stats is not None
-                    assert stats.board_aborts == 0  # checkpoint disabled
-            finally:
-                executor.close()
-
-    def test_chaos_plan_with_aborts_stays_identical(self, monkeypatch):
-        # Faults and mid-run aborts compose: kills/exceptions re-dispatch
-        # grid tasks, the board checkpoint fires every event, and the
-        # result still matches the fault-free serial reference.
-        monkeypatch.setattr(executor_module, "_BOARD_POLL", 1)
-        soc = get_benchmark("d695")
-        serial = run_grid_sweep(soc, 32, **SMALL_GRID)
-        plan = FaultPlan.from_dict(
-            {
-                "faults": [
-                    {"kind": "exception", "match": ":r0", "attempts": [1]},
-                    {"kind": "kill", "match": ":r2", "attempts": [1]},
-                ]
-            }
-        )
-        executor = FlatExecutor(
-            fault_plan=plan, task_deadline=10.0, retry_backoff=0.0
-        )
-        try:
-            with use_executor(executor):
-                swept = run_grid_sweep(soc, 32, workers=2, **SMALL_GRID)
-            assert sweep_identical(swept, serial)
-        finally:
-            executor.close()
+            parallel = run_jobs(jobs, context, workers=workers)
+            assert results_identical(parallel, serial)
 
     def test_spawn_pool_stays_identical(self, monkeypatch):
         # Under spawn the SOCs travel through the pool's initargs and the
         # workers build their caches in the initializer.
-        import multiprocessing
-
         monkeypatch.setattr(
             executor_module,
             "preferred_pool_context",
             lambda: multiprocessing.get_context("spawn"),
         )
-        soc = get_benchmark("d695")
-        serial = run_grid_sweep(soc, 32, **TRIM_GRID)
-        executor = FlatExecutor()
-        try:
-            with use_executor(executor):
-                swept = run_grid_sweep(soc, 32, workers=2, **TRIM_GRID)
-            assert sweep_identical(swept, serial)
+        jobs, context = table1_row("d695", 32, TRIM_GRID)
+        serial = run_jobs(jobs, context, workers=0)
+        with FlatExecutor() as executor:
+            pooled = executor.run_jobs(jobs, context, workers=2)
+            assert results_identical(pooled, serial)
             assert executor.last_stats is not None
             assert executor.last_stats.workers == 2
-        finally:
-            executor.close()
 
-    @pytest.mark.parametrize("chunk", [1, 5, 999])
-    def test_every_chunk_size_stays_identical(self, monkeypatch, chunk):
-        monkeypatch.setattr(
-            executor_module, "_resolve_chunksize", lambda total, processes: chunk
-        )
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 999])
+    def test_every_chunk_size_stays_identical(self, chunk):
         soc = get_benchmark("d695")
-        serial = run_grid_sweep(soc, 32, **SMALL_GRID)
-        swept = run_grid_sweep(soc, 32, workers=2, **SMALL_GRID)
-        assert sweep_identical(swept, serial)
+        context = EngineContext.for_soc(soc)
+        jobs = [
+            ScheduleJob(index=i, soc=soc.name, width=w, solver="best", options=SMALL_GRID)
+            for i, w in enumerate((12, 16, 20, 24, 28))
+        ]
+        serial = run_jobs(jobs, context, workers=0)
+        with FlatExecutor() as executor:
+            pooled = executor.run_jobs(jobs, context, workers=2, chunksize=chunk)
+        assert results_identical(pooled, serial)
 
-    def test_watchdog_arms_at_derived_chunk_sizes(self, monkeypatch):
-        # A hang inside a multi-task chunk must still trip the watchdog
-        # and resurrect the pool without losing the chunk's results.
-        monkeypatch.setattr(
-            executor_module, "_resolve_chunksize", lambda total, processes: 4
-        )
-        soc = get_benchmark("d695")
-        serial = run_grid_sweep(soc, 32, **SMALL_GRID)
+    def test_watchdog_trips_on_a_hung_job(self):
+        # A hang must trip the watchdog and resurrect the pool without
+        # losing the other jobs' results.
+        jobs, context = table1_row("d695", 32, SMALL_GRID)
+        serial = run_jobs(jobs, context, workers=0)
         plan = FaultPlan.from_dict(
-            {"faults": [{"kind": "hang", "match": ":r1", "attempts": [1],
+            {"faults": [{"kind": "hang", "match": ":i1", "attempts": [1],
                          "seconds": 30.0}]}
         )
-        executor = FlatExecutor(
+        with FlatExecutor(
             fault_plan=plan, task_deadline=1.0, retry_backoff=0.0
-        )
-        try:
-            with use_executor(executor):
-                swept = run_grid_sweep(soc, 32, workers=2, **SMALL_GRID)
-            assert sweep_identical(swept, serial)
-            assert swept.recovery_events  # the stall was journalled
-        finally:
-            executor.close()
+        ) as executor:
+            pooled = executor.run_jobs(jobs, context, workers=2)
+        assert [r.makespan for r in pooled] == [r.makespan for r in serial]
+        assert pooled.recovery_events  # the stall was journalled
+        assert dict(pooled[1].metadata)["recovery_events"] == "resurrected:stalled"
 
     def test_chunksize_derivation(self):
         assert _resolve_chunksize(3, 2) == 1  # short queues stay unbatched
@@ -464,27 +441,14 @@ class TestGridTaskDispatch:
         assert _resolve_chunksize(0, 0) == 1
 
 
-def grid_tasks(soc, width, grid):
-    """The unbounded pickled tasks a grid sweep of ``soc`` would dispatch."""
-    config = SchedulerConfig()
-    sets = get_default_session().rectangle_sets(soc, config.max_core_width)
-    runs = dedupe_grid(
-        soc, width, config, sets, grid["percents"], grid["deltas"], grid["slacks"]
-    )
-    return [
-        _GridTask(
-            job_index=0,
-            run_index=run.index,
-            soc=soc.name,
-            width=width,
-            constraints=None,
-            config=config,
-            point=run.point,
-            vector=run.preferred_widths,
-            limit=None,
-        )
-        for run in order_runs_by_estimate(soc, sets, width, runs)
+def job_tasks(soc_name, width, grid):
+    """The pickled tasks a pooled run of one Table 1 row would dispatch."""
+    jobs, context = table1_row(soc_name, width, grid)
+    tasks = [
+        _JobTask(job_index=index, job=job, constraints=context.resolve(job)[1])
+        for index, job in enumerate(jobs)
     ]
+    return tasks, context
 
 
 @pytest.fixture
@@ -495,7 +459,7 @@ def worker_universe(monkeypatch):
     and forkserver workers through ``initargs``; the worker globals are
     restored afterwards.
     """
-    for name in ("_WORKER_SOCS", "_WORKER_BOARD", "_WORKER_FAULTS"):
+    for name in ("_WORKER_SOCS", "_WORKER_FAULTS"):
         monkeypatch.setattr(executor_module, name, getattr(executor_module, name))
 
     def install(*socs):
@@ -507,83 +471,61 @@ def worker_universe(monkeypatch):
     return install
 
 
-GRID_CASES = [("d695", 32, SMALL_GRID), ("p93791", 64, TRIM_GRID)]
+TASK_CASES = [("d695", 32, SMALL_GRID), ("p93791", 64, TRIM_GRID)]
 
 
-class TestGridTaskEncoding:
-    """A grid run travels as one pickled ``_GridTask`` and runs anywhere."""
+class TestJobTaskEncoding:
+    """A job travels as one pickled ``_JobTask`` and runs anywhere."""
 
-    @pytest.mark.parametrize("soc_name,width,grid", GRID_CASES)
+    @pytest.mark.parametrize("soc_name,width,grid", TASK_CASES)
     def test_tasks_survive_a_pickle_round_trip(self, soc_name, width, grid):
-        tasks = grid_tasks(get_benchmark(soc_name), width, grid)
-        assert len(tasks) > 1
+        tasks, _ = job_tasks(soc_name, width, grid)
+        assert len(tasks) == 3
         for task in tasks:
             shipped = pickle.loads(pickle.dumps(task))
             assert shipped == task
             assert task_fingerprint(shipped) == task_fingerprint(task)
 
-    @pytest.mark.parametrize("soc_name,width,grid", GRID_CASES)
-    def test_in_process_tasks_reproduce_the_serial_winner(
+    @pytest.mark.parametrize("soc_name,width,grid", TASK_CASES)
+    def test_in_process_tasks_reproduce_the_serial_results(
         self, worker_universe, soc_name, width, grid
     ):
-        soc = get_benchmark(soc_name)
-        serial = run_grid_sweep(soc, width, **grid)
-        worker_universe(soc)
-        replies = [_execute_task(task) for task in grid_tasks(soc, width, grid)]
-        results = {}
-        for job_index, run_index, payload, _wall in replies:
-            assert job_index == 0
-            makespan, schedule = payload  # unbounded: every run completes
-            results[run_index] = (makespan, schedule)
-        winner = min(results, key=lambda index: (results[index][0], index))
-        makespan, schedule = results[winner]
-        assert makespan == serial.makespan
-        assert schedule_fingerprint(schedule) == schedule_fingerprint(
-            serial.schedule
-        )
-
-    def test_limit_keeps_non_improving_schedules_out_of_the_reply(
-        self, worker_universe
-    ):
-        soc = get_benchmark("d695")
-        serial = run_grid_sweep(soc, 32, **SMALL_GRID)
-        worker_universe(soc)
-        for task in grid_tasks(soc, 32, SMALL_GRID):
-            bounded = dataclasses.replace(task, limit=serial.makespan)
-            _, run_index, payload, _ = _execute_task(bounded)
-            assert run_index == task.run_index
-            # Pruned (None) or a bare makespan -- never the schedule.
-            assert payload is None or (
-                isinstance(payload, int) and payload >= serial.makespan
+        tasks, context = job_tasks(soc_name, width, grid)
+        serial = [execute_job(task.job, context) for task in tasks]
+        worker_universe(get_benchmark(soc_name))
+        for task, want in zip(tasks, serial):
+            job_index, have = _execute_task(task)
+            assert job_index == task.job_index
+            assert have == want
+            assert schedule_fingerprint(have.schedule) == schedule_fingerprint(
+                want.schedule
             )
 
     def test_chunk_replies_follow_task_order(self, worker_universe):
-        soc = get_benchmark("d695")
-        worker_universe(soc)
-        tasks = tuple(grid_tasks(soc, 32, SMALL_GRID))
-        replies = _execute_chunk(tasks)
-        assert [reply[1] for reply in replies] == [task.run_index for task in tasks]
+        worker_universe(get_benchmark("d695"))
+        tasks, _ = job_tasks("d695", 32, SMALL_GRID)
+        replies = _execute_chunk(tuple(tasks))
+        assert [reply[0] for reply in replies] == [task.job_index for task in tasks]
 
     def test_unknown_soc_key_ships_a_task_failure(self, worker_universe):
-        soc = get_benchmark("d695")
-        worker_universe(soc)
+        worker_universe(get_benchmark("d695"))
+        tasks, _ = job_tasks("d695", 32, SMALL_GRID)
         task = dataclasses.replace(
-            grid_tasks(soc, 32, SMALL_GRID)[0], soc="absent", attempt=2
+            tasks[0], job=dataclasses.replace(tasks[0].job, soc="absent"), attempt=2
         )
-        job_index, run_index, payload, _ = _execute_task(task)
-        assert (job_index, run_index) == (0, task.run_index)
+        job_index, payload = _execute_task(task)
+        assert job_index == task.job_index
         assert isinstance(payload, _TaskFailure)
         assert payload.fingerprint == task_fingerprint(task)
         assert payload.attempt == 2
         assert isinstance(payload.exception, KeyError)
 
-    def test_fingerprint_names_soc_width_job_and_run(self):
+    def test_fingerprint_names_soc_width_solver_and_job(self):
+        tasks, _ = job_tasks("d695", 32, SMALL_GRID)
         task = dataclasses.replace(
-            grid_tasks(get_benchmark("d695"), 32, SMALL_GRID)[0],
-            job_index=3,
-            run_index=7,
+            tasks[0], job=dataclasses.replace(tasks[0].job, index=3)
         )
-        assert task_fingerprint(task) == "grid:d695:w32:j3:r7"
+        assert task_fingerprint(task) == "job:d695:w32:best:i3"
 
 
 class TestWorkerUniverse:
@@ -610,91 +552,83 @@ class TestWorkerUniverse:
             reference.schedule
         )
 
-    def test_grid_sweeps_on_one_soc_share_the_pool(self):
+    def test_job_lists_on_one_soc_share_the_pool(self):
+        # The Table 1 row carries constraint sets the width list does not;
+        # constraints travel inside tasks, so the pool is reused.
         soc = get_benchmark("d695")
-        executor = FlatExecutor()
-        try:
-            with use_executor(executor):
-                run_grid_sweep(soc, 32, workers=2, **SMALL_GRID)
-                first_pool = executor._pool
-                assert first_pool is not None
-                swept = run_grid_sweep(soc, 32, workers=2, **TRIM_GRID)
-                assert executor._pool is first_pool
-            assert sweep_identical(swept, run_grid_sweep(soc, 32, **TRIM_GRID))
-        finally:
-            executor.close()
+        jobs, context = table1_row("d695", 32, SMALL_GRID)
+        plain = EngineContext.for_soc(soc)
+        widths = [ScheduleJob(index=i, soc=soc.name, width=w)
+                  for i, w in enumerate((12, 16))]
+        with FlatExecutor() as executor:
+            executor.run_jobs(jobs, context, workers=2)
+            first_pool = executor._pool
+            assert first_pool is not None
+            pooled = executor.run_jobs(widths, plain, workers=2)
+            assert executor._pool is first_pool
+        assert results_identical(pooled, run_jobs(widths, plain, workers=0))
 
     def test_a_new_soc_refreshes_the_pool(self):
-        first = get_benchmark("d695")
         other = generate_soc(4100, name="refresh", profile=PROFILE)
+        jobs, context = table1_row("d695", 32, SMALL_GRID)
+        other_jobs, other_context = table1_jobs(other, (16,), **SMALL_GRID)
+        with FlatExecutor() as executor:
+            executor.run_jobs(jobs, context, workers=2)
+            first_pool = executor._pool
+            pooled = executor.run_jobs(other_jobs, other_context, workers=2)
+            assert executor._pool is not first_pool
+            assert set(executor._socs) == {"refresh"}
+        assert results_identical(
+            pooled, run_jobs(other_jobs, other_context, workers=0)
+        )
+
+    def test_closed_executor_rebuilds_for_the_next_run(self):
+        jobs, context = table1_row("d695", 32, SMALL_GRID)
+        serial = run_jobs(jobs, context, workers=0)
         executor = FlatExecutor()
         try:
-            with use_executor(executor):
-                run_grid_sweep(first, 32, workers=2, **SMALL_GRID)
-                first_pool = executor._pool
-                swept = run_grid_sweep(other, 16, workers=2, **SMALL_GRID)
-                assert executor._pool is not first_pool
-                assert set(executor._socs) == {"refresh"}
-            assert sweep_identical(swept, run_grid_sweep(other, 16, **SMALL_GRID))
+            for _ in range(2):
+                pooled = executor.run_jobs(jobs, context, workers=2)
+                assert results_identical(pooled, serial)
+                assert executor.pool_alive
+                executor.close()
+                assert not executor.pool_alive
         finally:
             executor.close()
 
-    def test_closed_executor_rebuilds_for_the_next_sweep(self):
-        soc = get_benchmark("d695")
-        serial = run_grid_sweep(soc, 32, **SMALL_GRID)
-        executor = FlatExecutor()
-        try:
-            with use_executor(executor):
-                for _ in range(2):
-                    swept = run_grid_sweep(soc, 32, workers=2, **SMALL_GRID)
-                    assert sweep_identical(swept, serial)
-                    assert executor.pool_alive
-                    executor.close()
-                    assert not executor.pool_alive
-        finally:
-            executor.close()
-
-    def test_pooled_sweep_reports_its_stats(self):
-        soc = get_benchmark("d695")
-        executor = FlatExecutor()
-        try:
-            with use_executor(executor):
-                swept = run_grid_sweep(soc, 32, workers=2, **SMALL_GRID)
+    def test_pooled_run_reports_its_stats(self):
+        jobs, context = table1_row("d695", 32, SMALL_GRID)
+        with FlatExecutor() as executor:
+            executor.run_jobs(jobs, context, workers=2)
             stats = executor.last_stats
-            assert stats is not None
-            assert (stats.jobs, stats.decomposed_jobs) == (1, 1)
-            assert stats.tasks == swept.unique_runs
-            assert stats.workers == 2
-            assert stats.failures == () and stats.recovery_events == ()
-        finally:
-            executor.close()
+        assert stats is not None
+        assert (stats.jobs, stats.tasks, stats.decomposed_jobs) == (3, 3, 0)
+        assert stats.workers == 2
+        assert stats.failures == () and stats.recovery_events == ()
 
 
-# Three pooled best solves, each followed by a pool teardown, so every
-# solve forks a fresh pool in a process that has already dispatched.
-REPEATED_POOLED_SOLVES = """
+# Three pooled Table 1 rows, each followed by a pool teardown, so every
+# run forks a fresh pool in a process that has already dispatched.
+REPEATED_POOLED_RUNS = """
+from repro.analysis.experiments import table1_jobs
 from repro.engine.executor import get_default_executor
+from repro.engine.runner import run_jobs
 from repro.soc.benchmarks import get_benchmark
-from repro.solvers import ScheduleRequest
-from repro.solvers.session import get_default_session
 
-soc = get_benchmark("d695")
+jobs, context = table1_jobs(get_benchmark("d695"), (32,))
 for _ in range(3):
-    result = get_default_session().solve(
-        ScheduleRequest(soc=soc, total_width=32, solver="best",
-                        options={"workers": 2})
-    )
+    results = run_jobs(jobs, context, workers=2)
     get_default_executor().close()
-    print(result.makespan)
+    print(",".join(str(result.makespan) for result in results))
 """
 
 
 class TestCleanStderr:
-    def test_repeated_pooled_solves_print_no_traceback(self):
+    def test_repeated_pooled_runs_print_no_traceback(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
         proc = subprocess.run(
-            [sys.executable, "-c", REPEATED_POOLED_SOLVES],
+            [sys.executable, "-c", REPEATED_POOLED_RUNS],
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
@@ -707,5 +641,9 @@ class TestCleanStderr:
             os.path.join(REPO_ROOT, "benchmarks", "golden_makespans.json"),
             encoding="utf-8",
         ) as handle:
-            golden = json.load(handle)["makespans"]["d695/table2_best/32"]
-        assert proc.stdout.split() == [str(golden)] * 3
+            golden = json.load(handle)["makespans"]
+        row = ",".join(
+            str(golden[f"d695/table1/32/{mode}"])
+            for mode in ("non_preemptive", "preemptive", "power_constrained")
+        )
+        assert proc.stdout.split() == [row] * 3

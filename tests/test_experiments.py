@@ -13,9 +13,17 @@ from repro.analysis.experiments import (
     preemption_limits,
     run_table1,
     run_table2,
+    table1_jobs,
 )
 from repro.core.data_volume import sweep_tam_widths
 from repro.core.lower_bounds import lower_bound
+from repro.engine.api import (
+    MODE_NON_PREEMPTIVE,
+    MODE_POWER_CONSTRAINED,
+    MODE_PREEMPTIVE,
+    SCHEDULER_MODES,
+)
+from repro.engine.runner import run_jobs
 from repro.soc.core import Core
 from repro.soc.soc import Soc
 
@@ -87,6 +95,30 @@ class TestTable1:
 
     def test_testing_time_shrinks_with_width(self, rows):
         assert rows[1].non_preemptive < rows[0].non_preemptive
+
+    def test_table1_jobs_carry_the_row_cells(self, rows, medium_soc):
+        # Fault plans name these jobs by index (``job:...:i1``), so the order
+        # is width outer, mode inner, and the jobs solve the rows' cells.
+        jobs, context = table1_jobs(
+            medium_soc, (8, 16), percents=(1, 10), deltas=(0, 2), slacks=(0, 3)
+        )
+        cells = [(width, mode) for width in (8, 16) for mode in SCHEDULER_MODES]
+        assert [job.index for job in jobs] == list(range(len(cells)))
+        assert [job.group for job in jobs] == cells
+        assert {job.solver for job in jobs} == {"best"}
+        assert [job.constraints for job in jobs[:3]] == [
+            None, MODE_PREEMPTIVE, MODE_POWER_CONSTRAINED
+        ]
+        makespans = {
+            result.job.group: result.makespan
+            for result in run_jobs(jobs, context, workers=0)
+        }
+        for row in rows:
+            assert (
+                makespans[(row.width, MODE_NON_PREEMPTIVE)],
+                makespans[(row.width, MODE_PREEMPTIVE)],
+                makespans[(row.width, MODE_POWER_CONSTRAINED)],
+            ) == (row.non_preemptive, row.preemptive, row.power_constrained)
 
 
 class TestTable2:

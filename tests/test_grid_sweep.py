@@ -8,11 +8,10 @@ Two bit-identity contracts are pinned here on randomized SOCs and configs:
   preemptive, power- and concurrency-constrained scheduling, with idle
   insertion and width increase on or off, and on crowded SOCs where many
   cores request the same width;
-* the deduplicated / pruned / parallel grid sweep
+* the deduplicated / pruned grid sweep
   (:func:`repro.core.grid_sweep.run_grid_sweep`) returns exactly the
   schedule *and winning grid point* of the straightforward serial triple
-  loop (:func:`repro.core.grid_sweep.run_best_schedule_reference`), for
-  every worker count.
+  loop (:func:`repro.core.grid_sweep.run_best_schedule_reference`).
 
 The scheduler's area floor, which ends bounded runs early, is pinned too:
 it equals ``W * makespan`` when a run completes, a limit equal to the
@@ -21,6 +20,7 @@ makespan never prunes, and a limit one cycle below it always does.
 
 import functools
 import math
+import multiprocessing
 import random
 import re
 from dataclasses import replace
@@ -204,10 +204,23 @@ class TestGridSweep:
 
     @pytest.mark.parametrize("workers", [0, 1, 2, 5])
     def test_worker_counts_bit_identical(self, workers):
+        # The ``best`` solver still accepts a ``workers`` option, but the
+        # sweep drains in the calling process: no child process starts and
+        # the schedule, winner and statistics are the serial sweep's.
         soc = get_benchmark("p93791")
         serial = run_grid_sweep(soc, 32)
-        outcome = run_grid_sweep(soc, 32, workers=workers)
-        assert outcome == serial  # schedule, winner and statistics
+        children = {child.pid for child in multiprocessing.active_children()}
+        result = Session().solve(
+            ScheduleRequest(
+                soc=soc, total_width=32, solver="best", options={"workers": workers}
+            )
+        )
+        assert {child.pid for child in multiprocessing.active_children()} <= children
+        assert result.makespan == serial.makespan
+        assert dict(result.metadata) == serial.metadata()
+        assert schedule_fingerprint(result.schedule) == schedule_fingerprint(
+            serial.schedule
+        )
 
     def test_full_default_grid_matches_reference_on_p93791(self):
         soc = get_benchmark("p93791")
@@ -664,18 +677,5 @@ class TestBestSolverMetadata:
         assert parallel.makespan == serial.makespan
         assert parallel.metadata == serial.metadata
         assert schedule_fingerprint(parallel.schedule) == schedule_fingerprint(
-            serial.schedule
-        )
-
-    def test_session_workers_default_applies(self):
-        soc = get_benchmark("d695")
-        serial = Session().solve(
-            ScheduleRequest(soc=soc, total_width=16, solver="best", options=SMALL_GRID)
-        )
-        pooled = Session(workers=2).solve(
-            ScheduleRequest(soc=soc, total_width=16, solver="best", options=SMALL_GRID)
-        )
-        assert pooled.makespan == serial.makespan
-        assert schedule_fingerprint(pooled.schedule) == schedule_fingerprint(
             serial.schedule
         )

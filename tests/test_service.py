@@ -20,8 +20,8 @@ The contracts pinned here:
   the same journal re-serves completed-but-unacked results *verbatim*
   (wall_time included) and re-runs unsettled requests byte-identically.
 * **Lifecycle hardening.**  ``FlatExecutor.close`` / ``Session.close``
-  are idempotent and survive a dead pool; ``use_executor`` restores the
-  previous process default even when the body raises.
+  are idempotent and survive a dead pool; ``Supervisor.close`` leaves
+  the process-wide pool alone.
 
 Determinism: tests gate the supervisor's worker threads on events via
 ``started_hook`` (the chaos-harness idiom) instead of sleeping, so the
@@ -30,6 +30,7 @@ interleavings are forced, not raced.
 
 import io
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -37,7 +38,9 @@ import time
 import pytest
 
 import repro.engine.executor as executor_module
-from repro.engine.executor import FlatExecutor, use_executor
+from repro.engine.executor import FlatExecutor
+from repro.engine.jobs import EngineContext, ScheduleJob
+from repro.engine.runner import run_jobs
 from repro.service import protocol
 from repro.service.chaos import run_serve_chaos
 from repro.service.journal import (
@@ -314,6 +317,22 @@ class TestAdmission:
             protocol.DEDUP_FRESH
         )
 
+    def test_configured_workers_start_no_process(self):
+        # ``ServiceConfig.workers`` is still accepted, but every service
+        # solve runs in its worker thread: a ``best`` solve starts no child
+        # process and returns the batch result.
+        request = ScheduleRequest(soc=SOC, total_width=32, solver="best")
+        children = {child.pid for child in multiprocessing.active_children()}
+        collector = Collector()
+        with Supervisor(config=ServiceConfig(workers=2)) as supervisor:
+            supervisor.submit("r1", request, collector)
+            assert supervisor.drain(timeout=GATE_TIMEOUT)
+            assert {
+                child.pid for child in multiprocessing.active_children()
+            } <= children
+        batch = Session().solve(request)
+        assert collector.results()["r1"]["makespan"] == batch.makespan
+
     def test_duplicate_id_rejected(self):
         collector = Collector()
         with Supervisor() as supervisor:
@@ -543,7 +562,7 @@ class TestJournalReplay:
         journal_path = tmp_path / "service_journal.jsonl"
         request_one = paper_request(16)
         request_two = paper_request(24)
-        batch = Session(workers=0)
+        batch = Session()
         try:
             reference_two = protocol.canonical_result_dict(
                 batch.solve(request_two).to_dict()
@@ -782,10 +801,10 @@ class TestServeStream:
 
 
 # ----------------------------------------------------------------------
-# Lifecycle hardening (satellites: close idempotency, use_executor)
+# Lifecycle hardening (close idempotency)
 # ----------------------------------------------------------------------
 class TestLifecycleHardening:
-    """close() is idempotent and dead-pool-safe; use_executor always restores."""
+    """close() is idempotent and dead-pool-safe."""
 
     class DeadPool:
         """A pool handle whose workers were already reaped (teardown raises)."""
@@ -804,7 +823,7 @@ class TestLifecycleHardening:
         executor.close()  # and stay idempotent after that
 
     def test_session_close_is_idempotent_and_session_stays_usable(self):
-        session = Session(workers=0)
+        session = Session()
         result = session.solve(paper_request())
         session.close()
         session.close()
@@ -819,28 +838,22 @@ class TestLifecycleHardening:
         executor_module.close_default_executor()  # the atexit-hook path
         assert not executor.pool_alive
 
-    def test_use_executor_restores_previous_default_when_body_raises(
-        self, monkeypatch
-    ):
-        previous = FlatExecutor()
-        monkeypatch.setattr(executor_module, "_DEFAULT_EXECUTOR", previous)
-        temporary = FlatExecutor()
-        with pytest.raises(RuntimeError, match="mid-dispatch"):
-            with use_executor(temporary):
-                assert executor_module._DEFAULT_EXECUTOR is temporary
-                raise RuntimeError("solve blew up mid-dispatch")
-        assert executor_module._DEFAULT_EXECUTOR is previous
-        assert not temporary.pool_alive  # the temporary's pool was closed
-
-    def test_use_executor_restores_even_when_teardown_is_hostile(self, monkeypatch):
-        previous = FlatExecutor()
-        monkeypatch.setattr(executor_module, "_DEFAULT_EXECUTOR", previous)
-        temporary = FlatExecutor()
-        temporary._pool = self.DeadPool()
-        with pytest.raises(RuntimeError):
-            with use_executor(temporary):
-                raise RuntimeError("boom")
-        assert executor_module._DEFAULT_EXECUTOR is previous
+    def test_supervisor_close_leaves_the_shared_pool_alone(self, monkeypatch):
+        # No service solve uses the process pool, so closing a supervisor
+        # must not tear down a pool another caller in the process keeps warm.
+        executor = FlatExecutor()
+        monkeypatch.setattr(executor_module, "_DEFAULT_EXECUTOR", executor)
+        jobs = [ScheduleJob(index=i, soc=SOC.name, width=w)
+                for i, w in enumerate((12, 16))]
+        try:
+            run_jobs(jobs, EngineContext.for_soc(SOC), workers=2)
+            assert executor.pool_alive
+            supervisor = Supervisor()
+            supervisor.start()
+            supervisor.close()
+            assert executor.pool_alive
+        finally:
+            executor.close()
 
     def test_supervisor_close_is_idempotent(self):
         supervisor = Supervisor()
