@@ -46,6 +46,7 @@ from repro.engine.jobs import EngineContext, ScheduleJob
 from repro.engine.runner import run_jobs
 from repro.soc.core import Core
 from repro.soc.soc import Soc
+from repro.solvers.session import get_default_session
 from repro.wrapper.pareto import DEFAULT_MAX_WIDTH, testing_time_curve
 
 __all__ = [
@@ -211,13 +212,18 @@ def run_table1(
         max_core_width=max_core_width,
     )
     best = {result.job.group: result for result in run_jobs(jobs, context, workers=workers)}
+    # The jobs solved through the default session, so its sets (and their
+    # plan) are warm; fresh ones would cost a build per row.
+    sets = get_default_session().rectangle_sets(soc, max_core_width)
     rows = []
     for width in widths:
         rows.append(
             Table1Row(
                 soc=soc.name,
                 width=width,
-                lower_bound=lower_bound(soc, width, max_core_width=max_core_width),
+                lower_bound=lower_bound(
+                    soc, width, max_core_width=max_core_width, rectangle_sets=sets
+                ),
                 non_preemptive=best[(width, MODE_NON_PREEMPTIVE)].makespan,
                 preemptive=best[(width, MODE_PREEMPTIVE)].makespan,
                 power_constrained=best[(width, MODE_POWER_CONSTRAINED)].makespan,

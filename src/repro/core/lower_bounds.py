@@ -70,10 +70,12 @@ def lower_bound(
     """The paper's lower bound: max of the area and bottleneck bounds.
 
     Resolves the sets once and takes the summed smallest areas from the
-    SOC's :class:`~repro.core.rectangles.SocPlan` (kept on a
-    :class:`~repro.core.rectangles.RectangleSets`, so repeat calls reuse
-    it) instead of recomputing every curve's ``min_area``; the result is
-    exactly ``max(area_lower_bound(...), bottleneck_lower_bound(...))``.
+    SOC's :class:`~repro.core.rectangles.SocPlan` instead of recomputing
+    every curve's ``min_area``; the result is exactly
+    ``max(area_lower_bound(...), bottleneck_lower_bound(...))``.  Repeat
+    calls reuse the plan only when the caller passes cached sets (say,
+    ``Session.rectangle_sets``): without ``rectangle_sets`` every call
+    builds fresh sets and a fresh plan.
     """
     if total_width <= 0:
         raise ValueError("total TAM width must be positive")

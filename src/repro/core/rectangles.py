@@ -170,12 +170,15 @@ class SocPlan:
     (``None`` if they disagree), checked once here instead of once per
     run.  Two maps fill lazily: the preferred-width vector per
     ``(percent, delta, width cap)`` and the run-ordering estimate per
-    ``(vector, total width)``.  A run's unstarted-core heaps are built per
-    run by :meth:`unstarted_buckets` and never cached.
+    ``(vector, total width)``.  :meth:`unstarted_buckets` remembers the
+    last run's unstarted-core heaps (one bucket set, ``n`` ints), so the
+    slack variants of one grid point, which share their vector and run
+    back to back, copy the heaps instead of walking every core.
 
     Build one with :func:`soc_plan`, which stores it on the
     :class:`RectangleSets` it reads, so the plan lives exactly as long as
-    those sets.  The fields are never rebound after construction.
+    those sets.  The fields other than that memo are never rebound after
+    construction.
     """
 
     __slots__ = (
@@ -195,6 +198,7 @@ class SocPlan:
         "pareto_widths",
         "_vectors",
         "_estimates",
+        "_last_buckets",
         "__weakref__",
     )
 
@@ -226,6 +230,9 @@ class SocPlan:
         )
         self._vectors: Dict[Tuple[float, int, int], Tuple[int, ...]] = {}
         self._estimates: Dict[Tuple[Tuple[int, ...], int], int] = {}
+        self._last_buckets: Optional[
+            Tuple[int, Tuple[int, ...], Dict[int, List[int]]]
+        ] = None
 
     def preferred_vector(
         self, percent: float, delta: int, width_cap: int
@@ -270,9 +277,26 @@ class SocPlan:
         total_width)`` as the int key ``rank - T(vector[i]) * n``, where
         ``n`` is the core count and ``rank`` the core's ``desc_rank``.
         Since ``0 <= rank < n`` the keys order exactly like ``(-T, rank)``:
-        ``key // n`` is ``-T`` and ``by_rank[key % n]`` the core.  One pass
-        over the cores, then one ``heapify`` per bucket.
+        ``key // n`` is ``-T`` and ``by_rank[key % n]`` the core.
+
+        The heaps of the last call are kept as ``(total_width, vector,
+        heaps)``: a call with the same width and vector (the next slack
+        variant of a grid point) gets copies of them instead of a pass over
+        the cores.  The caller may pop from what it gets; the kept lists
+        are never handed out, and the memo is replaced whole, so threads
+        sharing the plan cannot corrupt each other's heaps.
         """
+        key = tuple(vector)
+        last = self._last_buckets
+        if last is None or last[0] != total_width or last[1] != key:
+            last = (total_width, key, self._build_buckets(key, total_width))
+            self._last_buckets = last
+        return {width: heap[:] for width, heap in last[2].items()}
+
+    def _build_buckets(
+        self, vector: Tuple[int, ...], total_width: int
+    ) -> Dict[int, List[int]]:
+        """:meth:`unstarted_buckets` without the memo: one pass over the cores."""
         n = len(self.names)
         max_width = self.max_width
         buckets: Dict[int, List[int]] = {width: [] for width in set(vector)}

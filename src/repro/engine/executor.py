@@ -10,16 +10,20 @@ a single solve never starts one.
 * **Dispatch.**  Jobs flow through ``imap_unordered`` behind a sliding
   backpressure window, in parent-side chunks, and the results are
   reassembled in job order -- bit-identical for every worker count.
-* **Persistence.**  The pool outlives one call: it is created lazily,
-  keyed on the *SOC universe* of the :class:`~repro.engine.jobs.EngineContext`
-  (constraint sets are small and travel inside tasks, so a Table 1 sweep
-  and a Table 2 sweep over the same SOC share one pool) plus the worker
-  count and warmed cache pairs, and reused by subsequent ``run_jobs``
-  calls, keeping the workers' warm wrapper-curve and rectangle caches.  A
-  SOC-universe change refreshes the pool (cheap under ``fork``: the
-  parent's caches -- warmed *before* the fork -- are inherited);
-  :meth:`FlatExecutor.close` tears it down explicitly and an ``atexit``
-  hook closes the process-wide default executor.
+* **Persistence.**  The pool outlives one call: it is created lazily
+  and holds a *SOC universe*, every SOC it has been given by key (constraint
+  sets are small and travel inside tasks, so a Table 1 sweep and a Table 2
+  sweep over the same SOC share one pool), plus the warmed cache pairs.
+  A later ``run_jobs`` call reuses it, warm wrapper-curve and rectangle
+  caches included, when the universe already holds the context's SOCs and
+  cache pairs at the same worker count.  Otherwise the pool is refreshed
+  once into one whose universe is the old one plus the new SOCs, so a
+  protocol that moves from SOC to SOC and back starts one pool per new
+  SOC, not one per call.  A refresh is cheap under ``fork``: the parent
+  primes only the new pairs *before* the fork and the workers inherit
+  every warm cache.  :meth:`FlatExecutor.close` tears the pool down and
+  forgets its universe, and an ``atexit`` hook closes the process-wide
+  default executor.
 * **Supervision.**  Dispatch runs under a watchdog (see
   :mod:`repro.engine.faults`): every task failure becomes a structured
   :class:`~repro.engine.faults.FailureRecord`, worker exceptions get a
@@ -229,10 +233,12 @@ def _init_worker(
 ) -> None:
     """Pool initializer: install the SOC universe, warm the caches.
 
-    Under ``fork`` the priming is a cache hit (the parent warmed the same
-    pairs just before creating the pool) and ``socs`` arrives by
-    inheritance; under ``spawn``/``forkserver`` it is pickled through
-    ``initargs`` once per worker and the caches are built here.
+    ``pairs`` are the pairs the pool's predecessor did not hold.  Under
+    ``fork`` the priming is a cache hit (the parent warmed them just
+    before creating the pool, and the held pairs were warm already) and
+    ``socs`` arrives by inheritance; under ``spawn``/``forkserver`` it is
+    pickled through ``initargs`` once per worker, ``pairs`` are built here
+    and any held pair on first use.
     """
     global _WORKER_SOCS, _WORKER_FAULTS
     _WORKER_SOCS = dict(socs)
@@ -486,6 +492,12 @@ def preferred_pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
+def _holds(universe: Dict[str, Soc], key: str, soc: Soc) -> bool:
+    """Whether ``universe`` holds ``soc`` under ``key`` (identity first, then equality)."""
+    held = universe.get(key)
+    return held is not None and (held is soc or held == soc)
+
+
 def _warn_pool_degrade(detail: str) -> None:
     warnings.warn(
         f"flat executor: no worker pool could be created ({detail}); degrading "
@@ -502,13 +514,16 @@ class FlatExecutor:
     """A persistent process pool fed by one flat queue of whole-job tasks.
 
     One executor owns (at most) one pool.  The pool is created lazily on
-    the first parallel dispatch, keyed on the *SOC universe* (the context's
-    key -> SOC mapping -- constraint sets travel inside tasks, so Table 1
-    and Table 2 sweeps over the same SOC share one pool), the process
-    count and the set of warmed ``(SOC, max width)`` cache pairs; it is
-    reused verbatim while those match and refreshed (close + recreate)
-    when they change.  ``close()`` tears the pool down; the process-wide
-    default executor (:func:`get_default_executor`) is closed at exit.
+    the first parallel dispatch and holds a *SOC universe* (key -> SOC,
+    every SOC it has served; constraint sets travel inside tasks, so
+    Table 1 and Table 2 sweeps over the same SOC share one pool) and a set
+    of warmed ``(SOC, max width)`` cache pairs.  It is reused verbatim
+    while the universe holds every SOC and pair of a job list at the same
+    process count, and refreshed (close + recreate) once into the union of
+    old and new when it does not; a key rebound to an unequal SOC is
+    replaced and its pairs dropped.  ``close()`` tears the pool down and
+    forgets the universe; the process-wide default executor
+    (:func:`get_default_executor`) is closed at exit.
     """
 
     def __init__(
@@ -618,25 +633,42 @@ class FlatExecutor:
         processes: int,
         journal: _Journal,
     ) -> Optional[Any]:
-        """A pool matching (SOC universe, processes) with ``pairs`` warm.
+        """A pool of ``processes`` workers holding ``socs`` with ``pairs`` warm.
 
-        The parent's caches are primed *before* the fork so workers inherit
-        them warm.  On creation failure a RuntimeWarning is emitted, a
-        ``pool-creation`` :class:`FailureRecord` is journalled and ``None``
-        returned -- the supervisor drains the remaining work serially.
+        The live pool is reused when its universe holds every SOC of
+        ``socs`` under the same key (an equal SOC counts), ``pairs`` are
+        all held and the process count matches.  Otherwise a SOC-universe
+        change refreshes the pool once: the new universe is the old one
+        plus ``socs`` (a rebound key is replaced and its pairs dropped),
+        and only the pairs the old pool did not hold are primed before
+        the fork -- the held ones are still warm in this process, so
+        workers inherit every cache warm.  On creation failure a
+        RuntimeWarning is emitted, a ``pool-creation``
+        :class:`FailureRecord` is journalled and ``None`` returned -- the
+        supervisor drains the remaining work serially.
         """
+        held = self._socs or {}
         if (
             self._pool is not None
-            and self._socs == socs
             and self._processes == processes
             and pairs <= self._pairs
+            and all(_holds(held, key, soc) for key, soc in socs.items())
         ):
             # The process count must match exactly: dispatch fans tasks
             # out over every pool worker, so reusing a larger pool would
             # silently exceed the caller's documented worker cap.
             return self._pool
+        universe = dict(held)
+        universe.update(socs)
+        rebound = {
+            key for key in socs if key in held and not _holds(held, key, socs[key])
+        }
+        kept = {pair for pair in self._pairs if pair[0] not in rebound}
+        fresh = pairs - kept
         self.close()
-        _prime_soc_pairs(socs, pairs)
+        # A kept pair was primed here before an earlier fork and the
+        # default session still holds it, so only the new ones are primed.
+        _prime_soc_pairs(universe, fresh)
         if self._fault_plan is not None and self._pool_faults_left > 0:
             # Injected pool-creation failure: consume one budget unit and
             # behave exactly like the real thing (warning included).
@@ -649,7 +681,7 @@ class FlatExecutor:
             pool = preferred_pool_context().Pool(
                 processes=processes,
                 initializer=_init_worker,
-                initargs=(socs, tuple(sorted(pairs)), self._fault_plan),
+                initargs=(universe, tuple(sorted(fresh)), self._fault_plan),
             )
         except _POOL_CREATION_ERRORS as error:
             journal.failure(
@@ -658,9 +690,9 @@ class FlatExecutor:
             _warn_pool_degrade(format_error(error))
             return None
         self._pool = pool
-        self._socs = dict(socs)
+        self._socs = universe
         self._processes = processes
-        self._pairs = set(pairs)
+        self._pairs = kept | pairs
         return pool
 
     # -- dispatch -------------------------------------------------------

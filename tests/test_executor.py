@@ -529,7 +529,23 @@ class TestJobTaskEncoding:
 
 
 class TestWorkerUniverse:
-    """Workers hold the SOCs the pool was created with, keyed by name."""
+    """Workers hold every SOC the pool has been given, keyed by name."""
+
+    @pytest.fixture
+    def pool_starts(self, monkeypatch):
+        """The ``initargs`` of every pool the executors start, in order."""
+        starts = []
+        real = executor_module.preferred_pool_context
+
+        class Recording:
+            def Pool(self, *args, **kwargs):
+                starts.append(kwargs["initargs"])
+                return real().Pool(*args, **kwargs)
+
+        monkeypatch.setattr(
+            executor_module, "preferred_pool_context", lambda: Recording()
+        )
+        return starts
 
     def test_initializer_installs_an_equal_universe(self, worker_universe):
         socs = (get_benchmark("d695"), get_benchmark("p22810"))
@@ -577,10 +593,79 @@ class TestWorkerUniverse:
             first_pool = executor._pool
             pooled = executor.run_jobs(other_jobs, other_context, workers=2)
             assert executor._pool is not first_pool
-            assert set(executor._socs) == {"refresh"}
+            # The refreshed pool keeps the SOC it served before.
+            assert set(executor._socs) == {"d695", "refresh"}
         assert results_identical(
             pooled, run_jobs(other_jobs, other_context, workers=0)
         )
+
+    def test_alternating_socs_start_one_pool_per_new_soc(self, pool_starts):
+        other = generate_soc(4101, name="alternate", profile=PROFILE)
+        calls = [
+            (
+                [ScheduleJob(index=i, soc=soc.name, width=w)
+                 for i, w in enumerate((12, 16, 20))],
+                EngineContext.for_soc(soc),
+            )
+            for soc in (get_benchmark("d695"), other)
+        ]
+        serial = [run_jobs(jobs, context, workers=0) for jobs, context in calls]
+        with FlatExecutor() as executor:
+            for _ in range(2):
+                for (jobs, context), reference in zip(calls, serial):
+                    pooled = executor.run_jobs(jobs, context, workers=2)
+                    assert results_identical(pooled, reference)
+            assert set(executor._socs) == {"d695", "alternate"}
+        # A, B, A, B: the second A and B find their SOC held.  A pool that
+        # held only its last SOC started four.
+        assert len(pool_starts) == 2
+
+    def test_a_rebound_key_refreshes_and_solves_the_new_soc(self, pool_starts):
+        first = generate_soc(4102, name="first", profile=PROFILE)
+        second = generate_soc(4103, name="second", profile=PROFILE)
+        jobs = [ScheduleJob(index=i, soc="slot", width=w)
+                for i, w in enumerate((10, 16))]
+        before = EngineContext(socs={"slot": first})
+        after = EngineContext(socs={"slot": second})
+        with FlatExecutor() as executor:
+            executor.run_jobs(jobs, before, workers=2)
+            pooled = executor.run_jobs(jobs, after, workers=2)
+            assert executor._socs == {"slot": second}
+        assert len(pool_starts) == 2
+        # The rebound key's pair was dropped with its SOC and primed again.
+        assert [initargs[1] for initargs in pool_starts] == [
+            (("slot", 64),), (("slot", 64),)
+        ]
+        assert results_identical(pooled, run_jobs(jobs, after, workers=0))
+        assert not results_identical(pooled, run_jobs(jobs, before, workers=0))
+
+    def test_a_refresh_primes_only_the_new_pairs(self, pool_starts, monkeypatch):
+        soc = get_benchmark("d695")
+        other = generate_soc(4104, name="primed", profile=PROFILE)
+        context = EngineContext(socs={soc.name: soc, other.name: other})
+        primed = []
+        prime = executor_module._prime_soc_pairs
+
+        def recorded(socs, pairs):
+            pairs = set(pairs)
+            primed.append(pairs)
+            return prime(socs, pairs)
+
+        monkeypatch.setattr(executor_module, "_prime_soc_pairs", recorded)
+        narrow = SchedulerConfig(max_core_width=32)
+        calls = [
+            [ScheduleJob(index=0, soc=soc.name, width=16),
+             ScheduleJob(index=1, soc=soc.name, width=20)],
+            [ScheduleJob(index=0, soc=soc.name, width=16),
+             ScheduleJob(index=1, soc=other.name, width=12, config=narrow)],
+        ]
+        with FlatExecutor() as executor:
+            for jobs in calls:
+                executor.run_jobs(jobs, context, workers=2)
+        assert primed == [{("d695", 64)}, {("primed", 32)}]
+        assert [initargs[1] for initargs in pool_starts] == [
+            (("d695", 64),), (("primed", 32),)
+        ]
 
     def test_closed_executor_rebuilds_for_the_next_run(self):
         jobs, context = table1_row("d695", 32, SMALL_GRID)

@@ -15,6 +15,7 @@ from repro.analysis.experiments import (
     run_table2,
     table1_jobs,
 )
+from repro.core import rectangles
 from repro.core.data_volume import sweep_tam_widths
 from repro.core.lower_bounds import lower_bound
 from repro.engine.api import (
@@ -95,6 +96,23 @@ class TestTable1:
 
     def test_testing_time_shrinks_with_width(self, rows):
         assert rows[1].non_preemptive < rows[0].non_preemptive
+
+    def test_a_warm_call_builds_no_soc_plan(self, medium_soc, monkeypatch):
+        grid = {"percents": (1, 10), "deltas": (0, 2), "slacks": (0, 3)}
+        widths = (8, 12, 16, 24)
+        first = run_table1(medium_soc, widths=widths, **grid)
+        built = [0]
+        init = rectangles.SocPlan.__init__
+
+        def counted(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(rectangles.SocPlan, "__init__", counted)
+        assert run_table1(medium_soc, widths=widths, **grid) == first
+        # Bounding each row without the session's sets built fresh sets
+        # and a plan per width: 4 here.
+        assert built[0] == 0
 
     def test_table1_jobs_carry_the_row_cells(self, rows, medium_soc):
         # Fault plans name these jobs by index (``job:...:i1``), so the order

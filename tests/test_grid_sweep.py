@@ -19,10 +19,13 @@ makespan never prunes, and a limit one cycle below it always does.
 """
 
 import functools
+import heapq
 import math
 import multiprocessing
 import random
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -589,6 +592,71 @@ class TestSocPlan:
         assert set(buckets) == {min(width, 20) for width in wide}
         with pytest.raises(ValueError, match="at least 1"):
             plan.unstarted_buckets((0,) + wide[1:], 20)
+
+    def test_buckets_from_the_memo_are_private_copies(self):
+        soc = generate_soc(2060, name="plan-memo", profile=CROWDED_PROFILE)
+        plan = soc_plan(soc, build_rectangle_sets(soc, 64))
+        vector = plan.preferred_vector(10, 2, 32)
+        first = plan.unstarted_buckets(vector, 24)
+        whole = {width: sorted(heap) for width, heap in first.items()}
+        for heap in first.values():  # a run pops everything it starts
+            while heap:
+                heapq.heappop(heap)
+        second = plan.unstarted_buckets(vector, 24)
+        assert {width: sorted(heap) for width, heap in second.items()} == whole
+        assert all(heap and heap[0] == min(heap) for heap in second.values())
+        assert all(second[width] is not first[width] for width in second)
+
+    def test_a_mutated_vector_list_misses_the_memo(self):
+        soc = generate_soc(2070, name="plan-mutated", profile=CROWDED_PROFILE)
+        sets = build_rectangle_sets(soc, 64)
+        plan = soc_plan(soc, sets)
+        vector = list(plan.preferred_vector(10, 2, 32))
+        before = plan.unstarted_buckets(vector, 24)
+        vector[0] = 1 if vector[0] != 1 else 2
+        # A plan with no memo yet walks the cores for every answer.
+        fresh = soc_plan(soc, build_rectangle_sets(soc, 64))
+        assert fresh is not plan
+        after = plan.unstarted_buckets(vector, 24)
+        assert after != before
+        assert after == fresh.unstarted_buckets(vector, 24)
+        assert plan.unstarted_buckets(vector, 16) == fresh.unstarted_buckets(vector, 16)
+
+    def test_threads_sharing_a_plan_get_whole_heaps(self):
+        soc = generate_soc(2080, name="plan-threads", profile=CROWDED_PROFILE)
+        plan = soc_plan(soc, build_rectangle_sets(soc, 64))
+        vectors = [plan.preferred_vector(percent, 0, 32) for percent in (1, 25, 75)]
+        expected = [
+            sorted(key for heap in plan.unstarted_buckets(v, 24).values() for key in heap)
+            for v in vectors
+        ]
+        errors = []
+
+        def hammer(offset):
+            try:
+                for step in range(300):
+                    which = (step + offset) % len(vectors)
+                    buckets = plan.unstarted_buckets(vectors[which], 24)
+                    keys = sorted(key for heap in buckets.values() for key in heap)
+                    if keys != expected[which]:
+                        errors.append((offset, step))
+                    for heap in buckets.values():
+                        heap.clear()  # a run consumes what it gets
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_reordered_soc_gets_its_own_plan(self):
         soc = generate_soc(2100, name="plan-order", profile=CROWDED_PROFILE)

@@ -23,7 +23,7 @@ import pytest
 
 from repro.analysis import perf
 from repro.analysis.experiments import TABLE2_WIDTHS
-from repro.core import scheduler
+from repro.core import rectangles, scheduler
 from repro.core.grid_sweep import run_grid_sweep
 from repro.core.rectangles import RectangleSet, build_rectangle_sets
 from repro.engine import parallel_tam_sweep
@@ -177,6 +177,25 @@ class TestSchedulerWork:
         assert calls["_advance"] <= 5000
         assert calls["_start"] <= 7000
 
+
+    def test_slack_variants_share_one_bucket_walk(self, monkeypatch):
+        soc = perf.scale_soc("s1000")
+        sets = build_rectangle_sets(soc, scheduler.SchedulerConfig().max_core_width)
+        walks = [0]
+        build = rectangles.SocPlan._build_buckets
+
+        def counted(self, *args):
+            walks[0] += 1
+            return build(self, *args)
+
+        monkeypatch.setattr(rectangles.SocPlan, "_build_buckets", counted)
+        outcome = run_grid_sweep(soc, 64, rectangle_sets=sets)
+        assert outcome.makespan == 9163954
+        assert outcome.unique_runs == 57
+        # Walking every core to build each run's heaps cost 57 walks; the
+        # three slack variants of a grid point share a vector and run back
+        # to back, so the plan's last heaps serve the second and third.
+        assert walks[0] <= 19
 
     def test_core_states_are_built_lazily(self, monkeypatch):
         soc = perf.scale_soc("s1000")
