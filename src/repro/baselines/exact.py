@@ -10,7 +10,8 @@ left-justified permutation schedule, which holds for the small instances the
 tests construct.
 
 The search space is ``prod_i |R_i| * n!`` so the function refuses to run on
-more than ``max_cores`` cores.
+more than ``max_cores`` cores, or on a core with more than
+``max_widths_per_core`` Pareto widths: it never drops a width silently.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def run_exhaustive(
     The implementation behind the ``"exhaustive"`` solver of the registry
     (:mod:`repro.solvers`).  Only non-preemptive, unconstrained scheduling is
     supported (Problem 1); passing a non-trivial ``constraints`` raises
-    ``ValueError``.  ``rectangle_sets`` may supply pre-built Pareto sets
+    ``ValueError``, and so does a core with more than ``max_widths_per_core``
+    Pareto widths.  ``rectangle_sets`` may supply pre-built Pareto sets
     (built with ``max_width == min(config.max_core_width, total_width)``).
     """
     if constraints is not None and (
@@ -85,11 +87,13 @@ def run_exhaustive(
     choices: Dict[str, List[Tuple[int, int]]] = {}
     for name in names:
         points = [(p.width, p.time) for p in sets[name].points if p.width <= total_width]
-        if not points:
-            points = [(1, sets[name].time_at(1))]
-        # Keep the widest (fastest) options first and cap the number of choices.
-        points = sorted(points, key=lambda wt: wt[0], reverse=True)[:max_widths_per_core]
-        choices[name] = points
+        if len(points) > max_widths_per_core:
+            raise ValueError(
+                f"exhaustive search limited to {max_widths_per_core} Pareto widths "
+                f"per core, core {name!r} has {len(points)}"
+            )
+        # The widest (fastest) options first.
+        choices[name] = points[::-1]
 
     best_segments: Optional[List[ScheduleSegment]] = None
     best_makespan: Optional[int] = None

@@ -45,7 +45,9 @@ class RectangleSet:
     Backed by the single-pass wrapper-curve kernel
     (:func:`repro.wrapper.curve.wrapper_curve`): construction costs one
     curve lookup and every width/time query is O(1) or a binary search over
-    the Pareto widths.
+    the Pareto widths.  The Pareto data is read from the curve, so no
+    :class:`ParetoPoint` is built until :attr:`points` asks for them (the
+    curve view builds them once for every set that shares it).
     """
 
     def __init__(self, core: Core, max_width: int = DEFAULT_MAX_WIDTH) -> None:
@@ -54,7 +56,6 @@ class RectangleSet:
         self._core = core
         self._max_width = max_width
         self._curve: WrapperCurve = wrapper_curve(core, max_width)
-        self._points: Tuple[ParetoPoint, ...] = self._curve.pareto_points()
         # Direct view of the curve's width-indexed staircase for the O(1)
         # time_at fast path (the shared array only ever grows in place, so
         # holding a reference is safe).
@@ -84,18 +85,18 @@ class RectangleSet:
     @property
     def points(self) -> Tuple[ParetoPoint, ...]:
         """All Pareto-optimal (width, time) points, by increasing width."""
-        return self._points
+        return self._curve.pareto_points()
 
     @property
     def rectangles(self) -> List[Rectangle]:
         """The Pareto-optimal rectangles as :class:`Rectangle` objects."""
         return [
             Rectangle(core=self._core.name, width=point.width, time=point.time)
-            for point in self._points
+            for point in self.points
         ]
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._curve.pareto_widths)
 
     # ------------------------------------------------------------------
     # Width / time lookups
@@ -125,12 +126,12 @@ class RectangleSet:
     @property
     def max_pareto_width(self) -> int:
         """The largest Pareto-optimal width."""
-        return self._points[-1].width
+        return self._curve.max_pareto_width
 
     @property
     def min_time(self) -> int:
         """The smallest achievable testing time (at the largest Pareto width)."""
-        return self._points[-1].time
+        return self._curve.min_time
 
     @property
     def min_area(self) -> int:

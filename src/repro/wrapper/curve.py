@@ -25,16 +25,15 @@ produces bit-identical lengths while doing none of that per-width work:
   eligible chain to a common level, then hand the remainder to the chains
   that the heap's tie-break -- secondary key, then index -- would have
   picked); each width sorts its internal fill once for both phases;
-* a core without bidirectional cells takes the **bin-load** path.  Its raw
-  ``si`` (``so``) at width ``w`` is the longest chain after water-filling
-  ``I`` (``O``) cells onto the LPT loads, and that depends on the multiset
-  of loads alone: the tie-breaks only decide *which* tied chain grows, and
-  tied chains are interchangeable.  (With bidirs, they are not: the
-  scan-in/scan-out placement decides where the bidir cells can go.)  So
-  LPT runs on a plain integer heap, the saturated widths pass a count of
-  empty chains instead of a list, and each phase reduces to one water
-  level over one sorted list -- no per-chain fill, index order or
-  scan-in/scan-out lists;
+* a core without bidirectional cells takes the **bin-load** path, in
+  closed form.  Its raw ``si`` (``so``) at width ``w`` is the longest chain
+  after adding ``I`` (``O``) unit cells, each to the then-shortest LPT load.
+  That fill is optimal, since a cell on the shortest chain never rises
+  above the ceiling of the mean: with ``top`` the largest LPT load,
+  ``si = max(top, ceil((sum(chains) + I) / w))``, likewise ``so``.  Tied
+  chains are interchangeable, so LPT runs on a plain integer heap and keeps
+  only ``top`` (``L``, below, from ``w >= n`` on).  With bidirs they are
+  not: the scan-in/scan-out placement decides where the bidirs can go;
 * past the **tail width** the design is known without computing it.  Let
   ``L`` be the longest internal chain, ``n`` the chain count and ``S`` the
   cell total ``sum(chains) + I + O + B``.  At a width ``w >= n`` with
@@ -44,14 +43,15 @@ produces bit-identical lengths while doing none of that per-width work:
   ``min(si, so)`` is at least the chain's internal fill.  So ``si = so = L``,
   the lower bound of every design, at every width from
   ``max(n, ceil(S / L))`` on, and those widths are filled by copying;
-* **dominated widths** are skipped.  A width ``w`` enters the staircase
-  only if its raw time beats ``T(w-1)``.  Every wrapper chain holds at
-  least ``L`` cells, and the ``w`` chains carry all ``sum(chains) + I + B``
-  scan-in and all ``sum(chains) + O + B`` scan-out bits, so
-  ``si >= max(L, ceil((sum(chains) + I + B) / w))`` and likewise for ``so``.
-  The testing time does not decrease as ``si`` or ``so`` grows, so those
-  two bounds give a time bound; a width whose bound is already
-  ``>= T(w-1)`` repeats its predecessor without running the step;
+* **dominated widths** are skipped in runs.  A width ``w`` enters the
+  staircase only if its raw time beats ``T(w-1)``.  A wrapper chain holds
+  ``L`` or more cells and the ``w`` chains carry all scan-in (-out) bits,
+  so ``si >= max(L, ceil((sum(chains) + I + B) / w))``, likewise ``so``:
+  the bin-load formula with ``top = L``.  Its time bounds the step's and
+  does not grow with ``w``, so after each evaluated width the kernel walks
+  it to the next width that can beat ``T(w-1)`` and copies the run before
+  it in one ``extend`` per array.  No bound is below ``(1 + L) * p + L``,
+  so once ``T(w-1)`` is down to that, the rest is copied at once;
 * results are stored in flat integer arrays, not object tuples; the BFD
   design with exactly ``w`` chains is not stored, only the staircase.
 
@@ -95,21 +95,17 @@ class ParetoPoint:
 # ----------------------------------------------------------------------
 # Analytic (water-filling) emulation of the one-cell-at-a-time distributor
 # ----------------------------------------------------------------------
-def _water_level(
-    ordered: Sequence[int], count: int, zeros: int = 0
-) -> Tuple[int, int, int]:
-    """Water-fill ``count`` unit cells over ``zeros`` empty chains followed
-    by the ascending values ``ordered``.
+def _water_level(ordered: Sequence[int], count: int) -> Tuple[int, int, int]:
+    """Water-fill ``count`` unit cells over the ascending values ``ordered``.
 
     Returns ``(level, pool_size, remainder)``: every chain whose value is at
     most ``level`` ends up *at* ``level``, ``remainder`` of them get one
     extra cell, and ``pool_size`` is the number of such chains counted in
-    ascending-value order (the empty chains first).  This is exactly the
-    multiset the sequential "add each cell to the current minimum" heap
-    loop produces.
+    ascending-value order.  This is exactly the multiset the sequential
+    "add each cell to the current minimum" heap loop produces.
     """
-    level = 0 if zeros else ordered[0]
-    pool = zeros
+    level = ordered[0]
+    pool = 0
     budget = count
     for value in ordered:
         need = (value - level) * pool
@@ -122,16 +118,11 @@ def _water_level(
     return level, pool, budget % pool
 
 
-def _longest_after_fill(zeros: int, loads: Sequence[int], cells: int) -> int:
-    """Longest chain once ``cells`` are water-filled onto ``zeros`` empty
-    chains and the ascending ``loads``: the pool's common level (plus one
-    if a remainder is left) or the longest untouched load."""
-    top = loads[-1] if loads else 0
-    if cells == 0:
-        return top
-    level, _, extra = _water_level(loads, cells, zeros)
-    level += extra > 0
-    return level if level > top else top
+def _testing_time(scan_in: int, scan_out: int, patterns: int) -> int:
+    """``T = (1 + max(si, so)) * p + min(si, so)``."""
+    if scan_in > scan_out:
+        return (1 + scan_in) * patterns + scan_out
+    return (1 + scan_out) * patterns + scan_in
 
 
 def _fill_cells(
@@ -218,8 +209,8 @@ class _CurveData:
         "outputs",
         "bidirs",
         "longest",
-        "heavy_bits",
-        "light_bits",
+        "input_bits",
+        "output_bits",
         "tail_width",
         "evaluated",
         "best_widths",
@@ -232,17 +223,18 @@ class _CurveData:
     def __init__(self, core: Core) -> None:
         lengths = tuple(sorted(core.scan_chains, reverse=True))
         self.lengths: Tuple[int, ...] = lengths
-        # Chain indices by ascending ``(length, index)``.
-        self.ascending = sorted(range(len(lengths)), key=lengths.__getitem__)
+        # Chain indices by ascending ``(length, index)``, for the bidir path.
+        ascending = sorted(range(len(lengths)), key=lengths.__getitem__) if core.bidirs else []
+        self.ascending: List[int] = ascending
         self.patterns = core.patterns
         self.inputs = core.inputs
         self.outputs = core.outputs
         self.bidirs = core.bidirs
         self.longest = lengths[0] if lengths else 0
-        # Scan bits of the heavier and the lighter phase.
+        # Scan bits of the scan-in and the scan-out phase.
         bits = sum(lengths) + core.bidirs
-        self.heavy_bits = bits + max(core.inputs, core.outputs)
-        self.light_bits = bits + min(core.inputs, core.outputs)
+        self.input_bits = bits + core.inputs
+        self.output_bits = bits + core.outputs
         # The first width of the closed-form tail (``None``: no chains).
         self.tail_width: Optional[int] = None
         if lengths:
@@ -274,68 +266,64 @@ class _CurveData:
             heapq.heappush(heap, (load, index))
         return bins, sorted(range(width), key=bins.__getitem__)
 
-    def _bin_loads(self, width: int) -> Tuple[int, Sequence[int]]:
-        """The LPT chain loads at ``width`` as ``(zeros, ascending)``:
-        ``zeros`` empty chains followed by the ascending nonzero loads.
-
-        Only the multiset is built: adding a scan chain to any one of several
-        tied minimum bins leaves the same multiset, so plain integer loads
-        reproduce the ``(load, index)`` heap of :meth:`_internal_fill`.
-        """
-        lengths = self.lengths
-        chains = len(lengths)
-        if width >= chains:
-            return width - chains, lengths[::-1]
-        # The ``width`` longest chains open one bin each; ascending, they
-        # already form a heap.
-        heap = list(lengths[width - 1 :: -1])
-        for length in lengths[width:]:
-            heapq.heapreplace(heap, heap[0] + length)
-        heap.sort()
-        return 0, heap
+    def _scan_floor(self, top: int, width: int) -> Tuple[int, int]:
+        """``(si, so)`` when ``width`` chains share every scan bit as evenly
+        as whole cells allow and none is below ``top``."""
+        scan_in = -(-self.input_bits // width)
+        scan_out = -(-self.output_bits // width)
+        return (scan_in if scan_in > top else top), (scan_out if scan_out > top else top)
 
     def step(self, width: int) -> Tuple[int, int]:
         """``(si, so)`` of the BFD design with *exactly* ``width`` chains."""
         tail = self.tail_width
         if tail is not None and width >= tail:
             return self.longest, self.longest
-        if not self.bidirs:
-            zeros, loads = self._bin_loads(width)
-            return (
-                _longest_after_fill(zeros, loads, self.inputs),
-                _longest_after_fill(zeros, loads, self.outputs),
-            )
-        fill, order = self._internal_fill(width)
-        return _raw_scan_lengths(fill, order, self.inputs, self.outputs, self.bidirs)
+        if self.bidirs:
+            fill, order = self._internal_fill(width)
+            return _raw_scan_lengths(fill, order, self.inputs, self.outputs, self.bidirs)
+        # LPT on plain loads: the ``width`` longest chains open one bin each
+        # and, ascending, already form a heap.  Only the top load matters.
+        lengths = self.lengths
+        if width >= len(lengths):
+            return self._scan_floor(self.longest, width)
+        heap = list(lengths[width - 1 :: -1])
+        for length in lengths[width:]:
+            heapq.heapreplace(heap, heap[0] + length)
+        return self._scan_floor(max(heap), width)
 
     def time_bound(self, width: int) -> int:
-        """A lower bound on the testing time of :meth:`step` at ``width``,
-        from the longest chain and the scan bits of each phase alone."""
-        high = -(-self.heavy_bits // width)
-        low = -(-self.light_bits // width)
-        longest = self.longest
-        return (1 + (high if high > longest else longest)) * self.patterns + (
-            low if low > longest else longest
-        )
+        """A lower bound on the testing time of :meth:`step` at ``width``:
+        the bin-load formula with the longest internal chain as ``top``."""
+        scan_in, scan_out = self._scan_floor(self.longest, width)
+        return _testing_time(scan_in, scan_out, self.patterns)
+
+    def _repeat_last(self, copies: int) -> None:
+        """Append ``copies`` repeats of the last width-indexed entries."""
+        for field in (self.best_widths, self.times, self.scan_in, self.scan_out):
+            field.extend(field[-1:] * copies)
 
     def extend(self, max_width: int) -> None:
         """Grow the arrays so widths ``1..max_width`` are all computed."""
         times = self.times
-        start = len(times) + 1
-        if max_width < start:
-            return
+        width = len(times) + 1
         patterns = self.patterns
         tail = self.tail_width
         last = max_width if tail is None else min(max_width, tail)
-        for width in range(start, last + 1):
-            # A width whose bound cannot go below ``T(w-1)`` repeats its
-            # predecessor without running the step.
-            if width == 1 or self.time_bound(width) < times[-1]:
+        # No width's bound goes below the time of chains all at ``longest``.
+        floor = _testing_time(self.longest, self.longest, patterns)
+        while width <= last:
+            # Widths whose bound cannot go below ``T(w-1)`` repeat their
+            # predecessor without running the step: copy the run at once.
+            end = width
+            if width > 1:
+                best = times[-1]
+                end = last + 1 if best <= floor else width
+                while end <= last and self.time_bound(end) >= best:
+                    end += 1
+            if end == width:
                 self.evaluated += 1
                 si, so = self.step(width)
-                raw_time = (1 + (si if si > so else so)) * patterns + (
-                    so if si > so else si
-                )
+                raw_time = _testing_time(si, so, patterns)
                 if width == 1 or raw_time < times[-1]:
                     # A strict improvement: this width starts a new staircase
                     # step (and is therefore Pareto-optimal).
@@ -344,18 +332,15 @@ class _CurveData:
                     self.scan_in.append(si)
                     self.scan_out.append(so)
                     self.pareto_widths.append(width)
+                    width += 1
                     continue
-            self.best_widths.append(self.best_widths[-1])
-            times.append(times[-1])
-            self.scan_in.append(self.scan_in[-1])
-            self.scan_out.append(self.scan_out[-1])
+                end = width + 1
+            self._repeat_last(end - width)
+            width = end
         # Past the tail width every width repeats the tail's entries; the
-        # Pareto widths (the last table field) stay as they are.
-        copies = max_width - len(times)
-        if copies > 0:
-            for name in CURVE_TABLE_FIELDS[:-1]:
-                field = getattr(self, name)
-                field.extend(field[-1:] * copies)
+        # Pareto widths stay as they are.
+        if max_width > len(times):
+            self._repeat_last(max_width - len(times))
 
 
 class WrapperCurve:

@@ -128,6 +128,17 @@ class TestExhaustiveReference:
         with pytest.raises(ValueError):
             run_exhaustive(tiny_soc, 8, constraints=constraints)
 
+    def test_reference_refuses_more_pareto_widths_than_the_cap(self):
+        # 30 input and 30 output cells, no chains: 9 Pareto widths up to 16.
+        wide = Core.combinational("wide", inputs=30, outputs=30, patterns=2)
+        soc = Soc("wide-pair", (wide, Core("b", inputs=3, outputs=1, patterns=12,
+                                           scan_chains=(10,))))
+        with pytest.raises(ValueError, match=r"core 'wide' has 9"):
+            run_exhaustive(soc, 16)
+        reference = run_exhaustive(soc, 16, max_widths_per_core=9)
+        reference.validate(soc)
+        assert reference.makespan >= lower_bound(soc, 16)
+
     def test_single_core_reference_is_exact(self):
         core = Core("solo", inputs=2, outputs=2, patterns=6, scan_chains=(4, 4))
         soc = Soc("solo", (core,))

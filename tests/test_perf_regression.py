@@ -270,7 +270,7 @@ class TestGridSweepWork:
 
 
 class TestCurveKernelWork:
-    """Bidir-free cores take their scan lengths from the sorted loads alone,
+    """Bidir-free cores take their scan lengths from the top LPT load alone,
     and a scan-bit bound settles most widths before any design is built."""
 
     def test_kernel_work_on_1000_cores(self, monkeypatch):
@@ -305,10 +305,28 @@ class TestCurveKernelWork:
         # 187,609 heap operations and 5,247 ``_fill_cells`` calls; the scan-bit
         # bound settles most widths before the step runs.  (Before the
         # bin-load path, a per-chain fill at every width cost 582 heap
-        # operations per core and 41,511 ``_fill_cells`` calls.)
-        assert curve.curve_cache_info().widths_computed <= 8000
+        # operations per core and 41,511 ``_fill_cells`` calls.)  Copying
+        # each settled run at once must settle exactly the same widths.
+        assert curve.curve_cache_info().widths_computed == 7847
         assert calls["heap"] <= 100 * len(soc.cores)
         assert calls["fill_cells"] <= 2500
+
+    def test_rectangle_sets_build_no_pareto_points(self, monkeypatch):
+        built = [0]
+
+        class CountedPoint(curve.ParetoPoint):
+            def __init__(self, *args, **kwargs):
+                built[0] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(curve, "ParetoPoint", CountedPoint)
+        curve.clear_curve_cache()
+        sets = build_rectangle_sets(get_benchmark("p93791"), 64)
+        # Building a point tuple per set cost one point per Pareto width;
+        # the sets read the curve, and the points wait for ``points``.
+        assert built[0] == 0
+        first = next(iter(sets.values()))
+        assert len(first.points) == len(first) == built[0] > 0
 
 
 #: SHA-256 over the cached curve tables of the golden 1000-core SOC and

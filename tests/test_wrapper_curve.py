@@ -9,14 +9,16 @@ hypothesis-style: a seeded generator draws random scan-chain multisets and
 I/O counts so the analytic water-filling distributor is exercised across
 tie-break and saturation corners that the benchmark SOCs never hit; cores
 on the boundaries of the closed-form tail are pinned to widths 1..128, and
-a Hypothesis property draws its own.
+a Hypothesis property draws its own.  The bidir-free step's closed form is
+pinned to a ``(load, index)`` LPT heap and a one-cell-at-a-time fill.
 """
 
+import heapq
 import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.wrapper.curve as curve_module
@@ -283,6 +285,23 @@ class TestClosedFormTail:
             assert data.time_bound(width) == testing_time(core, (longest, longest))
 
 
+@st.composite
+def cores(draw, with_bidirs=True):
+    """Random cores, biased towards the tail and tie-break corners."""
+    chains = draw(
+        st.lists(st.integers(min_value=1, max_value=draw(st.sampled_from((4, 60)))),
+                 max_size=20)
+    )
+    io = st.integers(min_value=0, max_value=draw(st.sampled_from((3, 40, 200))))
+    inputs, outputs = draw(io), draw(io)
+    # Half the draws have no bidir cells: they take the bin-load path.
+    bidirs = draw(io) if with_bidirs and draw(st.booleans()) else 0
+    assume(chains or inputs + outputs + bidirs)
+    return Core("drawn", inputs=inputs, outputs=outputs, bidirs=bidirs,
+                patterns=draw(st.integers(min_value=1, max_value=40)),
+                scan_chains=tuple(chains))
+
+
 def table_bytes(core: Core) -> list:
     """The cached per-core table of ``core``, as bytes per field."""
     data = curve_module._DATA[core]
@@ -311,6 +330,23 @@ class TestGrowth:
         assert self.built(core, 8, 64, 128) == self.built(core, 128)
         assert self.built(core, 64, 8) == self.built(core, 64)
 
+    @given(
+        core=cores(),
+        widths=st.lists(st.integers(min_value=1, max_value=130), min_size=1, max_size=6),
+    )
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_random_growth_matches_one_build(self, core, widths):
+        # Any order of requests, narrowing ones included, leaves the table
+        # and the evaluated count of one build at the widest request, even
+        # when a skipped run crosses an earlier request's width.
+        grown = self.built(core, *widths), curve_module._DATA[core].evaluated
+        once = self.built(core, max(widths)), curve_module._DATA[core].evaluated
+        assert grown == once
+
     @pytest.mark.parametrize("core", CORES, ids=[c.name for c in CORES])
     def test_growth_only_appends_to_the_exported_table(self, core):
         # Entries already exported for narrower widths never change when
@@ -322,23 +358,6 @@ class TestGrowth:
             assert grown == self.built(core, 128)
             for before, after in zip(exported, grown):
                 assert after[: len(before)] == before
-
-
-@st.composite
-def cores(draw):
-    """Random cores, biased towards the tail and tie-break corners."""
-    chains = draw(
-        st.lists(st.integers(min_value=1, max_value=draw(st.sampled_from((4, 60)))),
-                 max_size=20)
-    )
-    io = st.integers(min_value=0, max_value=draw(st.sampled_from((3, 40, 200))))
-    inputs, outputs = draw(io), draw(io)
-    # Half the draws have no bidir cells: they take the bin-load path.
-    bidirs = draw(io) if draw(st.booleans()) else 0
-    assume(chains or inputs + outputs + bidirs)
-    return Core("drawn", inputs=inputs, outputs=outputs, bidirs=bidirs,
-                patterns=draw(st.integers(min_value=1, max_value=40)),
-                scan_chains=tuple(chains))
 
 
 class TestKernelProperty:
@@ -385,3 +404,51 @@ class TestTimeBound:
             if data.time_bound(width) >= curve.time(width - 1)
         ]
         assert data.evaluated == last - len(settled)
+
+
+def reference_lpt_loads(chains: tuple, width: int) -> list:
+    """Per-bin loads of LPT over a ``(load, index)`` heap: each chain,
+    longest first, joins the least-loaded bin (lowest index on ties)."""
+    loads = [0] * width
+    heap = [(0, index) for index in range(width)]
+    for length in sorted(chains, reverse=True):
+        load, index = heapq.heappop(heap)
+        loads[index] = load + length
+        heapq.heappush(heap, (loads[index], index))
+    return loads
+
+
+def reference_longest_after_fill(loads: list, cells: int) -> int:
+    """Longest chain after adding ``cells`` cells one at a time, each to the
+    currently shortest chain."""
+    heap = list(loads)
+    heapq.heapify(heap)
+    for _ in range(cells):
+        heapq.heapreplace(heap, heap[0] + 1)
+    return max(heap)
+
+
+class TestClosedFormStep:
+    """A bidir-free core's step is ``max(top, ceil((sum + c) / w))`` per
+    phase: a unit-cell fill onto the minimum chain is an optimal fill."""
+
+    @given(core=cores(with_bidirs=False), width=st.integers(min_value=1, max_value=96))
+    @settings(max_examples=200, deadline=None)
+    def test_step_is_the_fill_of_the_lpt_loads(self, core, width):
+        data = curve_module._CurveData(core)
+        loads = reference_lpt_loads(core.scan_chains, width)
+        expected = (
+            reference_longest_after_fill(loads, core.inputs),
+            reference_longest_after_fill(loads, core.outputs),
+        )
+        assert data.step(width) == expected
+        assert data._scan_floor(max(loads), width) == expected
+
+    @given(core=cores(with_bidirs=False))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_is_exact_from_the_chain_count_on(self, core):
+        # At ``w >= n`` every chain sits alone in a bin, so the LPT top is
+        # the longest chain and the bound is the step's own time.
+        data = curve_module._CurveData(core)
+        for width in range(max(1, len(core.scan_chains)), 97):
+            assert data.time_bound(width) == testing_time(core, data.step(width))
